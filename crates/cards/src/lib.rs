@@ -43,6 +43,7 @@ mod sorting;
 mod totalizer;
 
 pub use sink::CnfSink;
+pub use sorting::sorted_prefix;
 pub use totalizer::IncrementalTotalizer;
 
 /// Shared scaffolding for the exhaustive encoding tests in this crate

@@ -14,8 +14,7 @@
 //!   encoding and the per-core `Σ ≥ 1` redundant constraints.
 //!
 //! The exact pseudo-code of \[22\] is not reproduced in the DATE'08
-//! paper; this reconstruction matches its described properties (see
-//! DESIGN.md §6).
+//! paper; this reconstruction matches its described properties.
 
 use std::time::Instant;
 

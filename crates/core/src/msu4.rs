@@ -1,8 +1,9 @@
 //! The msu4 algorithm — Algorithm 1 of the paper.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
-use coremax_cards::{encode_at_most, CardEncoding, CnfSink};
+use coremax_cards::{encode_at_most, sorted_prefix, CardEncoding, CnfSink};
 use coremax_cnf::{Lit, WcnfFormula};
 use coremax_sat::{Budget, EngineMode, IncrementalSolver, SharedContext, SoftId, SolveOutcome};
 
@@ -220,10 +221,15 @@ impl MaxSatSolver for Msu4 {
         // selector assumption is still active, and blocking it merely
         // deactivates the assumption (the selector is the paper's
         // blocking variable — at most one per clause, by construction).
-        let handles: Vec<SoftId> = wcnf
+        // Each soft's assumption literal, to map a core back to its
+        // softs in O(|core|) and in the order the engine reports it.
+        let soft_of: HashMap<Lit, SoftId> = wcnf
             .soft_clauses()
             .iter()
-            .map(|s| engine.add_soft(s.clause.lits().iter().copied()))
+            .map(|s| {
+                let id = engine.add_soft(s.clause.lits().iter().copied());
+                (engine.assumption(id), id)
+            })
             .collect();
         // All blocking literals, in introduction order (the paper's VB).
         let mut vb: Vec<Lit> = Vec::new();
@@ -231,14 +237,13 @@ impl MaxSatSolver for Msu4 {
         // implied by the tightest one, so φW keeps only the latest —
         // Algorithm 1 accumulates them, but keeping stale encodings
         // active changes neither models nor correctness and only slows
-        // propagation. Each version is therefore gated behind a fresh
-        // activation literal and retired (unit `t`) when replaced.
-        let mut bound_gate: Option<Lit> = None;
+        // propagation. The live encoding sits behind one activation
+        // literal and is retired (unit `t`) when superseded.
+        let mut bound = BlockingBound::new(self.config.encoding, true);
 
         loop {
-            let gate_assumptions: Vec<Lit> = bound_gate.iter().map(|&t| !t).collect();
             stats.sat_calls += 1;
-            match engine.solve(&gate_assumptions) {
+            match engine.solve(bound.assumptions()) {
                 SolveOutcome::Unknown => {
                     stats.absorb_sat(&engine.stats());
                     // Certified interval: lb from disjoint cores, ub from
@@ -277,16 +282,13 @@ impl MaxSatSolver for Msu4 {
                         });
                     }
                     // φI: unblocked soft clauses in the core (the paper's
-                    // "initial clauses"). Failed soft assumptions are
-                    // active by construction, so all of them are fresh.
+                    // "initial clauses"). A bound literal can be the
+                    // assumption of a blocked soft (a one-input network
+                    // outputs its input), so filter on activity.
                     let new_blocked: Vec<SoftId> = core
                         .iter()
-                        .filter_map(|&a| {
-                            handles
-                                .iter()
-                                .find(|&&id| engine.assumption(id) == a && engine.is_active(id))
-                                .copied()
-                        })
+                        .filter_map(|a| soft_of.get(a).copied())
+                        .filter(|&id| engine.is_active(id))
                         .collect();
                     if new_blocked.is_empty() {
                         // Line 21–22: the core can be re-derived no matter
@@ -331,8 +333,7 @@ impl MaxSatSolver for Msu4 {
                     // ≤ f−1 extends to a model of φW with Σb ≤ f−1, so
                     // the strengthened constraint excludes no optimum.
                     // Without this, descent proceeds one wasted blocking
-                    // variable at a time, re-encoding the cardinality
-                    // network per step (see DESIGN.md §4).
+                    // variable at a time, one SAT call per step.
                     let f = wcnf
                         .soft_clauses()
                         .iter()
@@ -349,35 +350,10 @@ impl MaxSatSolver for Msu4 {
                             });
                         }
                     }
-                    if ub == 0 {
-                        // No soft clause needed blocking: cost 0 optimum.
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Optimal, Some(0), 0, best_model, stats);
-                    }
-                    // Lines 30–31: demand strictly fewer blocking vars.
-                    // The previous bound version is retired for good and
-                    // the new, tighter one activated under a fresh gate.
-                    let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                    if let Some(t) = bound_gate.take() {
-                        engine.add_clause([t]);
-                    }
-                    let t = Lit::positive(engine.new_var());
-                    let mut sink = CnfSink::new(engine.num_vars());
-                    encode_at_most(&vb, ub - 1, self.config.encoding, &mut sink);
-                    engine.ensure_vars(sink.num_vars());
-                    let new_clauses = sink.into_clauses();
-                    stats.cardinality_clauses += new_clauses.len() as u64;
-                    let clauses_added = new_clauses.len() as u64;
-                    for c in new_clauses {
-                        engine.add_clause(c.into_iter().chain(std::iter::once(t)));
-                    }
-                    bound_gate = Some(t);
-                    encode_span.finish(&mut stats.phase);
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                            blocking_vars: 0,
-                            clauses: clauses_added,
-                        });
+                    // Lines 30–31: demand strictly fewer blocking vars
+                    // (ub = 0 needs no bound: line 32 below returns).
+                    if ub > 0 {
+                        bound.tighten(&mut engine, &vb, ub, &mut stats);
                     }
                 }
             }
@@ -398,6 +374,106 @@ impl MaxSatSolver for Msu4 {
                 });
                 return finish(MaxSatStatus::Unknown, cost, lb, incumbent, stats);
             }
+        }
+    }
+}
+
+/// Algorithm 1's bound `Σ_{b∈VB} b ≤ ub − 1`, as msu4 keeps it in the
+/// engine.
+///
+/// The upper bound only falls and the blocking set only grows. So with
+/// the sorting network (v2), the first `ub` outputs of one network over
+/// the blocking set serve every later bound as one literal,
+/// `¬out[ub − 1]`: the network is built at the first tightening after a
+/// core grows the set, and later tightenings add no clauses. Any other
+/// encoding is re-encoded per bound (v1's BDD encodes a single bound).
+///
+/// *Gated* ([`Msu4`]): the live encoding's clauses carry one activation
+/// literal `t`, the bound is enforced by assuming `¬t` and the bound
+/// literal, and a superseded encoding is retired by the unit `t`, so at
+/// most one is live. *Permanent* ([`crate::Msu4Incremental`]): clauses
+/// stay, and each bound literal is added as a unit.
+#[derive(Debug)]
+pub(crate) struct BlockingBound {
+    encoding: CardEncoding,
+    gated: bool,
+    /// Activation literal of the live encoding (gated only).
+    gate: Option<Lit>,
+    /// How many blocking literals the live sorting network counts.
+    counted: usize,
+    /// Its outputs: `outputs[i]` ⇔ at least `i+1` of them are true.
+    outputs: Vec<Lit>,
+    /// What a gated bound assumes: `¬t` and the bound literal.
+    assumptions: Vec<Lit>,
+}
+
+impl BlockingBound {
+    pub(crate) fn new(encoding: CardEncoding, gated: bool) -> Self {
+        BlockingBound {
+            encoding,
+            gated,
+            gate: None,
+            counted: 0,
+            outputs: Vec::new(),
+            assumptions: Vec::new(),
+        }
+    }
+
+    /// The assumptions that enforce the current bound; empty when the
+    /// bound is permanent or not yet set.
+    pub(crate) fn assumptions(&self) -> &[Lit] {
+        &self.assumptions
+    }
+
+    /// Tightens the bound to `Σ vb ≤ ub − 1`, for `1 ≤ ub ≤ |vb|`,
+    /// counting the clauses it encodes.
+    pub(crate) fn tighten(
+        &mut self,
+        engine: &mut IncrementalSolver,
+        vb: &[Lit],
+        ub: usize,
+        stats: &mut MaxSatStats,
+    ) {
+        debug_assert!(1 <= ub && ub <= vb.len());
+        let network = self.encoding == CardEncoding::SortingNetwork;
+        let mut clauses_added = 0;
+        if !network || self.counted != vb.len() {
+            let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
+            if let Some(t) = self.gate.take() {
+                engine.add_clause([t]);
+            }
+            self.gate = self.gated.then(|| Lit::positive(engine.new_var()));
+            let mut sink = CnfSink::new(engine.num_vars());
+            if network {
+                self.outputs = sorted_prefix(vb, ub, &mut sink);
+                self.counted = vb.len();
+            } else {
+                encode_at_most(vb, ub - 1, self.encoding, &mut sink);
+            }
+            engine.ensure_vars(sink.num_vars());
+            let clauses = sink.into_clauses();
+            clauses_added = clauses.len() as u64;
+            for c in clauses {
+                engine.add_clause(c.into_iter().chain(self.gate));
+            }
+            encode_span.finish(&mut stats.phase);
+        }
+        stats.cardinality_clauses += clauses_added;
+        self.assumptions.clear();
+        self.assumptions.extend(self.gate.map(|t| !t));
+        if network {
+            let bound = !self.outputs[ub - 1];
+            if self.gated {
+                self.assumptions.push(bound);
+            } else {
+                engine.add_clause([bound]);
+            }
+        }
+        if coremax_obs::tracing_enabled() {
+            coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
+                blocking_vars: 0,
+                clauses: clauses_added,
+            });
         }
     }
 }
@@ -638,5 +714,58 @@ mod tests {
     fn names_distinguish_versions() {
         assert_eq!(Msu4::v1().name(), "msu4-v1");
         assert_eq!(Msu4::v2().name(), "msu4-v2");
+    }
+
+    #[test]
+    fn sorting_network_is_encoded_once_per_blocking_set() {
+        use std::sync::{Arc, Mutex};
+
+        /// Clause counts of the bound tightenings emitted on one thread.
+        struct Tightenings {
+            thread: u64,
+            clauses: Mutex<Vec<u64>>,
+        }
+        impl coremax_obs::EventSink for Tightenings {
+            fn on_event(&self, event: &coremax_obs::Event) {
+                if let coremax_obs::Event::RelaxationEncoded { clauses, .. } = event {
+                    if coremax_obs::thread_tag() == self.thread {
+                        self.clauses.lock().unwrap().push(*clauses);
+                    }
+                }
+            }
+        }
+
+        // One core, then five ever better models: four tightenings of
+        // the bound over the same blocking set.
+        let w = WcnfFormula::from_cnf_all_soft(&coremax_instances::untestable_atpg(1, 4));
+        let sink = Arc::new(Tightenings {
+            thread: coremax_obs::thread_tag(),
+            clauses: Mutex::new(Vec::new()),
+        });
+        let _guard = coremax_obs::install(sink.clone(), false);
+        let solvers: [(Box<dyn MaxSatSolver>, u64); 2] = [
+            (Box::new(Msu4::v2()), 1), // plus the core's Σ b ≥ 1 clause
+            (Box::new(crate::Msu4Incremental::new()), 0),
+        ];
+        for (mut solver, at_least_one) in solvers {
+            sink.clauses.lock().unwrap().clear();
+            let s = solver.solve(&w);
+            let name = solver.name();
+            assert_eq!(s.status, MaxSatStatus::Optimal, "{name}");
+            assert_eq!(s.stats.cores, 1, "{name}");
+            assert!(s.stats.sat_iterations >= 4, "{name}: {:?}", s.stats);
+            let tightenings = sink.clauses.lock().unwrap().clone();
+            assert!(tightenings.len() >= 3, "{name}: {tightenings:?}");
+            assert!(tightenings[0] > 0, "{name}: {tightenings:?}");
+            assert!(
+                tightenings[1..].iter().all(|&c| c == 0),
+                "{name} re-encoded: {tightenings:?}"
+            );
+            assert_eq!(
+                s.stats.cardinality_clauses,
+                tightenings[0] + at_least_one,
+                "{name}"
+            );
+        }
     }
 }

@@ -11,18 +11,22 @@
 //! - the solver's **failed assumptions** after an UNSAT answer name the
 //!   soft clauses of a core directly — no clause-id bookkeeping;
 //! - *blocking* a clause just removes its `¬sᵢ` assumption;
-//! - cardinality constraints over the active selectors only tighten, so
-//!   they are added to the same solver incrementally.
+//! - the bound `Σ_vb s ≤ ub − 1` only tightens, so it is added
+//!   permanently: one sorting network over the blocked selectors, built
+//!   with its first `ub` outputs at the first tightening after a core
+//!   grows the blocking set, and each bound as the unit `¬out[ub − 1]`.
+//!   Tightening without a new core adds no encoding clauses.
 //!
 //! This is how later core-guided solvers (e.g. open-wbo's MSU3/OLL
 //! implementations) drive their SAT engines, applied to Algorithm 1.
 
 use std::time::Instant;
 
-use coremax_cards::{encode_at_most, CardEncoding, CnfSink};
+use coremax_cards::CardEncoding;
 use coremax_cnf::{Lit, WcnfFormula};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SharedContext, SoftId, SolveOutcome};
+use coremax_sat::{Budget, EngineMode, IncrementalSolver, SharedContext, SolveOutcome};
 
+use crate::msu4::BlockingBound;
 use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 
 /// Assumption-based incremental msu4. Same algorithm and answer as
@@ -49,7 +53,6 @@ use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Msu4Incremental {
-    encoding: CardEncoding,
     budget: Budget,
     engine_mode: EngineMode,
     shared: Option<SharedContext>,
@@ -66,18 +69,6 @@ impl Msu4Incremental {
     #[must_use]
     pub fn new() -> Self {
         Msu4Incremental {
-            encoding: CardEncoding::SortingNetwork,
-            budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
-            shared: None,
-        }
-    }
-
-    /// Incremental msu4 with an explicit bound encoding.
-    #[must_use]
-    pub fn with_encoding(encoding: CardEncoding) -> Self {
-        Msu4Incremental {
-            encoding,
             budget: Budget::new(),
             engine_mode: EngineMode::Persistent,
             shared: None,
@@ -141,17 +132,16 @@ impl MaxSatSolver for Msu4Incremental {
         for h in wcnf.hard_clauses() {
             engine.add_clause_shared(h.lits().iter().copied());
         }
-        let handles: Vec<SoftId> = wcnf
-            .soft_clauses()
-            .iter()
-            .map(|s| engine.add_soft(s.clause.lits().iter().copied()))
-            .collect();
+        for s in wcnf.soft_clauses() {
+            engine.add_soft(s.clause.lits().iter().copied());
+        }
 
         let mut vb: Vec<Lit> = Vec::new(); // selectors of blocked clauses
         let mut lb = 0usize;
         let mut ub = num_soft;
         let mut best_model: Option<coremax_cnf::Assignment> = None;
-        // Whether any cardinality-bound clauses were materialised: a
+        let mut bound = BlockingBound::new(CardEncoding::SortingNetwork, false);
+        // Whether any cardinality bound was materialised: a
         // clause-level refutation *before* that can only involve the
         // hard clauses (relaxed softs are unrefutable — their selectors
         // are free), i.e. the instance is infeasible.
@@ -201,7 +191,7 @@ impl MaxSatSolver for Msu4Incremental {
                     // unblocked by construction.
                     let mut fresh = 0usize;
                     for id in engine.failed_softs() {
-                        if handles.contains(&id) && engine.is_active(id) {
+                        if engine.is_active(id) {
                             engine.deactivate(id);
                             vb.push(engine.selector(id));
                             fresh += 1;
@@ -243,29 +233,12 @@ impl MaxSatSolver for Msu4Incremental {
                             });
                         }
                     }
-                    if ub == 0 {
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Optimal, Some(0), 0, best_model, stats);
-                    }
                     // Tighten: Σ_vb s ≤ ub − 1 (added permanently; bounds
                     // only tighten so stale ones are merely redundant).
-                    let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                    let mut sink = CnfSink::new(engine.num_vars());
-                    encode_at_most(&vb, ub - 1, self.encoding, &mut sink);
-                    engine.ensure_vars(sink.num_vars());
-                    let clauses = sink.into_clauses();
-                    stats.cardinality_clauses += clauses.len() as u64;
-                    bounds_added |= !clauses.is_empty();
-                    let clauses_added = clauses.len() as u64;
-                    for c in clauses {
-                        engine.add_clause(c);
-                    }
-                    encode_span.finish(&mut stats.phase);
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                            blocking_vars: 0,
-                            clauses: clauses_added,
-                        });
+                    // ub = 0 needs no bound: the check below returns.
+                    if ub > 0 {
+                        bound.tighten(&mut engine, &vb, ub, &mut stats);
+                        bounds_added = true;
                     }
                 }
             }

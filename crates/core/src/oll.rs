@@ -15,7 +15,8 @@
 //! members heavier than `w_min` keep their assumption at the residual
 //! weight (a fresh relaxation literal joins the totalizer in their
 //! stead), and members at exactly `w_min` are deactivated with their
-//! selector counted directly.
+//! selector counted directly. Either way, a totalizer-output member
+//! passes `w_min` on to its totalizer's next output, as RC2 does.
 //!
 //! On top of the core loop sit the two RC2 refinements named by the
 //! ROADMAP: *core exhaustion* (a totalizer whose bound reaches its
@@ -33,9 +34,10 @@
 //! of per-core charges (sound by the OLL transformation), and the
 //! incumbent cost is exact by construction. Budget exhaustion at any
 //! point — including between a core and its totalizer extension —
-//! returns `[lb, incumbent]`.
+//! returns `[lb, incumbent]`. A final model whose cost is not the
+//! charged `lb` is reported as that interval too, never as optimal.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use coremax_cards::{CnfSink, IncrementalTotalizer};
@@ -223,6 +225,11 @@ impl MaxSatSolver for Oll {
         open_stratum(&mut pending, &mut working, &mut engine, &mut stats);
 
         let mut tots: Vec<IncrementalTotalizer> = Vec::new();
+        // The latest soft on each materialised totalizer output, by
+        // `(totalizer, level)`; one no longer working was relaxed,
+        // unless its output is listed as hardened (false for good).
+        let mut output_softs: HashMap<(usize, usize), SoftId> = HashMap::new();
+        let mut hardened_outputs: HashSet<(usize, usize)> = HashSet::new();
         let mut lb: Weight = 0;
         let mut best_cost: Option<Weight> = None;
         let mut best_model: Option<coremax_cnf::Assignment> = None;
@@ -251,11 +258,17 @@ impl MaxSatSolver for Oll {
                     if pending.is_empty() {
                         // SAT under every working assumption: the OLL
                         // invariant makes this model's cost equal the
-                        // accumulated per-core charges.
+                        // accumulated per-core charges, which proves it
+                        // optimal. Should the two differ, only the
+                        // interval is certified.
                         let best = best_cost.expect("incumbent just recorded");
-                        debug_assert_eq!(best, lb, "final model cost must equal the core charges");
                         stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Optimal, Some(best), best, best_model, stats);
+                        let status = if best == lb {
+                            MaxSatStatus::Optimal
+                        } else {
+                            MaxSatStatus::Unknown
+                        };
+                        return finish(status, Some(best), lb.min(best), best_model, stats);
                     }
                     // Weight-aware hardening: with a certified interval
                     // [lb, ub], falsifying any working soft of residual
@@ -271,6 +284,9 @@ impl MaxSatSolver for Oll {
                     for id in to_harden {
                         let meta = working.remove(&id).expect("listed above");
                         engine.harden(id);
+                        if let Origin::TotOutput { tot, level } = meta.origin {
+                            hardened_outputs.insert((tot, level));
+                        }
                         stats.hardened += 1;
                         if coremax_obs::tracing_enabled() {
                             coremax_obs::emit(coremax_obs::Event::SoftHardened {
@@ -345,11 +361,15 @@ impl MaxSatSolver for Oll {
                     // and contribute a fresh relaxation literal (true
                     // whenever the member's selector is); members at
                     // exactly w_min are deactivated and contribute their
-                    // selector directly.
+                    // selector directly. Every totalizer-output member
+                    // owes w_min to its totalizer's next output.
                     let mut rels: Vec<Lit> = Vec::with_capacity(members.len());
                     let mut extensions: Vec<(usize, usize)> = Vec::new();
                     for &id in &members {
-                        let weight = working[&id].weight;
+                        let Working { weight, origin } = working[&id];
+                        if let Origin::TotOutput { tot, level } = origin {
+                            extensions.push((tot, level));
+                        }
                         if weight > minw {
                             working.get_mut(&id).expect("member is working").weight =
                                 weight.saturating_sub(minw);
@@ -361,31 +381,49 @@ impl MaxSatSolver for Oll {
                             stats.weight_splits += 1;
                         } else {
                             engine.deactivate(id);
-                            let meta = working.remove(&id).expect("member is working");
+                            working.remove(&id);
                             rels.push(engine.selector(id));
-                            if let Origin::TotOutput { tot, level } = meta.origin {
-                                extensions.push((tot, level));
-                            }
                         }
                     }
 
-                    // A fully relaxed totalizer output raises its
-                    // totalizer's bound in place: only the new layers
-                    // are emitted, and the next output becomes the next
-                    // soft. A bound reaching the input count is
-                    // exhausted — the count can never overflow again.
+                    // The next output of each member's totalizer gains
+                    // w_min. A working soft on it just grows. A hardened
+                    // output is false for good, and an exhausted bound
+                    // (the input count) can never overflow: nothing is
+                    // owed. Otherwise the output gets a fresh soft, and
+                    // the totalizer's bound is raised in place first if
+                    // the output does not exist yet: only the new layers
+                    // are emitted.
                     for (tot, level) in extensions {
                         let next = level + 1;
-                        if next >= tots[tot].num_inputs() {
+                        if next >= tots[tot].num_inputs() || hardened_outputs.contains(&(tot, next))
+                        {
                             continue;
                         }
-                        let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                        let mut sink = CnfSink::new(engine.num_vars());
-                        tots[tot].increase_bound(next, &mut sink);
-                        let clauses = drain_sink(&mut engine, sink, &mut stats);
-                        encode_span.finish(&mut stats.phase);
-                        let out = tots[tot].output(next).expect("bound just materialised");
+                        if let Some(meta) = output_softs
+                            .get(&(tot, next))
+                            .and_then(|id| working.get_mut(id))
+                        {
+                            meta.weight = meta.weight.saturating_add(minw);
+                            continue;
+                        }
+                        if tots[tot].bound() < next {
+                            let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
+                            let mut sink = CnfSink::new(engine.num_vars());
+                            tots[tot].increase_bound(next, &mut sink);
+                            let clauses = drain_sink(&mut engine, sink, &mut stats);
+                            encode_span.finish(&mut stats.phase);
+                            stats.totalizer_extensions += 1;
+                            if coremax_obs::tracing_enabled() {
+                                coremax_obs::emit(coremax_obs::Event::TotalizerExtended {
+                                    bound: next as u64,
+                                    clauses,
+                                });
+                            }
+                        }
+                        let out = tots[tot].output(next).expect("bound reaches next");
                         let id = engine.add_soft([!out]);
+                        output_softs.insert((tot, next), id);
                         working.insert(
                             id,
                             Working {
@@ -393,13 +431,6 @@ impl MaxSatSolver for Oll {
                                 origin: Origin::TotOutput { tot, level: next },
                             },
                         );
-                        stats.totalizer_extensions += 1;
-                        if coremax_obs::tracing_enabled() {
-                            coremax_obs::emit(coremax_obs::Event::TotalizerExtended {
-                                bound: next as u64,
-                                clauses,
-                            });
-                        }
                     }
 
                     // New soft cardinality constraint over this core's
@@ -415,6 +446,7 @@ impl MaxSatSolver for Oll {
                         let out = tot.output(1).expect("two or more inputs");
                         let id = engine.add_soft([!out]);
                         tots.push(tot);
+                        output_softs.insert((tots.len() - 1, 1), id);
                         working.insert(
                             id,
                             Working {
@@ -672,6 +704,35 @@ mod tests {
         let oracle = BranchBound::new().solve(&w);
         assert_eq!(s.cost, oracle.cost);
         assert!(verify_solution(&w, &s));
+    }
+
+    #[test]
+    fn weighted_suite_instances_reach_the_optimum() {
+        // Each of these puts a totalizer output heavier than the core's
+        // w_min into a core. Unless that output passes w_min on to its
+        // totalizer's next output, the working formula under-counts
+        // cost, and the first three come back "optimal" above the
+        // optimum.
+        use coremax_instances::{weighted_suite, SuiteConfig};
+        let cases = [
+            (2, 153, "w-uniform-v18"),
+            (2, 232, "w-uniform-v22"),
+            (3, 67, "w-uniform-v26"),
+            (2, 112, "w-uniform-v10"),
+            (2, 217, "w-uniform-v18"),
+            (2, 297, "w-skewed-v22"),
+        ];
+        for (scale, seed, name) in cases {
+            let inst = weighted_suite(&SuiteConfig { scale, seed })
+                .into_iter()
+                .find(|i| i.name == name)
+                .expect("suite instance");
+            let s = Oll::new().solve(&inst.wcnf);
+            let reference = Wmsu1::new().solve(&inst.wcnf);
+            assert_eq!(s.status, MaxSatStatus::Optimal, "{name}, seed {seed}");
+            assert!(verify_solution(&inst.wcnf, &s), "{name}, seed {seed}");
+            assert_eq!(s.cost, reference.cost, "{name}, seed {seed}");
+        }
     }
 
     #[test]

@@ -574,12 +574,12 @@ mod tests {
     #[test]
     fn race_members_share_one_timeout_clock() {
         use std::time::Duration;
-        // A miter instance no member proves within 40 ms: with every
-        // member resolving the timeout from its own start, a 12-member
-        // sequential race would take ~12 × 40 ms; with the shared clock
-        // it ends in ~one timeout (members started after the deadline
-        // abort instantly).
-        let cnf = coremax_instances::equiv_instance(1, 8);
+        // A random 3-CNF refutation no member proves within 40 ms: with
+        // every member resolving the timeout from its own start, a
+        // 12-member sequential race would take ~12 × 40 ms; with the
+        // shared clock it ends in ~one timeout (members started after
+        // the deadline abort instantly).
+        let cnf = coremax_instances::random_unsat_3cnf(90, 1);
         let w = WcnfFormula::from_cnf_all_soft(&cnf);
         let mut portfolio = Portfolio::new(1);
         portfolio.set_budget(Budget::new().with_timeout(Duration::from_millis(40)));
@@ -596,12 +596,13 @@ mod tests {
     #[test]
     fn all_members_timeout_merges_the_certified_intervals() {
         use std::time::Duration;
-        // A miter no member finishes within the deadline: the merged
-        // solution must be the member minimum (lowest index on cost
-        // ties) for the incumbent and the member maximum for the lower
-        // bound — the merge property itself is thread-count-invariant
-        // even though which members reach which bound is not.
-        let cnf = coremax_instances::equiv_instance(1, 8);
+        // A random 3-CNF refutation no member finishes within the
+        // deadline, though members reach incumbents and lower bounds:
+        // the merged solution must be the member minimum (lowest index
+        // on cost ties) for the incumbent and the member maximum for the
+        // lower bound — the merge property itself is thread-count-
+        // invariant even though which members reach which bound is not.
+        let cnf = coremax_instances::random_unsat_3cnf(90, 1);
         let w = WcnfFormula::from_cnf_all_soft(&cnf);
         for jobs in [1, 4] {
             let mut portfolio = Portfolio::new(jobs);
