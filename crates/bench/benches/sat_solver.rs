@@ -1,10 +1,10 @@
 //! Criterion bench S1: the CDCL substrate on representative SAT/UNSAT
-//! families, including core extraction overhead.
+//! families, including failed-assumption core extraction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use coremax_instances::{bmc_instance, equiv_instance, pigeonhole, xor_chain};
-use coremax_sat::{SolveOutcome, Solver};
+use coremax_sat::{IncrementalSolver, SolveOutcome, Solver};
 
 fn bench_unsat_families(c: &mut Criterion) {
     let mut group = c.benchmark_group("sat_unsat_families");
@@ -20,7 +20,7 @@ fn bench_unsat_families(c: &mut Criterion) {
                 let mut solver = Solver::new();
                 solver.add_formula(f);
                 assert_eq!(solver.solve(), SolveOutcome::Unsat);
-                solver.unsat_core().expect("core").len()
+                solver.stats().conflicts
             });
         });
     }
@@ -32,11 +32,16 @@ fn bench_core_extraction_scaling(c: &mut Criterion) {
     for holes in [3usize, 4, 5] {
         let formula = pigeonhole(holes);
         group.bench_with_input(BenchmarkId::new("php", holes), &formula, |b, f| {
+            // One soft per clause, as `disjoint_core_analysis` does: the
+            // failed softs are the core.
             b.iter(|| {
-                let mut solver = Solver::new();
-                solver.add_formula(f);
-                let _ = solver.solve();
-                solver.unsat_core().map(<[_]>::len)
+                let mut engine = IncrementalSolver::new();
+                engine.ensure_vars(f.num_vars());
+                for c in f.iter() {
+                    engine.add_soft(c.lits().iter().copied());
+                }
+                assert_eq!(engine.solve(&[]), SolveOutcome::Unsat);
+                engine.failed_softs().len()
             });
         });
     }

@@ -116,6 +116,35 @@ fn single_file_hard_abort_exits_30() {
 }
 
 #[test]
+fn oversized_header_variable_count_exits_2() {
+    // `p cnf 3000000000 1` declares more variables than a literal can
+    // name. It must be a parse error (exit 2), with preprocessing on or
+    // off, and never an abort on a per-variable allocation.
+    use std::io::Write;
+    use std::process::Stdio;
+    for extra in [&[][..], &["--no-preprocess"][..]] {
+        let mut child = Command::new(binary())
+            .args(extra)
+            .arg("-")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn coremax-solve");
+        child
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(b"p cnf 3000000000 1\n1 0\n")
+            .unwrap();
+        let output = child.wait_with_output().expect("wait");
+        assert_eq!(output.status.code(), Some(2), "{extra:?}: {output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("parse error"), "{extra:?}: {stderr}");
+    }
+}
+
+#[test]
 fn batch_hard_abort_exits_30_not_10() {
     // Batch counterpart of the single-file distinction: an aborted
     // instance with no incumbent anywhere in the directory must exit

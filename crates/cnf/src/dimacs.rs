@@ -130,6 +130,9 @@ pub fn parse_wcnf(text: &str) -> Result<WcnfFormula, ParseDimacsError> {
     Ok(formula)
 }
 
+/// The most variables a formula can have: one per representable index.
+const MAX_VARS: usize = crate::Var::MAX_INDEX as usize + 1;
+
 /// First token of the first non-comment, non-blank line (used to sniff
 /// the WCNF dialect: the classic format always opens with `p`).
 fn first_meaningful_token(text: &str) -> Option<&str> {
@@ -145,8 +148,7 @@ fn parse_wcnf_new(text: &str) -> Result<WcnfFormula, ParseDimacsError> {
     let mut parser = Parser::new(text);
     let mut formula = WcnfFormula::new();
     // No declared variable count: literals are bounded only by the
-    // representable range, and the formula grows on demand.
-    let var_limit = crate::Var::MAX_INDEX as usize + 1;
+    // representable range (`MAX_VARS`), and the formula grows on demand.
     loop {
         let first = match parser.next_token() {
             Some(t) => t,
@@ -180,7 +182,7 @@ fn parse_wcnf_new(text: &str) -> Result<WcnfFormula, ParseDimacsError> {
                     ))
                 }
             };
-            if !parser.push_lit(tok, var_limit, &mut lits)? {
+            if !parser.push_lit(tok, MAX_VARS, &mut lits)? {
                 break;
             }
         }
@@ -353,11 +355,16 @@ impl<'a> Parser<'a> {
             "wcnf" => Format::Wcnf,
             _ => return Err(bad(self)),
         };
+        // A header may not declare more variables than a literal can
+        // name: per-variable arrays are sized from this count.
         let nv: usize = self
             .next_token()
             .ok_or_else(|| bad(self))?
             .parse()
             .map_err(|_| bad(self))?;
+        if nv > MAX_VARS {
+            return Err(bad(self));
+        }
         let nc: usize = self
             .next_token()
             .ok_or_else(|| bad(self))?
@@ -512,6 +519,30 @@ mod tests {
     fn reject_too_many_clauses() {
         let e = parse_cnf("p cnf 1 1\n1 0\n-1 0\n").unwrap_err();
         assert_eq!(e.kind, ParseDimacsErrorKind::TooManyClauses);
+    }
+
+    #[test]
+    fn header_variable_count_is_bounded_by_the_literal_range() {
+        // 2^31 - 1 variables is the most a literal can name; one more is
+        // a bad header. Formulas size nothing per variable up front.
+        let cnf = |n: u64| {
+            parse_cnf(&format!("p cnf {n} 1\n1 0\n"))
+                .map(|f| f.num_vars())
+                .map_err(|e| e.kind)
+        };
+        let wcnf = |n: u64| {
+            parse_wcnf(&format!("p wcnf {n} 1 2\n1 1 0\n"))
+                .map(|f| f.num_vars())
+                .map_err(|e| e.kind)
+        };
+        assert_eq!(MAX_VARS, 2_147_483_647);
+        let max = MAX_VARS as u64;
+        assert_eq!(cnf(max), Ok(MAX_VARS));
+        assert_eq!(wcnf(max), Ok(MAX_VARS));
+        for n in [max + 1, 3_000_000_000] {
+            assert_eq!(cnf(n), Err(ParseDimacsErrorKind::BadHeader));
+            assert_eq!(wcnf(n), Err(ParseDimacsErrorKind::BadHeader));
+        }
     }
 
     #[test]

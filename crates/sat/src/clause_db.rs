@@ -2,40 +2,6 @@
 
 use coremax_cnf::Lit;
 
-use crate::trace::TraceId;
-
-/// Identifier of an *original* clause, in order of addition.
-///
-/// This is the currency of unsatisfiable cores: [`crate::Solver::unsat_core`]
-/// returns the ids of the original clauses whose conjunction was refuted.
-///
-/// # Examples
-///
-/// ```
-/// use coremax_sat::{Solver, ClauseId};
-/// use coremax_cnf::{Lit, Var};
-/// let mut s = Solver::new();
-/// let v = s.new_var();
-/// let id: ClauseId = s.add_clause([Lit::positive(v)]);
-/// assert_eq!(id.index(), 0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ClauseId(pub(crate) u32);
-
-impl ClauseId {
-    /// The position of the clause in add order (0-based).
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl std::fmt::Display for ClauseId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "c{}", self.0)
-    }
-}
-
 /// Internal reference to a clause: the word offset of its header in the
 /// arena (MiniSAT's region-allocator `CRef`).
 ///
@@ -61,7 +27,7 @@ impl CRef {
 }
 
 // Header layout, in arena words relative to the clause's `CRef`:
-// `[len][flags|lbd<<4][activity bits][trace id][lit 0]…[lit len-1]`.
+// `[len][flags|lbd<<4][activity bits][lit 0]…[lit len-1]`.
 // Headers are stored through `Lit::from_code`/`Lit::code` round-trips:
 // the arena is a single `Vec<Lit>`, so a clause's header and literals
 // share cache lines — one memory fetch serves the whole propagation
@@ -69,8 +35,7 @@ impl CRef {
 const HDR_LEN: usize = 0;
 const HDR_FLAGS: usize = 1;
 const HDR_ACT: usize = 2;
-const HDR_TRACE: usize = 3;
-const HDR_SIZE: usize = 4;
+const HDR_SIZE: usize = 3;
 
 const FLAG_LEARNED: u32 = 1;
 const FLAG_DELETED: u32 = 2;
@@ -88,9 +53,7 @@ const LBD_SHIFT: u32 = 4;
 
 /// Flat clause arena in the MiniSAT region-allocator style. Deleted
 /// clauses stay in place (marked and skipped everywhere) until
-/// [`ClauseDb::collect_garbage`] compacts the arena. Trace entries are
-/// independent of arena positions, so core extraction survives any
-/// number of collections.
+/// [`ClauseDb::collect_garbage`] compacts the arena.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ClauseDb {
     arena: Vec<Lit>,
@@ -149,7 +112,7 @@ impl ClauseDb {
     /// tautologies discarded) by `Solver::add_clause` before they get
     /// here; learned clauses satisfy it by construction of first-UIP
     /// analysis.
-    pub(crate) fn add(&mut self, lits: &[Lit], learned: bool, trace: TraceId) -> CRef {
+    pub(crate) fn add(&mut self, lits: &[Lit], learned: bool) -> CRef {
         debug_assert!(!lits.is_empty());
         debug_assert!(
             lits.iter()
@@ -162,7 +125,6 @@ impl ClauseDb {
         self.arena
             .push(Lit::from_code(if learned { FLAG_LEARNED } else { 0 }));
         self.arena.push(Lit::from_code(0.0f32.to_bits()));
-        self.arena.push(Lit::from_code(trace.0));
         self.arena.extend_from_slice(lits);
         self.num_clauses += 1;
         if learned {
@@ -204,11 +166,6 @@ impl ClauseDb {
     #[inline]
     pub(crate) fn swap_lits(&mut self, a: usize, b: usize) {
         self.arena.swap(a, b);
-    }
-
-    #[inline]
-    pub(crate) fn trace(&self, c: CRef) -> TraceId {
-        TraceId(self.word(c.index() + HDR_TRACE))
     }
 
     #[inline]
@@ -320,7 +277,7 @@ impl ClauseDb {
     /// Compacts the arena: drops deleted clauses, slides live clauses
     /// (header and literals) down in place, and returns the remap table
     /// the owner must apply to every stored `CRef` (watch lists,
-    /// reasons). Trace ids are untouched.
+    /// reasons).
     pub(crate) fn collect_garbage(&mut self) -> GcRemap {
         let old_words = self.arena.len();
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(self.num_clauses);
@@ -354,7 +311,7 @@ impl ClauseDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coremax_cnf::{Lit, Var};
+    use coremax_cnf::Lit;
 
     fn l(d: i32) -> Lit {
         Lit::from_dimacs(d).unwrap()
@@ -363,14 +320,13 @@ mod tests {
     #[test]
     fn add_and_read_back() {
         let mut db = ClauseDb::new();
-        let a = db.add(&[l(1), l(2)], false, TraceId(0));
-        let b = db.add(&[l(-1)], false, TraceId(1));
+        let a = db.add(&[l(1), l(2)], false);
+        let b = db.add(&[l(-1)], false);
         assert_eq!(db.lits(a), &[l(1), l(2)]);
         assert_eq!(db.lits(b), &[l(-1)]);
         assert_eq!(db.len(a), 2);
         assert_eq!(db.num_clauses(), 2);
         assert!(!db.is_learned(a));
-        assert_eq!(db.trace(b), TraceId(1));
         let (start, len) = db.span(a);
         assert_eq!(len, 2);
         assert_eq!(db.lit_at(start), l(1));
@@ -380,8 +336,8 @@ mod tests {
     #[test]
     fn learned_bookkeeping() {
         let mut db = ClauseDb::new();
-        let a = db.add(&[l(1), l(2)], true, TraceId(0));
-        let _b = db.add(&[l(3), l(4)], false, TraceId(1));
+        let a = db.add(&[l(1), l(2)], true);
+        let _b = db.add(&[l(3), l(4)], false);
         assert_eq!(db.num_learned(), 1);
         assert!(db.is_learned(a));
         let learned: Vec<CRef> = db.learned_refs().collect();
@@ -390,13 +346,13 @@ mod tests {
         assert_eq!(db.num_learned(), 0);
         assert!(db.is_deleted(a));
         assert_eq!(db.learned_refs().count(), 0);
-        assert_eq!(db.wasted_words(), 6);
+        assert_eq!(db.wasted_words(), 5);
     }
 
     #[test]
     fn activity_bump_and_rescale() {
         let mut db = ClauseDb::new();
-        let a = db.add(&[l(1), l(2)], true, TraceId(0));
+        let a = db.add(&[l(1), l(2)], true);
         assert!(!db.bump_activity(a, 1.0));
         assert!((db.activity(a) - 1.0).abs() < 1e-6);
         assert!(db.bump_activity(a, 1e20_f32 * 2.0));
@@ -407,7 +363,7 @@ mod tests {
     #[test]
     fn lbd_stored_and_updated() {
         let mut db = ClauseDb::new();
-        let a = db.add(&[l(1), l(2), l(3)], true, TraceId(0));
+        let a = db.add(&[l(1), l(2), l(3)], true);
         assert_eq!(db.lbd(a), 0);
         db.set_lbd(a, 3);
         assert_eq!(db.lbd(a), 3);
@@ -420,8 +376,8 @@ mod tests {
     #[test]
     fn pure_and_import_flags_survive_lbd_updates_and_gc() {
         let mut db = ClauseDb::new();
-        let a = db.add(&[l(1), l(2)], true, TraceId(0));
-        let junk = db.add(&[l(4), l(5)], true, TraceId(1));
+        let a = db.add(&[l(1), l(2)], true);
+        let junk = db.add(&[l(4), l(5)], true);
         assert!(!db.is_pure(a) && !db.is_import(a));
         db.set_pure(a);
         db.set_import(a);
@@ -440,7 +396,7 @@ mod tests {
     #[test]
     fn lits_are_mutable_via_swap() {
         let mut db = ClauseDb::new();
-        let a = db.add(&[l(1), l(2), l(3)], false, TraceId(0));
+        let a = db.add(&[l(1), l(2), l(3)], false);
         let (start, _) = db.span(a);
         db.swap_lits(start, start + 2);
         assert_eq!(db.lits(a), &[l(3), l(2), l(1)]);
@@ -449,12 +405,12 @@ mod tests {
     #[test]
     fn gc_compacts_and_remaps() {
         let mut db = ClauseDb::new();
-        let a = db.add(&[l(1), l(2)], false, TraceId(0));
-        let b = db.add(&[l(3), l(4), l(5)], true, TraceId(1));
-        let c = db.add(&[l(-1), l(-2)], true, TraceId(2));
+        let a = db.add(&[l(1), l(2)], false);
+        let b = db.add(&[l(3), l(4), l(5)], true);
+        let c = db.add(&[l(-1), l(-2)], true);
         db.set_lbd(c, 2);
         db.mark_deleted(b);
-        assert_eq!(db.wasted_words(), 7);
+        assert_eq!(db.wasted_words(), 6);
         let remap = db.collect_garbage();
         assert_eq!(db.num_clauses(), 2);
         assert_eq!(db.wasted_words(), 0);
@@ -462,7 +418,6 @@ mod tests {
         assert!(nb.is_undef());
         assert_eq!(db.lits(na), &[l(1), l(2)]);
         assert_eq!(db.lits(nc), &[l(-1), l(-2)]);
-        assert_eq!(db.trace(nc), TraceId(2));
         assert!(db.is_learned(nc));
         assert_eq!(db.lbd(nc), 2);
         assert_eq!(db.num_learned(), 1);
@@ -475,7 +430,7 @@ mod tests {
     #[test]
     fn gc_noop_when_nothing_deleted() {
         let mut db = ClauseDb::new();
-        let a = db.add(&[l(1), l(2)], false, TraceId(0));
+        let a = db.add(&[l(1), l(2)], false);
         let remap = db.collect_garbage();
         assert_eq!(remap.remap(a), a);
         assert_eq!(db.lits(a), &[l(1), l(2)]);
@@ -485,13 +440,5 @@ mod tests {
     fn cref_undef() {
         assert!(CRef::UNDEF.is_undef());
         assert!(!CRef(0).is_undef());
-    }
-
-    #[test]
-    fn clause_id_display_and_index() {
-        let id = ClauseId(7);
-        assert_eq!(id.index(), 7);
-        assert_eq!(id.to_string(), "c7");
-        let _ = Var::new(0); // silence unused import on some cfgs
     }
 }

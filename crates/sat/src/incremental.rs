@@ -450,20 +450,15 @@ impl IncrementalSolver {
         ids
     }
 
-    /// Whether the last UNSAT refuted the clauses *independently of the
-    /// assumptions*. With every soft selector free this can only cite
-    /// hard clauses (and any permanently added constraints), which is
-    /// how drivers separate "infeasible" from "core found".
+    /// Whether the clauses are refuted *independently of the
+    /// assumptions* (every further solve is then trivially UNSAT). A
+    /// soft's clause is satisfied once its selector is true, so this
+    /// only ever reflects hard clauses and permanently added
+    /// constraints, which is how drivers separate "infeasible" from
+    /// "core found".
     #[must_use]
     pub fn formula_refuted(&self) -> bool {
-        self.solver.unsat_core().is_some()
-    }
-
-    /// Returns `false` once the clauses have been refuted outright
-    /// (every further solve is trivially UNSAT).
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        self.solver.is_ok()
+        !self.solver.is_ok()
     }
 
     /// Cumulative statistics: the live solver's counters plus
@@ -516,7 +511,7 @@ mod tests {
             e.harden(s1);
             e.retire(s0);
             assert_eq!(e.solve(&[]), SolveOutcome::Sat);
-            assert!(!e.is_active(s1) && e.is_ok());
+            assert!(!e.is_active(s1) && !e.formula_refuted());
         }
     }
 
@@ -541,7 +536,66 @@ mod tests {
             let _s = e.add_soft([lit(x, true)]);
             assert_eq!(e.solve(&[]), SolveOutcome::Unsat);
             assert!(e.formula_refuted());
-            assert!(!e.is_ok());
+        }
+    }
+
+    /// Pigeonhole with 4 pigeons and 3 holes over fresh variables: the
+    /// 4 at-least-one clauses, then the at-most-one clauses.
+    fn php_4_3(e: &mut IncrementalSolver) -> (Vec<Vec<Lit>>, Vec<Vec<Lit>>) {
+        let at_least: Vec<Vec<Lit>> = (0..4)
+            .map(|_| (0..3).map(|_| lit(e.new_var(), true)).collect())
+            .collect();
+        let mut at_most = Vec::new();
+        for h in 0..3 {
+            for (i, pi) in at_least.iter().enumerate() {
+                for pj in &at_least[i + 1..] {
+                    at_most.push(vec![!pi[h], !pj[h]]);
+                }
+            }
+        }
+        (at_least, at_most)
+    }
+
+    #[test]
+    fn formula_refutation_found_by_search_is_reported() {
+        let forced_gc = SolverConfig {
+            learntsize_factor: 0.01,
+            learntsize_inc: 1.001,
+            min_learnts: 3.0,
+            gc_frac: 0.0,
+            ..SolverConfig::default()
+        };
+        for config in [SolverConfig::default(), forced_gc] {
+            // All clauses hard: only a level-0 conflict of the search
+            // can refute them, since none is falsified when added.
+            let mut e =
+                IncrementalSolver::with_mode_and_config(EngineMode::Persistent, config.clone());
+            let (at_least, at_most) = php_4_3(&mut e);
+            for c in at_least.iter().chain(&at_most) {
+                e.add_clause(c.iter().copied());
+            }
+            assert!(!e.formula_refuted(), "nothing conflicts at add time");
+            let fresh = e.new_var();
+            let _ = e.add_soft([lit(fresh, true)]);
+            assert_eq!(e.solve(&[]), SolveOutcome::Unsat);
+            assert!(e.stats().conflicts > 0, "refuted by search");
+            assert!(e.formula_refuted());
+            assert!(e.failed_softs().is_empty());
+
+            // At-least-one clauses soft: the softs are the core, and the
+            // hard clauses alone stay satisfiable.
+            let mut e = IncrementalSolver::with_mode_and_config(EngineMode::Persistent, config);
+            let (at_least, at_most) = php_4_3(&mut e);
+            for c in &at_most {
+                e.add_clause(c.iter().copied());
+            }
+            let softs: Vec<SoftId> = at_least
+                .iter()
+                .map(|c| e.add_soft(c.iter().copied()))
+                .collect();
+            assert_eq!(e.solve(&[]), SolveOutcome::Unsat);
+            assert!(!e.formula_refuted());
+            assert_eq!(e.failed_softs(), softs);
         }
     }
 

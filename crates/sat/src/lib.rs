@@ -1,4 +1,4 @@
-//! A CDCL SAT solver with clause-level unsatisfiable-core extraction.
+//! A CDCL SAT solver with failed-assumption unsatisfiable cores.
 //!
 //! This crate provides the SAT substrate required by the core-guided
 //! MaxSAT algorithms of Marques-Silva & Planes (DATE 2008). It is a
@@ -16,12 +16,11 @@
 //! - learned-clause database reduction ordered by literal block
 //!   distance (LBD) first and activity second, with glue-clause
 //!   protection, followed by clause-arena garbage collection,
-//! - solving under assumptions with failed-assumption extraction,
-//! - **resolution-trace unsatisfiable cores**: every clause carries an
-//!   id, learned clauses record their antecedents, and when the formula
-//!   is refuted the final conflict is resolved back to a set of
-//!   *original* clause ids — exactly the facility MiniSAT 1.14's proof
-//!   logger gave the paper's msu4 implementation,
+//! - solving under assumptions with failed-assumption extraction
+//!   (MiniSAT's `analyzeFinal`): a clause-level core comes from storing
+//!   each clause `C` as `C ∨ s` with a fresh selector `s` and assuming
+//!   `¬s`, which is how every core-guided driver reads its cores
+//!   (see [`IncrementalSolver`]),
 //! - cooperative **clause sharing** between diversified portfolio
 //!   workers (the [`share`] module): purity-tracked export of low-LBD
 //!   learned clauses implied by the instance's hard clauses alone, with
@@ -30,20 +29,33 @@
 //! # Examples
 //!
 //! ```
-//! use coremax_cnf::{Lit, Var};
+//! use coremax_cnf::Lit;
 //! use coremax_sat::{Solver, SolveOutcome};
 //!
 //! let mut solver = Solver::new();
-//! let x = solver.new_var();
-//! let y = solver.new_var();
-//! // (x ∨ y) ∧ (¬x) ∧ (¬y): unsatisfiable.
-//! let c0 = solver.add_clause([Lit::positive(x), Lit::positive(y)]);
-//! let c1 = solver.add_clause([Lit::negative(x)]);
-//! let c2 = solver.add_clause([Lit::negative(y)]);
-//! assert_eq!(solver.solve(), SolveOutcome::Unsat);
-//! let core = solver.unsat_core().expect("core available after UNSAT");
-//! // The whole formula is the (only) core here.
-//! assert_eq!(core, &[c0, c1, c2]);
+//! let x = Lit::positive(solver.new_var());
+//! let y = Lit::positive(solver.new_var());
+//! let z = Lit::positive(solver.new_var());
+//! // (x ∨ y) ∧ ¬x ∧ ¬y ∧ z, clause i stored as `Cᵢ ∨ sᵢ` and enforced
+//! // by assuming `¬sᵢ`.
+//! let clauses = [vec![x, y], vec![!x], vec![!y], vec![z]];
+//! let enforce: Vec<Lit> = clauses
+//!     .iter()
+//!     .map(|c| {
+//!         let s = Lit::positive(solver.new_var());
+//!         solver.add_clause(c.iter().copied().chain([s]));
+//!         !s
+//!     })
+//!     .collect();
+//! assert_eq!(solver.solve_with_assumptions(&enforce), SolveOutcome::Unsat);
+//! // The failed assumptions name the refuted clauses; `z` is not cited.
+//! let mut core: Vec<usize> = solver
+//!     .failed_assumptions()
+//!     .iter()
+//!     .map(|a| enforce.iter().position(|e| e == a).unwrap())
+//!     .collect();
+//! core.sort_unstable();
+//! assert_eq!(core, [0, 1, 2]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,10 +70,8 @@ mod luby;
 pub mod share;
 mod solver;
 mod stats;
-mod trace;
 
 pub use budget::Budget;
-pub use clause_db::ClauseId;
 pub use dpll::{dpll_is_satisfiable, dpll_max_satisfiable};
 pub use incremental::{EngineMode, IncrementalSolver, SoftId};
 pub use share::{ClauseExchange, ExchangeEndpoint, ExchangeTotals, SharedContext, SharingConfig};

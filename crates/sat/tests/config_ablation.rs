@@ -26,6 +26,30 @@ fn random_cnf(seed: &mut u64, num_vars: usize, num_clauses: usize) -> CnfFormula
     f
 }
 
+/// Loads clause `i` of `f` as `Cᵢ ∨ sᵢ` with a fresh selector `sᵢ` and
+/// solves under every `¬sᵢ`. On UNSAT, returns the clauses whose
+/// selectors failed (a failed-assumption core) as a formula.
+fn selector_core(solver: &mut Solver, f: &CnfFormula) -> Option<CnfFormula> {
+    solver.ensure_vars(f.num_vars());
+    let enforce: Vec<Lit> = f
+        .iter()
+        .map(|c| {
+            let sel = Lit::positive(solver.new_var());
+            solver.add_clause(c.lits().iter().copied().chain([sel]));
+            !sel
+        })
+        .collect();
+    if solver.solve_with_assumptions(&enforce) != SolveOutcome::Unsat {
+        return None;
+    }
+    let mut core = CnfFormula::with_vars(f.num_vars());
+    for a in solver.failed_assumptions() {
+        let i = a.var().index() - f.num_vars();
+        core.add_clause(f.clause(i).lits().iter().copied());
+    }
+    Some(core)
+}
+
 fn configs() -> Vec<(&'static str, SolverConfig)> {
     vec![
         ("default", SolverConfig::default()),
@@ -114,15 +138,9 @@ fn all_configs_extract_sound_cores() {
         let f = random_cnf(&mut seed, 6, 22);
         for (name, config) in configs() {
             let mut solver = Solver::with_config(config);
-            solver.add_formula(&f);
-            if solver.solve() == SolveOutcome::Unsat {
-                let core = solver.unsat_core().expect("core").to_vec();
-                let mut sub = CnfFormula::with_vars(f.num_vars());
-                for id in &core {
-                    sub.add_clause(f.clause(id.index()).lits().iter().copied());
-                }
+            if let Some(core) = selector_core(&mut solver, &f) {
                 assert!(
-                    !dpll_is_satisfiable(&sub),
+                    !dpll_is_satisfiable(&core),
                     "config {name} produced a satisfiable core"
                 );
             }
@@ -154,21 +172,15 @@ fn tiny_learnt_db_forces_deletions() {
         min_learnts: 5.0,
         ..SolverConfig::default()
     });
-    solver.add_formula(&f);
-    assert_eq!(solver.solve(), SolveOutcome::Unsat);
+    let core = selector_core(&mut solver, &f).expect("pigeonhole is UNSAT");
     assert!(
         solver.stats().deleted_clauses > 0,
         "expected database reductions: {}",
         solver.stats()
     );
     // Core must still be sound after deletions.
-    let core = solver.unsat_core().expect("core").to_vec();
-    let mut sub = CnfFormula::with_vars(f.num_vars());
-    for id in &core {
-        sub.add_clause(f.clause(id.index()).lits().iter().copied());
-    }
     let mut check = Solver::new();
-    check.add_formula(&sub);
+    check.add_formula(&core);
     assert_eq!(check.solve(), SolveOutcome::Unsat);
 }
 

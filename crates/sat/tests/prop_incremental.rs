@@ -126,7 +126,7 @@ fn check_rounds(rounds: Vec<Round>, config: SolverConfig) {
                 // given assumptions whose conjunction with the formula
                 // is unsatisfiable) — not necessarily the minimal one a
                 // fresh solver would report.
-                if persistent.unsat_core().is_none() {
+                if persistent.is_ok() {
                     let failed = persistent.failed_assumptions().to_vec();
                     for a in &failed {
                         prop_assert!(assumptions.contains(a), "{} was never assumed", a);

@@ -1,10 +1,19 @@
 //! Property tests: the CDCL solver agrees with the reference DPLL on
-//! random small formulas, models satisfy every clause, and extracted
-//! cores are themselves unsatisfiable.
+//! random small formulas, models satisfy every clause, and
+//! failed-assumption cores are themselves unsatisfiable.
 
 use coremax_cnf::{CnfFormula, Lit};
 use coremax_sat::{dpll_is_satisfiable, RestartMode, SolveOutcome, Solver, SolverConfig};
 use proptest::prelude::*;
+
+/// Case count, overridable via `PROPTEST_CASES` (the CI incremental
+/// job raises it to 256).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(200)
+}
 
 /// A configuration that stresses every new hot-path mechanism at once:
 /// a tiny learned-clause cap forces database reductions, `gc_frac: 0.0`
@@ -22,6 +31,30 @@ fn stress_config() -> SolverConfig {
     }
 }
 
+/// Loads clause `i` of `f` as `Cᵢ ∨ sᵢ` with a fresh selector `sᵢ` and
+/// solves under every `¬sᵢ`. On UNSAT, returns the clauses whose
+/// selectors failed (a failed-assumption core) as a formula.
+fn selector_core(solver: &mut Solver, f: &CnfFormula) -> Option<CnfFormula> {
+    solver.ensure_vars(f.num_vars());
+    let enforce: Vec<Lit> = f
+        .iter()
+        .map(|c| {
+            let sel = Lit::positive(solver.new_var());
+            solver.add_clause(c.lits().iter().copied().chain([sel]));
+            !sel
+        })
+        .collect();
+    if solver.solve_with_assumptions(&enforce) != SolveOutcome::Unsat {
+        return None;
+    }
+    let mut core = CnfFormula::with_vars(f.num_vars());
+    for a in solver.failed_assumptions() {
+        let i = a.var().index() - f.num_vars();
+        core.add_clause(f.clause(i).lits().iter().copied());
+    }
+    Some(core)
+}
+
 /// Strategy: random CNF over `max_vars` variables with clauses of length
 /// 1..=4. Produces a mix of SAT and UNSAT formulas.
 fn arb_cnf(max_vars: i32, max_clauses: usize) -> impl Strategy<Value = CnfFormula> {
@@ -37,7 +70,7 @@ fn arb_cnf(max_vars: i32, max_clauses: usize) -> impl Strategy<Value = CnfFormul
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn cdcl_agrees_with_dpll(f in arb_cnf(8, 30)) {
@@ -68,20 +101,12 @@ proptest! {
     #[test]
     fn cores_are_unsatisfiable(f in arb_cnf(7, 25)) {
         let mut s = Solver::new();
-        let ids = s.add_formula(&f);
-        if s.solve() == SolveOutcome::Unsat {
-            let core = s.unsat_core().expect("core after UNSAT").to_vec();
-            prop_assert!(!core.is_empty());
-            // Every id must be one we added.
-            for id in &core {
-                prop_assert!(ids.contains(id));
-            }
+        if let Some(core) = selector_core(&mut s, &f) {
+            prop_assert!(core.num_clauses() > 0);
             // The core alone must be UNSAT (checked by the reference DPLL).
-            let mut sub = CnfFormula::with_vars(f.num_vars());
-            for id in &core {
-                sub.add_clause(f.clause(id.index()).lits().iter().copied());
-            }
-            prop_assert!(!dpll_is_satisfiable(&sub), "core was satisfiable");
+            prop_assert!(!dpll_is_satisfiable(&core), "core was satisfiable");
+        } else {
+            prop_assert!(dpll_is_satisfiable(&f));
         }
     }
 
@@ -130,18 +155,11 @@ proptest! {
         // Cores extracted after (possibly many) arena compactions must
         // still be genuinely unsatisfiable subsets of the input.
         let mut s = Solver::with_config(stress_config());
-        let ids = s.add_formula(&f);
-        if s.solve() == SolveOutcome::Unsat {
-            let core = s.unsat_core().expect("core after UNSAT").to_vec();
-            prop_assert!(!core.is_empty());
-            for id in &core {
-                prop_assert!(ids.contains(id));
-            }
-            let mut sub = CnfFormula::with_vars(f.num_vars());
-            for id in &core {
-                sub.add_clause(f.clause(id.index()).lits().iter().copied());
-            }
-            prop_assert!(!dpll_is_satisfiable(&sub), "core was satisfiable after GC");
+        if let Some(core) = selector_core(&mut s, &f) {
+            prop_assert!(core.num_clauses() > 0);
+            prop_assert!(!dpll_is_satisfiable(&core), "core was satisfiable after GC");
+        } else {
+            prop_assert!(dpll_is_satisfiable(&f));
         }
     }
 

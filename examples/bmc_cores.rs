@@ -7,7 +7,7 @@
 use coremax::{disjoint_core_analysis, minimize_core};
 use coremax_circuits::{seq, tseitin};
 use coremax_cnf::WcnfFormula;
-use coremax_sat::{Budget, SolveOutcome, Solver};
+use coremax_sat::{Budget, IncrementalSolver, SolveOutcome};
 
 fn main() {
     // A 3-bit counter with a safety property that always holds.
@@ -28,18 +28,21 @@ fn main() {
             .collect();
         formula.add_clause(violations);
 
-        let mut solver = Solver::new();
-        solver.add_formula(&formula);
-        assert_eq!(solver.solve(), SolveOutcome::Unsat, "property must hold");
-        let core = solver.unsat_core().expect("core").to_vec();
-        let indices: Vec<usize> = core.iter().map(|id| id.index()).collect();
-        let minimal = minimize_core(&formula, &indices, &Budget::new());
+        // One soft per clause: the failed softs are the raw core.
+        let mut engine = IncrementalSolver::new();
+        engine.ensure_vars(formula.num_vars());
+        for c in formula.iter() {
+            engine.add_soft(c.lits().iter().copied());
+        }
+        assert_eq!(engine.solve(&[]), SolveOutcome::Unsat, "property must hold");
+        let core: Vec<usize> = engine.failed_softs().iter().map(|id| id.0).collect();
+        let minimal = minimize_core(&formula, &core, &Budget::new());
         println!(
             "depth {depth}: {} clauses, raw core {}, minimal core {} ({} conflicts)",
             formula.num_clauses(),
             core.len(),
             minimal.len(),
-            solver.stats().conflicts
+            engine.stats().conflicts
         );
 
         // The MaxSAT view of the same instance (Proposition 1): how many

@@ -13,7 +13,7 @@
 use coremax::{MaxSatSolver, Msu4};
 use coremax_circuits::{builders, debug, miter, tseitin};
 use coremax_cnf::WcnfFormula;
-use coremax_sat::{SolveOutcome, Solver};
+use coremax_sat::{IncrementalSolver, SolveOutcome, Solver};
 
 fn main() {
     let a = builders::ripple_carry_adder(4);
@@ -27,16 +27,20 @@ fn main() {
     // --- equivalence proof ---
     let m = miter::build_miter(&a, &b).expect("same interface");
     let enc = tseitin::encode(&m);
-    let mut solver = Solver::new();
-    let ids = solver.add_formula(&enc.formula);
-    solver.add_clause([enc.output_lits[0]]);
-    match solver.solve() {
+    let mut formula = enc.formula.clone();
+    formula.add_clause([enc.output_lits[0]]);
+    // One soft per clause, so the failed softs name the core's clauses.
+    let mut engine = IncrementalSolver::new();
+    engine.ensure_vars(formula.num_vars());
+    for c in formula.iter() {
+        engine.add_soft(c.lits().iter().copied());
+    }
+    match engine.solve(&[]) {
         SolveOutcome::Unsat => {
-            let core = solver.unsat_core().expect("core after UNSAT");
             println!(
                 "EQUIVALENT: miter UNSAT; core uses {} of {} clauses",
-                core.len(),
-                ids.len() + 1
+                engine.failed_softs().len(),
+                formula.num_clauses()
             );
         }
         other => panic!("expected UNSAT, got {other:?}"),

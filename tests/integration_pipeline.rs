@@ -4,7 +4,7 @@
 use coremax::{verify_solution, MaxSatSolver, MaxSatStatus, Msu4};
 use coremax_circuits::{atpg, builders, debug, miter, seq, transform, tseitin};
 use coremax_cnf::{dimacs, WcnfFormula};
-use coremax_sat::{SolveOutcome, Solver};
+use coremax_sat::{IncrementalSolver, SolveOutcome, Solver};
 
 #[test]
 fn adder_equivalence_pipeline() {
@@ -14,25 +14,24 @@ fn adder_equivalence_pipeline() {
     let b = transform::rewrite_nand(&builders::majority_adder(4));
     let m = miter::build_miter(&a, &b).expect("interfaces match");
     let enc = tseitin::encode(&m);
+    let mut formula = enc.formula.clone();
+    formula.add_clause([enc.output_lits[0]]);
 
-    let mut solver = Solver::new();
-    solver.add_formula(&enc.formula);
-    solver.add_clause([enc.output_lits[0]]);
-    assert_eq!(solver.solve(), SolveOutcome::Unsat);
+    // One soft per clause, so the failed softs name the core's clauses.
+    let mut engine = IncrementalSolver::new();
+    engine.ensure_vars(formula.num_vars());
+    for c in formula.iter() {
+        engine.add_soft(c.lits().iter().copied());
+    }
+    assert_eq!(engine.solve(&[]), SolveOutcome::Unsat);
 
-    let core = solver.unsat_core().expect("core").to_vec();
+    let core = engine.failed_softs();
     assert!(!core.is_empty());
-    // Replay only the core (plus the output assertion, which has the
-    // last clause id) and confirm it is unsatisfiable on its own.
+    // Replay only the core and confirm it is unsatisfiable on its own.
     let mut replay = Solver::new();
-    replay.ensure_vars(enc.formula.num_vars());
-    let total = enc.formula.num_clauses();
+    replay.ensure_vars(formula.num_vars());
     for id in &core {
-        if id.index() < total {
-            replay.add_clause(enc.formula.clause(id.index()).lits().iter().copied());
-        } else {
-            replay.add_clause([enc.output_lits[0]]);
-        }
+        replay.add_clause(formula.clause(id.0).lits().iter().copied());
     }
     assert_eq!(replay.solve(), SolveOutcome::Unsat, "core must be UNSAT");
 }
