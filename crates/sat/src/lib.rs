@@ -15,7 +15,11 @@
 //!   restart mode ([`RestartMode`]),
 //! - learned-clause database reduction ordered by literal block
 //!   distance (LBD) first and activity second, with glue-clause
-//!   protection, followed by clause-arena garbage collection,
+//!   protection, followed by clause-arena garbage collection; the LBD
+//!   counts only the decision levels above the running solve's
+//!   assumption prefix (one level per assumption), and learned clauses
+//!   store their assumption-level literals last, as in Glucose's
+//!   incremental mode,
 //! - solving under assumptions with failed-assumption extraction
 //!   (MiniSAT's `analyzeFinal`): a clause-level core comes from storing
 //!   each clause `C` as `C ∨ s` with a fresh selector `s` and assuming

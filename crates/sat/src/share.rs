@@ -53,7 +53,9 @@ use crate::solver::SolverConfig;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharingConfig {
     /// Only learned clauses with learn-time LBD at or below this are
-    /// exported (glue-ish clauses travel, noise stays local).
+    /// exported (glue-ish clauses travel, noise stays local). The LBD
+    /// leaves out the learning solve's assumption levels, so a clause
+    /// learned above a long assumption prefix can pass this gate.
     pub max_lbd: u32,
     /// Only clauses with at most this many literals are exported.
     pub max_len: usize,

@@ -162,17 +162,25 @@ struct VarData {
     reason: CRef,
 }
 
-/// Distinct non-zero decision levels among `lits` (the literal block
-/// distance). Free function so callers can borrow disjoint solver
-/// fields; `stamp` is a per-level generation mark reused across calls.
-fn compute_lbd(var_data: &[VarData], stamp: &mut [u64], gen: &mut u64, lits: &[Lit]) -> u32 {
+/// Distinct decision levels above `floor` among `lits` (the literal
+/// block distance). The floor is the running solve's assumption prefix,
+/// so assumption levels are left out as in Glucose's incremental mode.
+/// Free function so callers can borrow disjoint solver fields; `stamp`
+/// is a per-level generation mark reused across calls.
+fn compute_lbd(
+    var_data: &[VarData],
+    stamp: &mut [u64],
+    gen: &mut u64,
+    floor: u32,
+    lits: &[Lit],
+) -> u32 {
     *gen += 1;
     let g = *gen;
     let mut lbd = 0u32;
     for &l in lits {
-        let lvl = var_data[l.var().index()].level as usize;
-        if lvl != 0 && stamp[lvl] != g {
-            stamp[lvl] = g;
+        let lvl = var_data[l.var().index()].level;
+        if lvl > floor && stamp[lvl as usize] != g {
+            stamp[lvl as usize] = g;
             lbd += 1;
         }
     }
@@ -254,9 +262,13 @@ pub struct Solver {
     reduce_scratch: Vec<CRef>,
     add_buf: Vec<Lit>,
     ordered_buf: Vec<Lit>,
-    // Per-level generation stamps for LBD computation.
+    // Per-level generation stamps for LBD computation, sized at solve
+    // start to the deepest level the solve can open.
     lbd_stamp: Vec<u64>,
     lbd_gen: u64,
+    // Decision levels the running solve's assumptions occupy: levels
+    // `1..=assumption_levels`, one per assumption. 0 outside a solve.
+    assumption_levels: u32,
     // LBD of the clause produced by the latest `analyze` call, computed
     // before backtracking (levels are only valid pre-backtrack).
     pending_lbd: u32,
@@ -332,8 +344,9 @@ impl Solver {
             reduce_scratch: Vec::new(),
             add_buf: Vec::new(),
             ordered_buf: Vec::new(),
-            lbd_stamp: vec![0],
+            lbd_stamp: Vec::new(),
             lbd_gen: 0,
+            assumption_levels: 0,
             pending_lbd: 0,
             pending_pure: false,
             exchange: None,
@@ -359,7 +372,6 @@ impl Solver {
         self.watches.push(Vec::new());
         self.bin_watches.push(Vec::new());
         self.bin_watches.push(Vec::new());
-        self.lbd_stamp.push(0);
         self.order.insert(v, &self.activity);
         v
     }
@@ -753,6 +765,13 @@ impl Solver {
         // previous call and install imports that arrived in between.
         self.exchange_sync();
 
+        // Each assumption opens exactly one level (an already-true one
+        // opens an empty level) and every other level assigns a fresh
+        // variable, so no level of this solve exceeds the stamp range.
+        self.lbd_stamp
+            .resize(self.num_vars() + assumptions.len() + 1, 0);
+        self.assumption_levels = assumptions.len() as u32;
+
         let mut restart_count: u64 = 0;
         let outcome = loop {
             // An exchange sync (here at solve start, or below at a
@@ -810,6 +829,7 @@ impl Solver {
         if let Some(ex) = self.exchange.as_mut() {
             self.stats.clauses_exported += ex.publish();
         }
+        self.assumption_levels = 0;
         self.interrupt_armed = false;
         self.interrupted = false;
         self.active_deadline = None;
@@ -1150,10 +1170,11 @@ impl Solver {
     }
 
     /// First-UIP conflict analysis. Fills [`Solver::learnt_buf`] with
-    /// the learned clause (asserting literal first), stores the
-    /// learn-time LBD in `pending_lbd` and the derivation's purity in
-    /// `pending_pure`, and returns the backtrack level. Allocation-free
-    /// once the scratch capacities plateau.
+    /// the learned clause (asserting literal first, max-level literal
+    /// second, search-level literals before assumption-level ones),
+    /// stores the learn-time LBD in `pending_lbd` and the derivation's
+    /// purity in `pending_pure`, and returns the backtrack level.
+    /// Allocation-free once the scratch capacities plateau.
     fn analyze(&mut self, mut confl: CRef) -> u32 {
         let caps = (
             self.learnt_buf.capacity(),
@@ -1184,6 +1205,7 @@ impl Solver {
                         &self.var_data,
                         &mut self.lbd_stamp,
                         &mut self.lbd_gen,
+                        self.assumption_levels,
                         self.db.lits(confl),
                     );
                     if lbd < self.db.lbd(confl) {
@@ -1271,6 +1293,7 @@ impl Solver {
             &self.var_data,
             &mut self.lbd_stamp,
             &mut self.lbd_gen,
+            self.assumption_levels,
             &learnt,
         )
         .max(1);
@@ -1290,6 +1313,20 @@ impl Solver {
             learnt.swap(1, max_i);
             self.var_data[learnt[1].var().index()].level
         };
+
+        // Search-level literals go before assumption-level ones, so the
+        // watch-replacement scan in `propagate` meets literals that can
+        // still change first; the rest stay false while the prefix holds.
+        let floor = self.assumption_levels;
+        if floor > 0 {
+            let mut j = 2;
+            for i in 2..learnt.len() {
+                if self.var_data[learnt[i].var().index()].level > floor {
+                    learnt.swap(i, j);
+                    j += 1;
+                }
+            }
+        }
 
         self.learnt_buf = learnt;
         let caps_after = (
@@ -2195,6 +2232,86 @@ mod tests {
         assert_eq!(s.solve(), SolveOutcome::Unsat);
         let hist_total: u64 = s.stats().lbd_hist.iter().sum();
         assert_eq!(hist_total, s.stats().conflicts);
+    }
+
+    #[test]
+    fn lbd_counts_each_level_above_the_floor_once() {
+        let levels = [0, 1, 2, 2, 3, 5, 5];
+        let var_data: Vec<VarData> = levels
+            .iter()
+            .map(|&level| VarData {
+                level,
+                reason: CRef::UNDEF,
+            })
+            .collect();
+        let lits: Vec<Lit> = (0..levels.len() as u32)
+            .map(|v| Lit::positive(Var::new(v)))
+            .collect();
+        let (mut stamp, mut gen) = (vec![0; 6], 0);
+        let mut lbd = |floor| compute_lbd(&var_data, &mut stamp, &mut gen, floor, &lits);
+        assert_eq!(lbd(0), 4, "levels 1, 2, 3 and 5");
+        assert_eq!(lbd(2), 2, "levels 3 and 5");
+        assert_eq!(lbd(5), 0);
+    }
+
+    #[test]
+    fn learned_clause_stores_assumption_levels_last() {
+        // Assumptions a1..a3 take levels 1-3; the search then decides
+        // d1, d2, d3 (levels 4-6, default phase true, index order) and
+        // d3 implies x and y, falsifying the long clause. The first-UIP
+        // clause is ¬d3 ∨ ¬d2 ∨ ¬d1 ∨ ¬a1 ∨ ¬a2.
+        let mut s = Solver::with_config(SolverConfig {
+            default_phase: true,
+            ..SolverConfig::default()
+        });
+        for c in [&[-6, 7][..], &[-6, 8], &[-1, -2, -4, -5, -7, -8]] {
+            s.add_clause(c.iter().map(|&d| l(d)));
+        }
+        s.set_budget(Budget::new().with_max_conflicts(1));
+        assert_eq!(
+            s.solve_with_assumptions(&[l(1), l(2), l(3)]),
+            SolveOutcome::Unknown
+        );
+        let cref = s.db.learned_refs().next().expect("one learned clause");
+        let learnt = s.db.lits(cref);
+        // Variable i sat at level i + 1.
+        let level = |lit: &Lit| lit.var().index() + 1;
+        assert_eq!(learnt[0], l(-6), "asserting literal first");
+        assert_eq!(learnt[1], l(-5), "max-level literal second");
+        let mut rest = learnt[2..].to_vec();
+        assert!(rest.is_sorted_by_key(|lit| level(lit) <= 3), "{learnt:?}");
+        rest.sort_unstable();
+        assert_eq!(rest, [l(-1), l(-2), l(-4)]);
+        assert_eq!(s.db.lbd(cref), 3, "levels 4, 5 and 6");
+    }
+
+    #[test]
+    fn selector_softs_learn_glue_clauses() {
+        // Every pigeonhole 5/4 clause is soft, so the solve assumes 30
+        // selectors, one level each. Counted in the LBD, they left no
+        // learned clause with LBD ≤ 2.
+        let mut e = crate::IncrementalSolver::new();
+        e.ensure_vars(20);
+        for c in php_clauses(5, 4) {
+            e.add_soft(c);
+        }
+        assert_eq!(e.solve(&[]), SolveOutcome::Unsat);
+        assert!(!e.formula_refuted());
+        assert!(e.stats().glue_clauses > 0, "{}", e.stats());
+    }
+
+    #[test]
+    fn repeated_assumptions_open_levels_past_the_variable_count() {
+        // x → y, and z, w refute the formula. Each repeated y is already
+        // true and opens an empty level, so the search conflicts at
+        // level 8 over only 4 variables.
+        let mut s = solver_with(&[&[-1, 2], &[-3, 4], &[-3, -4], &[3, 4], &[3, -4]]);
+        let (x, y) = (l(1), l(2));
+        assert_eq!(
+            s.solve_with_assumptions(&[x, y, y, y, y, y, y]),
+            SolveOutcome::Unsat
+        );
+        assert!(!s.is_ok());
     }
 
     #[test]

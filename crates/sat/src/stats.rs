@@ -36,10 +36,12 @@ pub struct SolverStats {
     pub deleted_clauses: u64,
     /// Peak number of simultaneously retained learned clauses.
     pub peak_learned: u64,
-    /// Learned glue clauses (LBD ≤ 2; protected from deletion).
+    /// Learned glue clauses (LBD ≤ 2; protected from deletion). The
+    /// LBD counts only decision levels above the running solve's
+    /// assumption prefix.
     pub glue_clauses: u64,
-    /// Histogram of learn-time LBD values; buckets are
-    /// `[1..=2, 3..=5, 6..=9, 10..]`.
+    /// Histogram of learn-time LBD values (levels above the assumption
+    /// prefix, at least 1); buckets are `[1..=2, 3..=5, 6..=9, 10..]`.
     pub lbd_hist: [u64; LBD_HIST_BUCKETS],
     /// Clause-arena garbage collections performed.
     pub gc_runs: u64,
