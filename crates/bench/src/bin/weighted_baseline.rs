@@ -2,18 +2,10 @@
 //! the weighted MaxSAT paths over the generated weighted suite.
 //!
 //! Writes a JSON trajectory (`BENCH_pr4.json` at the repo root by
-//! convention) comparing the clause-replication baseline against the
-//! native weight-aware solvers (`wmsu1`, `strat-msu3`, `strat-msu4`,
-//! `oll`, `strat-oll`), each measured with preprocessing off and on.
-//! Every solution is verified against the original instance.
-//!
-//! Replication is *expected* to fail on the heavy-skew family: an
-//! instance whose total soft weight exceeds the replication cap comes
-//! back as UNKNOWN from the baseline and is recorded as `"capped"`,
-//! not as an abort — aborts count only budget exhaustion on solvers
-//! that accepted the instance. The summary block reports how many
-//! capped instances the native paths solved to optimality, which is the
-//! headline number: the workload replication cannot reach at all.
+//! convention) over the weight-aware solvers (`wmsu1`, `strat-msu3`,
+//! `strat-msu4`, `oll`, `strat-oll`), each measured with preprocessing
+//! off and on. Every solution is verified against the original
+//! instance.
 //!
 //! Usage:
 //! `weighted_baseline [--out FILE] [--scale N] [--seed S]
@@ -23,16 +15,12 @@
 //! disagreement (soundness, unconditional), and — with
 //! `--fail-on-abort` — on any true abort.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use coremax::{replicate_weights, MaxSatStatus};
+use coremax::MaxSatStatus;
 use coremax_bench::{consistency_violations, run_solver_over_opts, RunRecord, WEIGHTED_SOLVERS};
 use coremax_instances::{weighted_suite, Instance, SuiteConfig};
-
-/// The default replication cap of `WeightedByReplication::new`.
-const REPLICATION_CAP: u64 = 100_000;
 
 struct Args {
     out: String,
@@ -113,16 +101,9 @@ fn main() {
         seed: args.seed,
     });
     assert!(!suite.is_empty(), "empty weighted suite");
-    // An instance is replication-capped iff the expansion refuses it.
-    let capped_instances: Vec<&str> = suite
-        .iter()
-        .filter(|i| replicate_weights(&i.wcnf, REPLICATION_CAP).is_none())
-        .map(|i| i.name.as_str())
-        .collect();
     eprintln!(
-        "weighted_baseline: {} instances ({} past the replication cap), {} ms budget, solvers {:?}",
+        "weighted_baseline: {} instances, {} ms budget, solvers {:?}",
         suite.len(),
-        capped_instances.len(),
         args.budget_ms,
         args.solvers
     );
@@ -131,27 +112,22 @@ fn main() {
     out.push_str("{\n");
     let _ = writeln!(
         out,
-        "  \"suite\": {{\"scale\": {}, \"seed\": {}, \"instances\": {}, \"replication_cap\": {}}},",
+        "  \"suite\": {{\"scale\": {}, \"seed\": {}, \"instances\": {}}},",
         args.scale,
         args.seed,
-        suite.len(),
-        REPLICATION_CAP
+        suite.len()
     );
     let _ = writeln!(out, "  \"budget_ms\": {},", args.budget_ms);
 
     let mut aborted_total = 0usize;
-    let mut capped_total = 0usize;
     let mut verify_failures = 0usize;
     let mut totalizer_extensions_total = 0u64;
     let mut all_records: Vec<RunRecord> = Vec::new();
-    // instance → did any native (non-replication) solver prove optimal?
-    let mut native_optimal: HashMap<String, bool> = HashMap::new();
 
     out.push_str("  \"weighted_runs\": [\n");
     let mut first = true;
     let mut geo: Vec<(String, f64)> = Vec::new();
     for solver_name in &args.solvers {
-        let is_replication = solver_name == "replication";
         for preprocess in [false, true] {
             let label = if preprocess {
                 format!("{solver_name}+simp")
@@ -165,38 +141,18 @@ fn main() {
                 Duration::from_millis(args.budget_ms),
                 preprocess,
             );
-            // Cap-refusals are near-instant non-answers; including them
-            // would deflate the baseline's geomean to nonsense, so the
-            // metric covers only instances the solver actually decided.
             geo.push((
                 label.clone(),
-                geomean(
-                    records
-                        .iter()
-                        .filter(|r| {
-                            !(is_replication
-                                && r.status == MaxSatStatus::Unknown
-                                && capped_instances.contains(&r.instance.as_str()))
-                        })
-                        .map(|r| r.time.as_secs_f64() * 1e3),
-                ),
+                geomean(records.iter().map(|r| r.time.as_secs_f64() * 1e3)),
             ));
             for r in &records {
-                let capped = is_replication
-                    && r.status == MaxSatStatus::Unknown
-                    && capped_instances.contains(&r.instance.as_str());
-                if capped {
-                    capped_total += 1;
-                } else if r.aborted() {
+                if r.aborted() {
                     aborted_total += 1;
                     eprintln!("  ABORT: {label} on {} ({})", r.instance, r.family);
                 }
                 if !r.verified {
                     verify_failures += 1;
                     eprintln!("  VERIFY FAIL: {label} on {} ({})", r.instance, r.family);
-                }
-                if !is_replication && r.status == MaxSatStatus::Optimal {
-                    native_optimal.insert(r.instance.clone(), true);
                 }
                 totalizer_extensions_total += r.totalizer_extensions;
                 if !first {
@@ -206,7 +162,7 @@ fn main() {
                 let _ = write!(
                     out,
                     "    {{\"solver\": \"{}\", \"preprocess\": {}, \"instance\": \"{}\", \
-                     \"family\": \"{}\", \"status\": \"{}\", \"capped\": {}, \"cost\": {}, \
+                     \"family\": \"{}\", \"status\": \"{}\", \"cost\": {}, \
                      \"verified\": {}, \"time_ms\": {:.3}, \"propagations\": {}, \
                      \"conflicts\": {}, \"totalizer_extensions\": {}}}",
                     json_escape(&label),
@@ -214,7 +170,6 @@ fn main() {
                     json_escape(&r.instance),
                     r.family,
                     status_name(r.status),
-                    capped,
                     r.cost.map_or("null".into(), |c| c.to_string()),
                     r.verified,
                     r.time.as_secs_f64() * 1e3,
@@ -241,26 +196,6 @@ fn main() {
     // same instance must agree on the optimum.
     let disagreements = consistency_violations(&all_records);
 
-    // The headline: capped instances the native paths solved anyway.
-    let native_solved_capped = capped_instances
-        .iter()
-        .filter(|name| native_optimal.get(**name).copied().unwrap_or(false))
-        .count();
-
-    let _ = writeln!(
-        out,
-        "  \"capped_instances\": [{}],",
-        capped_instances
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(out, "  \"replication_capped_runs\": {capped_total},");
-    let _ = writeln!(
-        out,
-        "  \"native_solved_capped_instances\": {native_solved_capped},"
-    );
     let _ = writeln!(
         out,
         "  \"consistency_violations\": [{}],",
@@ -282,11 +217,6 @@ fn main() {
     for (name, g) in &geo {
         println!("geomean {name}: {g:.3} ms");
     }
-    println!(
-        "replication capped on {} instances; native paths solved {} of them",
-        capped_instances.len(),
-        native_solved_capped
-    );
     println!("wrote {}", args.out);
 
     if verify_failures > 0 {
@@ -295,10 +225,6 @@ fn main() {
     }
     if !disagreements.is_empty() {
         eprintln!("FAIL: optimum disagreement on {disagreements:?}");
-        std::process::exit(1);
-    }
-    if !capped_instances.is_empty() && native_solved_capped == 0 {
-        eprintln!("FAIL: no native solver conquered a replication-capped instance");
         std::process::exit(1);
     }
     if args.fail_on_abort && aborted_total > 0 {

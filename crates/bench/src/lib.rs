@@ -14,8 +14,7 @@ use std::time::Duration;
 
 use coremax::{
     verify_solution, BinarySearchSat, BranchBound, LinearSearchSat, MaxSatSolver, MaxSatStatus,
-    Msu1, Msu2, Msu3, Msu4, Oll, PboBaseline, Preprocessed, Stratified, WeightedByReplication,
-    Wmsu1,
+    Msu1, Msu2, Msu3, Msu4, Oll, PboBaseline, Preprocessed, Stratified, Wmsu1,
 };
 use coremax_instances::Instance;
 use coremax_sat::Budget;
@@ -71,7 +70,7 @@ impl RunRecord {
 /// Builds a solver by experiment name. The set matches the paper's
 /// evaluation: `maxsatz`, `pbo`, `msu4v1`, `msu4v2`, plus the extended
 /// family (`msu1`, `msu2`, `msu3`, `linear`, `binary`) and the weighted
-/// line-up (`wmsu1`, `strat-msu3`, `strat-msu4`, `replication`).
+/// line-up (`wmsu1`, `strat-msu3`, `strat-msu4`, `oll`, `strat-oll`).
 ///
 /// # Panics
 ///
@@ -105,7 +104,6 @@ pub fn solver_by_name_send(name: &str) -> Box<dyn MaxSatSolver + Send> {
         "strat-msu3" => Box::new(Stratified::new(Msu3::new())),
         "strat-msu4" => Box::new(Stratified::new(Msu4::v2())),
         "strat-oll" => Box::new(Stratified::new(Oll::new())),
-        "replication" => Box::new(WeightedByReplication::new(Msu3::new())),
         other => panic!("unknown experiment solver `{other}`"),
     }
 }
@@ -113,17 +111,10 @@ pub fn solver_by_name_send(name: &str) -> Box<dyn MaxSatSolver + Send> {
 /// The paper's Table 1 / Table 2 solver line-up.
 pub const PAPER_SOLVERS: [&str; 4] = ["maxsatz", "pbo", "msu4v1", "msu4v2"];
 
-/// The weighted-evaluation line-up: the replication baseline against
-/// the native weight-aware paths, including the OLL/RC2-class solver
-/// bare and behind the stratified wrapper.
-pub const WEIGHTED_SOLVERS: [&str; 6] = [
-    "replication",
-    "wmsu1",
-    "strat-msu3",
-    "strat-msu4",
-    "oll",
-    "strat-oll",
-];
+/// The weighted-evaluation line-up: the native weight-aware paths,
+/// including the OLL/RC2-class solver bare and behind the stratified
+/// wrapper.
+pub const WEIGHTED_SOLVERS: [&str; 5] = ["wmsu1", "strat-msu3", "strat-msu4", "oll", "strat-oll"];
 
 /// Runs `solver_name` over `instances` with `budget` per instance
 /// (no preprocessing).
@@ -249,7 +240,6 @@ fn experiment_alias(name: &str) -> &'static str {
         "strat-msu3" => "strat-msu3",
         "strat-msu4" => "strat-msu4",
         "strat-oll" => "strat-oll",
-        "replication" => "replication",
         _ => "unknown",
     }
 }
@@ -314,8 +304,8 @@ mod tests {
         use coremax_instances::weighted_suite;
         let suite: Vec<_> = weighted_suite(&SuiteConfig::default())
             .into_iter()
-            // Keep it quick: one instance per distribution, under the
-            // replication cap so all four solvers finish.
+            // Keep it quick: three light-total instances, which every
+            // lineup member solves in milliseconds.
             .filter(|i| i.wcnf.total_soft_weight() <= 100_000)
             .take(3)
             .collect();

@@ -11,8 +11,7 @@ use std::time::Duration;
 
 use coremax::{
     BinarySearchSat, BranchBound, LinearSearchSat, MaxSatSolution, MaxSatSolver, MaxSatStatus,
-    Msu1, Msu2, Msu3, Msu4, Msu4Incremental, Oll, PboBaseline, Preprocessed, Stratified,
-    WeightedByReplication, Wmsu1,
+    Msu1, Msu2, Msu3, Msu4, Msu4Incremental, Oll, PboBaseline, Preprocessed, Stratified, Wmsu1,
 };
 use coremax_cnf::{dimacs, WcnfFormula, Weight};
 use coremax_instances::{debug_suite, full_suite, weighted_suite, InstanceStats, SuiteConfig};
@@ -237,9 +236,10 @@ pub fn usage() -> String {
      ALGO: msu4-v2 (default), msu4-v1, msu4-inc, msu1, msu2, msu3, pbo,\n\
      \x20      maxsatz-bb, linear-sat, binary-sat,\n\
      \x20      oll, wmsu1, strat-msu3 (alias: stratified), strat-msu4,\n\
-     \x20      strat-oll, strat-wmsu1, replication\n\
+     \x20      strat-oll, strat-wmsu1\n\
      \x20      Weighted input is solved natively: unweighted-only\n\
-     \x20      algorithms are stratified automatically (never replicated).\n\
+     \x20      algorithms are stratified automatically, and a stratum of\n\
+     \x20      mixed weights goes to oll.\n\
      FILE: DIMACS .cnf (treated as unweighted MaxSAT) or .wcnf (classic\n\
      \x20     `p wcnf` or the post-2022 `h`-prefixed format);\n\
      \x20     `-` reads stdin (format sniffed)\n\
@@ -298,7 +298,6 @@ pub fn make_solver_send(name: &str) -> Result<Box<dyn MaxSatSolver + Send>, Stri
         "strat-msu4" => Box::new(Stratified::new(Msu4::v2())),
         "strat-oll" => Box::new(Stratified::new(Oll::new())),
         "strat-wmsu1" => Box::new(Stratified::new(Wmsu1::new())),
-        "replication" => Box::new(WeightedByReplication::new(Msu3::new())),
         "pbo" => Box::new(PboBaseline::new()),
         "maxsatz" | "maxsatz-bb" | "bb" => Box::new(BranchBound::new()),
         "linear-sat" | "linear" => Box::new(LinearSearchSat::new()),
@@ -335,12 +334,10 @@ pub fn parse_problem(text: &str) -> Result<WcnfFormula, String> {
 
 /// Runs `options.algorithm` on `wcnf` and returns the solution.
 ///
-/// Weighted input is never routed through clause replication any more:
-/// when the selected algorithm only handles unweighted soft clauses
-/// (`!supports_weights()`), it is wrapped in [`Stratified`], which
-/// delegates unweighted strata to it and keeps the run exact on
-/// arbitrary weights. Pick `replication` explicitly to get the old
-/// baseline behaviour.
+/// When the selected algorithm only handles unweighted soft clauses
+/// (`!supports_weights()`), it is wrapped in [`Stratified`]. That runs
+/// the algorithm on every uniform-weight stratum and sends a stratum of
+/// mixed weights to [`Oll`], so the run is exact on arbitrary weights.
 ///
 /// Unless `options.preprocess` is off, the solver is wrapped in
 /// [`Preprocessed`]: the formula is simplified once (soft variables
@@ -377,10 +374,10 @@ fn single_instance_solver(options: &Options) -> Result<Box<dyn MaxSatSolver + Se
     }
     let inner = make_solver_send(&options.algorithm)?;
     let inner: Box<dyn MaxSatSolver + Send> = if !inner.supports_weights() {
-        // Router, not replication: on unweighted input the stratifier
-        // passes straight through, on weighted input it keeps the run
-        // exact — so it is safe to wrap unconditionally, which lets one
-        // factory serve every instance of a mixed batch.
+        // A router: on unweighted input the stratifier passes straight
+        // through, on weighted input it keeps the run exact — so it is
+        // safe to wrap unconditionally, which lets one factory serve
+        // every instance of a mixed batch.
         Box::new(Stratified::new(inner))
     } else {
         inner
@@ -1110,7 +1107,6 @@ mod tests {
             "strat-msu4",
             "strat-oll",
             "strat-wmsu1",
-            "replication",
             "pbo",
             "maxsatz-bb",
             "linear-sat",
@@ -1119,6 +1115,7 @@ mod tests {
             assert!(make_solver(name).is_ok(), "{name}");
         }
         assert!(make_solver("nope").is_err());
+        assert!(make_solver("replication").is_err());
     }
 
     #[test]
@@ -1131,7 +1128,6 @@ mod tests {
             ("wmsu1", true),
             ("stratified", true),
             ("strat-msu4", true),
-            ("replication", true),
             ("maxsatz-bb", true),
             ("pbo", true),
         ] {
@@ -1165,7 +1161,7 @@ mod tests {
     #[test]
     fn weighted_solvers_run_unwrapped() {
         let wcnf = parse_problem("p wcnf 1 2\n4 1 0\n9 -1 0\n").unwrap();
-        for algo in ["wmsu1", "strat-msu3", "maxsatz-bb", "replication"] {
+        for algo in ["wmsu1", "strat-msu3", "maxsatz-bb"] {
             let options = Options {
                 algorithm: algo.into(),
                 ..Options::default()

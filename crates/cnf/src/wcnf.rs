@@ -185,8 +185,8 @@ impl WcnfFormula {
 
     /// Sum of all soft weights, or `None` if the total overflows
     /// [`Weight`]. The checked twin of
-    /// [`WcnfFormula::total_soft_weight`] for callers (replication,
-    /// stratification) that must *reject* rather than cap.
+    /// [`WcnfFormula::total_soft_weight`] for callers that must
+    /// *reject* rather than cap.
     #[must_use]
     pub fn checked_total_soft_weight(&self) -> Option<Weight> {
         self.soft

@@ -30,9 +30,9 @@
 //! bound raises, core exhaustion, weight-aware hardening), and
 //! [`Stratified`] turns *any* solver — including the unweighted
 //! msu3/msu4 — into an exact weighted solver by solving weight strata
-//! heaviest-first and freezing each stratum's optimum.
-//! [`WeightedByReplication`] remains as the historical baseline they
-//! subsume.
+//! heaviest-first and freezing each stratum's optimum. An unweighted
+//! inner solver runs the uniform-weight strata; a mixed-weight stratum
+//! goes to an internal [`Oll`].
 //!
 //! All solvers implement [`MaxSatSolver`] and accept weighted partial
 //! WCNF input where the algorithm supports it (see each type's docs and
@@ -77,7 +77,6 @@ mod sat_search;
 mod stratify;
 mod types;
 mod verify;
-mod weighted;
 mod wmsu1;
 
 pub use bounds::{blocking_upper_bound, disjoint_core_analysis, DisjointCoreReport};
@@ -95,5 +94,4 @@ pub use sat_search::{BinarySearchSat, LinearSearchSat};
 pub use stratify::Stratified;
 pub use types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 pub use verify::verify_solution;
-pub use weighted::{replicate_weights, worst_case_cost, WeightedByReplication};
 pub use wmsu1::Wmsu1;

@@ -1,12 +1,11 @@
 //! msu1 — Fu & Malik's core-guided algorithm (reference \[11\]).
 
-use std::time::Instant;
+use coremax_cards::CardEncoding;
+use coremax_cnf::WcnfFormula;
+use coremax_sat::{Budget, EngineMode};
 
-use coremax_cards::{encode_exactly, CardEncoding, CnfSink};
-use coremax_cnf::{Lit, WcnfFormula};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SoftId, SolveOutcome};
-
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
+use crate::types::{MaxSatSolution, MaxSatSolver};
+use crate::wmsu1::Wmsu1;
 
 /// Fu & Malik's algorithm (SAT 2006), the paper's msu1.
 ///
@@ -16,6 +15,9 @@ use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 /// points out) together with an *exactly-one* constraint over the new
 /// variables, and increase the cost by one. The first satisfiable
 /// working formula proves the accumulated cost optimal.
+///
+/// This is [`Wmsu1`]'s loop run on unit weights: every core's minimum
+/// weight is 1, so no weight is ever split and each core costs one.
 ///
 /// # Input restrictions
 ///
@@ -37,17 +39,9 @@ use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 /// w.add_soft([Lit::negative(x)], 1);
 /// assert_eq!(Msu1::new().solve(&w).cost, Some(1));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Msu1 {
-    encoding: CardEncoding,
-    budget: Budget,
-    engine_mode: EngineMode,
-}
-
-impl Default for Msu1 {
-    fn default() -> Self {
-        Msu1::new()
-    }
+    inner: Wmsu1,
 }
 
 impl Msu1 {
@@ -55,9 +49,7 @@ impl Msu1 {
     #[must_use]
     pub fn new() -> Self {
         Msu1 {
-            encoding: CardEncoding::Pairwise,
-            budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
+            inner: Wmsu1::new(),
         }
     }
 
@@ -65,18 +57,17 @@ impl Msu1 {
     #[must_use]
     pub fn with_encoding(encoding: CardEncoding) -> Self {
         Msu1 {
-            encoding,
-            budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
+            inner: Wmsu1::with_encoding(encoding),
         }
     }
 
     /// Selects how the SAT engine services iterations; the rebuilding
     /// mode reconstructs a fresh solver per call (benchmark baseline).
     #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
+    pub fn with_engine_mode(self, mode: EngineMode) -> Self {
+        Msu1 {
+            inner: self.inner.with_engine_mode(mode),
+        }
     }
 }
 
@@ -86,7 +77,7 @@ impl MaxSatSolver for Msu1 {
     }
 
     fn set_budget(&mut self, budget: Budget) {
-        self.budget = budget;
+        self.inner.set_budget(budget);
     }
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
@@ -94,148 +85,15 @@ impl MaxSatSolver for Msu1 {
             wcnf.is_unweighted(),
             "msu1 handles unweighted (partial) MaxSAT; got weighted soft clauses"
         );
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-
-        let mut cost: usize = 0;
-
-        let finish = |status: MaxSatStatus,
-                      cost: Option<usize>,
-                      lower_bound: usize,
-                      model: Option<coremax_cnf::Assignment>,
-                      mut stats: MaxSatStats| {
-            stats.wall_time = start.elapsed();
-            MaxSatSolution {
-                status,
-                cost: cost.map(|c| c as u64),
-                model,
-                lower_bound: lower_bound as u64,
-                stats,
-            }
-        };
-
-        // One engine for the whole run: hard clauses once, each soft
-        // registered with a selector and enforced by assumption (the
-        // working formula treats softs as mandatory; relaxation happens
-        // through the blocking literals Fu–Malik adds *inside* them).
-        let mut engine = IncrementalSolver::with_mode(self.engine_mode);
-        engine.ensure_vars(wcnf.num_vars());
-        engine.set_budget(child_budget.clone());
-        for h in wcnf.hard_clauses() {
-            engine.add_clause(h.lits().iter().copied());
-        }
-        // Current working copy of each soft clause: its literals (which
-        // grow blocking variables over time) and its live handle.
-        let mut soft: Vec<Vec<Lit>> = wcnf
-            .soft_clauses()
-            .iter()
-            .map(|s| s.clause.lits().to_vec())
-            .collect();
-        let mut handles: Vec<SoftId> = soft
-            .iter()
-            .map(|lits| engine.add_soft(lits.iter().copied()))
-            .collect();
-
-        loop {
-            stats.sat_calls += 1;
-            match engine.solve(&[]) {
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    // Every extracted core charged one unit: the
-                    // accumulated cost is a certified lower bound even
-                    // though no incumbent exists yet (the first SAT
-                    // answer would already be optimal).
-                    return finish(MaxSatStatus::Unknown, None, cost, None, stats);
-                }
-                SolveOutcome::Sat => {
-                    let model = engine.model().expect("model after SAT").clone();
-                    stats.absorb_sat(&engine.stats());
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Incumbent { cost: cost as u64 });
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: cost as u64,
-                            ub: Some(cost as u64),
-                        });
-                    }
-                    return finish(MaxSatStatus::Optimal, Some(cost), cost, Some(model), stats);
-                }
-                SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
-                    // A refutation independent of the soft assumptions can
-                    // only cite hard clauses (every selector is free at the
-                    // clause level, and exactly-one constraints are
-                    // satisfiable on their own): infeasible.
-                    if engine.formula_refuted() {
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
-                    }
-                    stats.cores += 1;
-                    let failed = engine.failed_softs();
-                    let in_core: Vec<usize> = failed
-                        .iter()
-                        .filter_map(|id| handles.iter().position(|h| h == id))
-                        .collect();
-                    if in_core.is_empty() {
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
-                    }
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::CoreExtracted {
-                            size: in_core.len() as u64,
-                            weight: 1,
-                        });
-                    }
-                    // Fresh blocking variable per soft core clause. The
-                    // stored clause cannot be mutated in place, so the old
-                    // copy is retired and the extended clause registered as
-                    // a new soft under a fresh selector.
-                    let mut fresh: Vec<Lit> = Vec::with_capacity(in_core.len());
-                    for &i in &in_core {
-                        let b = Lit::positive(engine.new_var());
-                        soft[i].push(b);
-                        fresh.push(b);
-                        stats.blocking_vars += 1;
-                        engine.retire(handles[i]);
-                        handles[i] = engine.add_soft(soft[i].iter().copied());
-                    }
-                    // Exactly one of the fresh variables is spent.
-                    let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                    let mut sink = CnfSink::new(engine.num_vars());
-                    encode_exactly(&fresh, 1, self.encoding, &mut sink);
-                    engine.ensure_vars(sink.num_vars());
-                    let new_clauses = sink.into_clauses();
-                    stats.cardinality_clauses += new_clauses.len() as u64;
-                    let clauses_added = new_clauses.len() as u64;
-                    for c in new_clauses {
-                        engine.add_clause(c);
-                    }
-                    encode_span.finish(&mut stats.phase);
-                    cost += 1;
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                            blocking_vars: fresh.len() as u64,
-                            clauses: clauses_added,
-                        });
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: cost as u64,
-                            ub: None,
-                        });
-                    }
-                }
-            }
-            if child_budget.interrupted() {
-                stats.absorb_sat(&engine.stats());
-                return finish(MaxSatStatus::Unknown, None, cost, None, stats);
-            }
-        }
+        self.inner.solve(wcnf)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coremax_cnf::dimacs;
+    use crate::MaxSatStatus;
+    use coremax_cnf::{dimacs, Lit};
     use coremax_sat::dpll_max_satisfiable;
 
     fn unweighted(text: &str) -> WcnfFormula {
@@ -251,6 +109,21 @@ mod tests {
         let s = Msu1::new().solve(&e2);
         assert_eq!(s.cost, Some(2));
         assert_eq!(s.num_satisfied(&e2), Some(6));
+    }
+
+    #[test]
+    fn counts_its_final_sat_answer() {
+        // Two cores, then the SAT answer that proves the cost optimal:
+        // every SAT call is either an unsat or a sat iteration.
+        let e2 =
+            unweighted("p cnf 4 8\n1 0\n-1 -2 0\n2 0\n-1 -3 0\n3 0\n-2 -3 0\n1 -4 0\n-1 4 0\n");
+        let s = Msu1::new().solve(&e2);
+        assert_eq!(s.status, MaxSatStatus::Optimal);
+        assert_eq!(s.stats.sat_iterations, 1);
+        assert_eq!(
+            s.stats.sat_calls,
+            s.stats.unsat_iterations + s.stats.sat_iterations
+        );
     }
 
     #[test]

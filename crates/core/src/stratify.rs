@@ -23,11 +23,11 @@
 //!
 //! # Delegation
 //!
-//! Each group is normalised by its gcd and handed to the inner solver:
-//! uniform groups become unweighted sub-instances directly; mixed
-//! groups go to a weight-capable inner solver as-is, are expanded by
-//! bounded replication, or fall back to an internal [`Wmsu1`] when the
-//! expansion would exceed the replication cap — so the combination is
+//! Each group's weights are divided by its gcd. A uniform group thus
+//! becomes an unweighted sub-instance, which the inner solver runs. A
+//! mixed group keeps its normalised weights: a weight-capable inner
+//! solver runs it as-is, and an unweighted one hands it to an internal
+//! [`Oll`] (the weight-native OLL/RC2 loop). So the combination is
 //! exact on *every* weighted instance, not just well-stratified ones.
 
 use std::time::Instant;
@@ -37,8 +37,8 @@ use coremax_cnf::{Lit, Var, WcnfFormula, Weight};
 use coremax_pbo::{encode_pb, PbConstraint, PbOp, PbTerm};
 use coremax_sat::{Budget, SharedContext};
 
+use crate::oll::Oll;
 use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
-use crate::wmsu1::Wmsu1;
 
 /// Stratified meta-solver: weight strata solved heaviest-first, each
 /// stratum delegated to the inner [`MaxSatSolver`].
@@ -68,23 +68,20 @@ use crate::wmsu1::Wmsu1;
 pub struct Stratified<S> {
     inner: S,
     encoding: CardEncoding,
-    replication_cap: Weight,
     budget: Budget,
     shared: Option<SharedContext>,
 }
 
 impl<S: MaxSatSolver> Stratified<S> {
-    /// Wraps `inner` with the totalizer freeze encoding and the default
-    /// per-group replication cap (10 000 normalised copies — past that,
-    /// a weight-incapable inner solver would spend its time re-proving
-    /// unit-weight cores one by one, so the mixed group goes to the
-    /// weight-native [`Wmsu1`] fallback instead).
+    /// Wraps `inner` with the totalizer freeze encoding. `inner` runs
+    /// every uniform group; a mixed group goes to `inner` only if it
+    /// [supports weights](MaxSatSolver::supports_weights), and to an
+    /// internal [`Oll`] otherwise.
     #[must_use]
     pub fn new(inner: S) -> Self {
         Stratified {
             inner,
             encoding: CardEncoding::Totalizer,
-            replication_cap: 10_000,
             budget: Budget::new(),
             shared: None,
         }
@@ -94,14 +91,6 @@ impl<S: MaxSatSolver> Stratified<S> {
     #[must_use]
     pub fn with_encoding(mut self, encoding: CardEncoding) -> Self {
         self.encoding = encoding;
-        self
-    }
-
-    /// Caps the normalised copy count a mixed group may be expanded to
-    /// before the internal [`Wmsu1`] fallback takes over.
-    #[must_use]
-    pub fn with_replication_cap(mut self, cap: Weight) -> Self {
-        self.replication_cap = cap;
         self
     }
 
@@ -262,29 +251,16 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
                 });
             }
             let uniform = group.clauses.iter().all(|&(_, w)| w == group.clauses[0].1);
-            let normalised_total: Weight = group
-                .clauses
-                .iter()
-                .fold(0, |acc: Weight, &(_, w)| acc.saturating_add(w / g));
 
-            // Build the stage sub-instance.
+            // Build the stage sub-instance at the normalised weights: a
+            // uniform group's are all 1.
             let mut sub = WcnfFormula::with_vars(num_vars);
             for h in &hard {
                 sub.add_hard(h.iter().copied());
             }
-            let weighted_inner = !uniform
-                && (self.inner.supports_weights() || normalised_total > self.replication_cap);
             for &(j, w) in &group.clauses {
                 let lits = wcnf.soft_clauses()[j].clause.lits();
-                if uniform {
-                    sub.add_soft(lits.iter().copied(), 1);
-                } else if weighted_inner {
-                    sub.add_soft(lits.iter().copied(), w / g);
-                } else {
-                    for _ in 0..w / g {
-                        sub.add_soft(lits.iter().copied(), 1);
-                    }
-                }
+                sub.add_soft(lits.iter().copied(), w / g);
             }
 
             // Delegate. A weight-incapable inner solver only ever sees
@@ -294,7 +270,7 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
                 self.inner.set_budget(stage_budget.clone());
                 self.inner.solve(&sub)
             } else {
-                let mut fallback = Wmsu1::new();
+                let mut fallback = Oll::new();
                 fallback.set_budget(stage_budget.clone());
                 if let Some(ctx) = &self.shared {
                     fallback.set_shared_context(ctx.clone());
@@ -489,14 +465,13 @@ mod tests {
     }
 
     #[test]
-    fn replication_fallback_to_wmsu1_when_capped() {
-        // Mixed non-dominating group with huge normalised weights: the
-        // internal cap forces the Wmsu1 fallback, which must still be
-        // exact.
+    fn huge_mixed_weights_go_to_the_weighted_fallback() {
+        // Mixed non-dominating group with huge normalised weights: an
+        // unweighted inner solver cannot take it, so the internal Oll
+        // runs it, and must still be exact.
         let w = weighted("p wcnf 3 4 9999999\n9999999 -1 -2 0\n500000 1 0\n499999 2 0\n2 3 0\n");
-        let s = Stratified::new(Msu3::new())
-            .with_replication_cap(10)
-            .solve(&w);
+        let s = Stratified::new(Msu3::new()).solve(&w);
+        assert_eq!(s.status, MaxSatStatus::Optimal);
         assert_eq!(s.cost, Some(499_999));
         assert!(verify_solution(&w, &s));
     }

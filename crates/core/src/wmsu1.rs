@@ -9,8 +9,9 @@
 //! the `w_min` shares are relaxed with fresh blocking variables, and an
 //! exactly-one constraint over the fresh variables is added as hard
 //! clauses (Ansótegui–Bonet–Levy's WPM1 / Manquinho–Marques-Silva–
-//! Planes's WBO lineage). On unweighted input the algorithm degenerates
-//! to [`crate::Msu1`] exactly.
+//! Planes's WBO lineage). On unweighted input every `w_min` is 1, no
+//! weight is split, and the loop is Fu & Malik's msu1 exactly:
+//! [`crate::Msu1`] is this loop restricted to unit weights.
 
 use std::time::Instant;
 

@@ -3,9 +3,10 @@
 //! Small random weighted instances — skewed, uniform and power-of-two
 //! weight distributions from the shared `coremax_instances` generator —
 //! are solved by exhaustive enumeration and by every weighted path in
-//! the crate: [`Wmsu1`], [`Stratified<Msu3>`], [`Stratified<Msu4>`],
-//! [`WeightedByReplication<Msu1>`] and the maxsatz-style
-//! [`BranchBound`], each both bare and wrapped in [`Preprocessed`].
+//! the crate: [`Wmsu1`], [`Oll`], [`Stratified<Msu3>`],
+//! [`Stratified<Msu4>`], [`Stratified<Oll>`] and the maxsatz-style
+//! [`BranchBound`], each bare, and all but `Stratified<Oll>` also
+//! wrapped in [`Preprocessed`].
 //! All runs must agree with the oracle's optimal cost, and every model
 //! must pass [`verify_solution`] against the original instance.
 //!
@@ -18,11 +19,14 @@
 #![recursion_limit = "256"]
 
 use coremax::{
-    verify_solution, BranchBound, MaxSatSolver, MaxSatStatus, Msu1, Msu3, Msu4, Oll, Preprocessed,
-    Stratified, WeightedByReplication, Wmsu1,
+    verify_solution, BranchBound, MaxSatSolver, MaxSatStatus, Msu3, Msu4, Oll, Preprocessed,
+    Stratified, Wmsu1,
 };
 use coremax_cnf::{dimacs, Assignment, WcnfFormula, Weight};
-use coremax_instances::{random_weighted_wcnf, WeightDist, WeightedConfig};
+use coremax_instances::{
+    random_weighted_wcnf, weighted_suite, SuiteConfig, WeightDist, WeightedConfig,
+};
+use coremax_sat::Budget;
 use proptest::prelude::*;
 
 /// Exhaustive oracle: the minimum cost over all 2^n assignments, or
@@ -51,10 +55,6 @@ fn lineup() -> Vec<(&'static str, Box<dyn MaxSatSolver>)> {
         ("stratified<msu3>", Box::new(Stratified::new(Msu3::new()))),
         ("stratified<msu4>", Box::new(Stratified::new(Msu4::v2()))),
         ("stratified<oll>", Box::new(Stratified::new(Oll::new()))),
-        (
-            "replication<msu1>",
-            Box::new(WeightedByReplication::new(Msu1::new())),
-        ),
         ("maxsatz-bb", Box::new(BranchBound::new())),
         ("pre(wmsu1)", Box::new(Preprocessed::new(Wmsu1::new()))),
         ("pre(oll)", Box::new(Preprocessed::new(Oll::new()))),
@@ -65,10 +65,6 @@ fn lineup() -> Vec<(&'static str, Box<dyn MaxSatSolver>)> {
         (
             "pre(stratified<msu4>)",
             Box::new(Preprocessed::new(Stratified::new(Msu4::v2()))),
-        ),
-        (
-            "pre(replication<msu1>)",
-            Box::new(Preprocessed::new(WeightedByReplication::new(Msu1::new()))),
         ),
         (
             "pre(maxsatz-bb)",
@@ -109,9 +105,7 @@ fn check_against_oracle(w: &WcnfFormula) {
     }
 }
 
-/// Weight distributions under test. Weights stay small enough that
-/// `WeightedByReplication`'s default cap is never the limiting factor —
-/// the cap path has its own regression tests.
+/// Weight distributions under test.
 fn arb_dist() -> impl Strategy<Value = WeightDist> {
     prop_oneof![
         (1u64..=3, 1u64..=8).prop_map(|(lo, extra)| WeightDist::Uniform { lo, hi: lo + extra }),
@@ -156,8 +150,8 @@ fn cases(default: u32) -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
-    // The headline differential property: ten solver configurations,
-    // one exhaustive oracle, zero tolerance.
+    // The headline differential property: eleven solver
+    // configurations, one exhaustive oracle, zero tolerance.
     #[test]
     fn all_weighted_paths_agree_with_the_exhaustive_oracle(w in arb_instance()) {
         check_against_oracle(&w);
@@ -199,8 +193,7 @@ fn infeasible_weighted_instances_agree() {
 }
 
 /// Weights right under the `HARD_WEIGHT` sentinel flow through the
-/// native paths (replication is capped and must answer Unknown, never
-/// panic or wrap).
+/// native paths without panicking or wrapping.
 #[test]
 fn near_sentinel_weights_solve_natively() {
     use coremax_cnf::{Lit, HARD_WEIGHT};
@@ -219,9 +212,6 @@ fn near_sentinel_weights_solve_natively() {
         assert_eq!(s.cost, Some(HARD_WEIGHT - 1), "{label}");
         assert!(verify_solution(&w, &s), "{label}");
     }
-    let s = WeightedByReplication::new(Msu1::new()).solve(&w);
-    assert_eq!(s.status, MaxSatStatus::Unknown);
-    assert!(verify_solution(&w, &s));
 }
 
 /// Duplicate soft clauses with different weights are distinct cost
@@ -235,5 +225,37 @@ fn duplicate_soft_clauses_with_different_weights_agree() {
         let s = solver.solve(&w);
         assert_eq!(s.cost, Some(optimum), "{label}");
         assert!(verify_solution(&w, &s), "{label}");
+    }
+}
+
+/// A heavy stratum that freezes first, then a large mixed group: 16
+/// softs at weight 100,000 and 50 at weights 1–6. Stratifying an
+/// unweighted solver must send the mixed group to a weight-native
+/// solver that settles it within a small conflict budget. Under a
+/// `Wmsu1` fallback the first instance made over 600,000 conflicts
+/// without a verdict: Fu–Malik's exactly-one relaxations stall below
+/// the frozen heavy stratum.
+#[test]
+fn frozen_heavy_stratum_then_mixed_group_solves_within_budget() {
+    for (seed, optimum) in [(2_728_000, 300_044), (3_783_000, 78)] {
+        let w = weighted_suite(&SuiteConfig { scale: 2, seed })
+            .into_iter()
+            .find(|i| i.name == "w-skewed-heavy-v22")
+            .expect("the suite has a skewed-heavy v22 instance")
+            .wcnf;
+        let budget = || Budget::new().with_shared_caps(Some(20_000), None);
+        for (label, mut solver) in [
+            (
+                "stratified<msu3>",
+                Box::new(Stratified::new(Msu3::new())) as Box<dyn MaxSatSolver>,
+            ),
+            ("stratified<msu4>", Box::new(Stratified::new(Msu4::v2()))),
+        ] {
+            solver.set_budget(budget());
+            let s = solver.solve(&w);
+            assert_eq!(s.status, MaxSatStatus::Optimal, "{label} at seed {seed}");
+            assert_eq!(s.cost, Some(optimum), "{label} at seed {seed}");
+            assert!(verify_solution(&w, &s), "{label} at seed {seed}");
+        }
     }
 }

@@ -31,9 +31,9 @@ pub enum WeightDist {
         max_exp: u32,
     },
     /// Mostly light clauses (uniform `1..=light`), with every
-    /// `heavy_every`-th clause weighted `heavy` — the skew that makes
-    /// replication blow up while stratification hardens the heavy
-    /// stratum immediately.
+    /// `heavy_every`-th clause weighted `heavy` — a heavy stratum that
+    /// outweighs all the light clauses, so stratification solves and
+    /// freezes it first.
     Skewed {
         /// Upper bound of the light weights.
         light: Weight,
@@ -163,8 +163,9 @@ pub fn random_weighted_wcnf(config: &WeightedConfig) -> WcnfFormula {
 
 /// The weighted benchmark suite: three weight distributions × a size
 /// sweep, scaled like [`crate::full_suite`]. The `skewed-heavy`
-/// instances carry totals past any sensible replication cap — the
-/// family the native weighted solvers open up.
+/// instances carry soft-weight totals above 100,000, far past what
+/// expanding each weight into unit-weight copies could handle: only
+/// weight-native solving reaches them.
 #[must_use]
 pub fn weighted_suite(config: &crate::SuiteConfig) -> Vec<crate::Instance> {
     let s = config.scale.max(1);
@@ -181,8 +182,7 @@ pub fn weighted_suite(config: &crate::SuiteConfig) -> Vec<crate::Instance> {
             "skewed",
         ),
         (
-            // Heavy stratum alone exceeds the default 100 000-copy
-            // replication cap.
+            // The heavy stratum alone weighs more than 100,000.
             WeightDist::Skewed {
                 light: 6,
                 heavy: 100_000,
@@ -309,10 +309,9 @@ mod tests {
         let suite = weighted_suite(&crate::SuiteConfig::default());
         assert!(
             suite.iter().any(|i| i.wcnf.total_soft_weight() > 100_000),
-            "no instance exceeds the default replication cap"
+            "no instance has a total soft weight above 100,000"
         );
-        // And families safely under it, so the baseline still has
-        // something to solve.
+        // And light-total families too, so the suite spans both.
         assert!(suite.iter().any(|i| i.wcnf.total_soft_weight() <= 100_000));
     }
 
