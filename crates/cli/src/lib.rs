@@ -306,30 +306,19 @@ pub fn make_solver_send(name: &str) -> Result<Box<dyn MaxSatSolver + Send>, Stri
     })
 }
 
-/// Parses problem text as WCNF or CNF (sniffing the format) into a
-/// MaxSAT instance.
+/// Parses problem text as CNF or WCNF into a MaxSAT instance.
 ///
-/// A `p cnf` header selects CNF (treated as unweighted MaxSAT); a
-/// `p wcnf` header selects classic WCNF; anything else — including the
-/// headerless post-2022 MaxSAT-Evaluation format with `h`-prefixed hard
-/// clauses — is handed to the WCNF parser, which auto-detects the
-/// dialect.
+/// The dialect is decided in [`dimacs::parse_maxsat`], from the text's
+/// first token: a `p cnf` header gives unweighted MaxSAT (every clause
+/// soft at weight 1), a `p wcnf` header classic WCNF, and text without a
+/// `p` header the post-2022 MaxSAT-Evaluation format with `h`-prefixed
+/// hard clauses.
 ///
 /// # Errors
 ///
 /// Propagates DIMACS parse failures as display strings.
 pub fn parse_problem(text: &str) -> Result<WcnfFormula, String> {
-    let header = text
-        .lines()
-        .map(str::trim_start)
-        .find(|l| l.starts_with("p ") || *l == "p");
-    let is_cnf = header.is_some_and(|l| !l.contains("wcnf"));
-    if is_cnf {
-        let cnf = dimacs::parse_cnf(text).map_err(|e| e.to_string())?;
-        Ok(WcnfFormula::from_cnf_all_soft(&cnf))
-    } else {
-        dimacs::parse_wcnf(text).map_err(|e| e.to_string())
-    }
+    dimacs::parse_maxsat(text).map_err(|e| e.to_string())
 }
 
 /// Runs `options.algorithm` on `wcnf` and returns the solution.
@@ -1207,6 +1196,24 @@ mod tests {
         assert_eq!(modern.num_hard(), 1);
         assert_eq!(modern.num_soft(), 1);
         assert_eq!(modern.soft_clauses()[0].weight, 3);
+    }
+
+    #[test]
+    fn tab_separated_header_is_cnf() {
+        // A tab or form feed may separate the header's tokens, as
+        // anywhere else in DIMACS text.
+        for header in ["p\tcnf 2 2", "p\x0ccnf 2 2", "p cnf\t2\t2"] {
+            let text = format!("{header}\n1 0\n-1 2 0\n");
+            let w = parse_problem(&text).unwrap_or_else(|e| panic!("{header:?}: {e}"));
+            assert_eq!(w, parse_problem("p cnf 2 2\n1 0\n-1 2 0\n").unwrap());
+            assert_eq!((w.num_hard(), w.num_soft()), (0, 2));
+        }
+        // The first token decides: a header may span lines, and a `p`
+        // line after the first token is no header.
+        let classic = parse_problem("p\nwcnf 1 1 2\n2 1 0\n").unwrap();
+        assert_eq!(classic.num_hard(), 1);
+        let e = parse_problem("x\np cnf 1 1\n1 0\n").unwrap_err();
+        assert_eq!(e, "line 1: invalid clause weight `x`");
     }
 
     #[test]

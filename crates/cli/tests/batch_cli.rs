@@ -145,6 +145,31 @@ fn oversized_header_variable_count_exits_2() {
 }
 
 #[test]
+fn tab_separated_header_solves() {
+    // `p\tcnf` is a CNF header: the tab separates tokens as a space
+    // does. The instance's two softs are jointly satisfiable.
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = Command::new(binary())
+        .arg("-")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn coremax-solve");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"p\tcnf 2 2\n1 0\n-1 2 0\n")
+        .unwrap();
+    let output = child.wait_with_output().expect("wait");
+    assert_eq!(output.status.code(), Some(0), "{output:?}");
+    let (status, cost) = parse_single(&String::from_utf8(output.stdout).expect("utf8"));
+    assert_eq!((status.as_str(), cost), ("OPTIMAL", Some(0)));
+}
+
+#[test]
 fn batch_hard_abort_exits_30_not_10() {
     // Batch counterpart of the single-file distinction: an aborted
     // instance with no incumbent anywhere in the directory must exit

@@ -9,11 +9,38 @@
 //!   every clause is soft (plain weighted MaxSAT).
 //! - **New-format WCNF** (MaxSAT Evaluation 2022+): no `p` header line;
 //!   hard clauses start with the token `h`, soft clauses with their
-//!   (positive integer) weight. [`parse_wcnf`] auto-detects the two
-//!   WCNF dialects from the presence of the `p` line.
+//!   (positive integer) weight.
 //!
-//! Comments (`c …`) are ignored. Clauses may span lines; a clause ends at
-//! the literal `0`.
+//! One byte-level scanner reads all three dialects. It walks the text
+//! once, parses each integer in place, gathers a clause's literals in
+//! one reused buffer and stores each clause in one allocation of its
+//! exact size. The first token decides the dialect: `p` opens a header
+//! whose format token (`cnf` or `wcnf`) names it, and anything else
+//! starts new-format WCNF. [`parse_maxsat`] takes all three dialects,
+//! [`parse_wcnf`] the two WCNF ones and [`parse_cnf`] only CNF.
+//!
+//! # Accepted syntax
+//!
+//! - **Lines** end at `\n`. A `\r` is whitespace, so CRLF text reads
+//!   like LF text. An error names its line, counted from 1; at the end
+//!   of the input that is the last line.
+//! - **Comments and blank lines**: a line is skipped when its text,
+//!   trimmed at both ends, is empty or starts with `c` or `%`. Trimming
+//!   strips any Unicode whitespace, such as a vertical tab or U+00A0.
+//! - **Tokens** are separated by spaces, tabs, carriage returns and form
+//!   feeds, so a header may read `p\tcnf 2 2`. Other whitespace inside a
+//!   line belongs to a token, which is then malformed. A clause may span
+//!   lines and ends at the literal `0`.
+//! - **Integers** are decimal, and leading zeros are allowed. A literal
+//!   may carry a `+` or `-` sign, and `-0` ends a clause like `0`. Counts
+//!   and weights may carry a `+`. A literal outside the `i32` range is a
+//!   [`BadLiteral`](ParseDimacsErrorKind::BadLiteral) and a weight
+//!   outside `u64` a [`BadWeight`](ParseDimacsErrorKind::BadWeight), each
+//!   carrying the token's text. This is the syntax `str::parse` gives.
+//! - **Variables**: a literal above the header's variable count is
+//!   [`VariableOutOfRange`](ParseDimacsErrorKind::VariableOutOfRange). A
+//!   header may declare at most 2^31 − 1 variables, and nothing is sized
+//!   from a header's counts.
 //!
 //! # Examples
 //!
@@ -31,7 +58,7 @@
 use std::fmt::Write as _;
 
 use crate::error::{ParseDimacsError, ParseDimacsErrorKind};
-use crate::{CnfFormula, Lit, WcnfFormula, Weight};
+use crate::{CnfFormula, Lit, Var, WcnfFormula, Weight, HARD_WEIGHT};
 
 /// Parses DIMACS CNF text into a [`CnfFormula`].
 ///
@@ -43,31 +70,23 @@ use crate::{CnfFormula, Lit, WcnfFormula, Weight};
 /// Returns [`ParseDimacsError`] on malformed headers, tokens, weights or
 /// unterminated clauses.
 pub fn parse_cnf(text: &str) -> Result<CnfFormula, ParseDimacsError> {
-    let mut parser = Parser::new(text);
-    let header = parser.read_header()?;
-    if header.format != Format::Cnf {
-        return Err(ParseDimacsError::new(
-            parser.header_line,
-            ParseDimacsErrorKind::BadHeader,
-        ));
-    }
+    let mut reader = Reader::new(text);
+    let header = match reader.start()? {
+        Start::Header(header) if header.format == Format::Cnf => header,
+        Start::Header(header) => return Err(header.wrong_format()),
+        Start::Headerless(_) => return Err(reader.error(ParseDimacsErrorKind::BadHeader)),
+    };
     let mut formula = CnfFormula::with_vars(header.num_vars);
-    while let Some(clause) = parser.read_clause(header.num_vars, None)? {
-        if formula.num_clauses() == header.num_clauses {
-            return Err(ParseDimacsError::new(
-                parser.line,
-                ParseDimacsErrorKind::TooManyClauses,
-            ));
-        }
-        formula.add_clause(clause.lits);
-    }
+    reader.cnf_body(&header, |lits| {
+        formula.add_clause(lits.iter().copied());
+    })?;
     Ok(formula)
 }
 
 /// Parses DIMACS WCNF text into a [`WcnfFormula`].
 ///
-/// Accepts both WCNF dialects, auto-detected by the presence of a `p`
-/// header line:
+/// Accepts both WCNF dialects, told apart by whether the first token is
+/// a `p`:
 ///
 /// - **classic**: `p wcnf <vars> <clauses> [top]`; if the header carries
 ///   a `top` weight, clauses with exactly that weight are hard; all
@@ -91,107 +110,57 @@ pub fn parse_cnf(text: &str) -> Result<CnfFormula, ParseDimacsError> {
 /// # Ok::<(), coremax_cnf::ParseDimacsError>(())
 /// ```
 pub fn parse_wcnf(text: &str) -> Result<WcnfFormula, ParseDimacsError> {
-    if first_meaningful_token(text) != Some("p") {
-        return parse_wcnf_new(text);
+    let mut reader = Reader::new(text);
+    match reader.start()? {
+        Start::Header(header) if header.format == Format::Wcnf => reader.wcnf_body(&header),
+        Start::Header(header) => Err(header.wrong_format()),
+        Start::Headerless(first) => reader.headerless_body(first),
     }
-    let mut parser = Parser::new(text);
-    let header = parser.read_header()?;
-    if header.format != Format::Wcnf {
-        return Err(ParseDimacsError::new(
-            parser.header_line,
-            ParseDimacsErrorKind::BadHeader,
-        ));
-    }
-    let mut formula = WcnfFormula::with_vars(header.num_vars);
-    let mut seen = 0usize;
-    while let Some(clause) = parser.read_clause(header.num_vars, Some(header.top))? {
-        if seen == header.num_clauses {
-            return Err(ParseDimacsError::new(
-                parser.line,
-                ParseDimacsErrorKind::TooManyClauses,
-            ));
+}
+
+/// Parses CNF or WCNF text of any dialect into a MaxSAT instance.
+///
+/// The first token decides the dialect, in one place for all three: a
+/// `p cnf` header gives plain MaxSAT (every clause soft at weight 1, no
+/// hard clauses), a `p wcnf` header classic WCNF as [`parse_wcnf`] reads
+/// it, and text without a `p` header new-format WCNF. A `p cnf` text
+/// gives the formula [`parse_cnf`] would, read straight into soft
+/// clauses.
+///
+/// # Errors
+///
+/// Returns [`ParseDimacsError`] on malformed input: the error
+/// [`parse_cnf`] gives for a `p cnf` text, and the one [`parse_wcnf`]
+/// gives otherwise.
+///
+/// # Examples
+///
+/// ```
+/// use coremax_cnf::dimacs;
+/// let plain = dimacs::parse_maxsat("p\tcnf 1 2\n1 0\n-1 0\n")?;
+/// assert_eq!((plain.num_hard(), plain.num_soft()), (0, 2));
+/// let classic = dimacs::parse_maxsat("p wcnf 1 2 9\n9 1 0\n4 -1 0\n")?;
+/// let modern = dimacs::parse_maxsat("h 1 0\n4 -1 0\n")?;
+/// assert_eq!(classic, modern);
+/// # Ok::<(), coremax_cnf::ParseDimacsError>(())
+/// ```
+pub fn parse_maxsat(text: &str) -> Result<WcnfFormula, ParseDimacsError> {
+    let mut reader = Reader::new(text);
+    match reader.start()? {
+        Start::Header(header) if header.format == Format::Cnf => {
+            let mut formula = WcnfFormula::with_vars(header.num_vars);
+            reader.cnf_body(&header, |lits| {
+                formula.add_soft(lits.iter().copied(), 1);
+            })?;
+            Ok(formula)
         }
-        seen += 1;
-        match clause.weight {
-            Some(w) if Some(w) == header.top => formula.add_hard(clause.lits),
-            Some(w) if w == crate::HARD_WEIGHT => {
-                // The hard-weight sentinel cannot be stored as a soft
-                // weight; a classic file using it without declaring it
-                // as `top` is malformed.
-                return Err(ParseDimacsError::new(
-                    parser.line,
-                    ParseDimacsErrorKind::BadWeight(w.to_string()),
-                ));
-            }
-            Some(w) => formula.add_soft(clause.lits, w),
-            None => unreachable!("wcnf clauses always carry a weight"),
-        }
+        Start::Header(header) => reader.wcnf_body(&header),
+        Start::Headerless(first) => reader.headerless_body(first),
     }
-    Ok(formula)
 }
 
 /// The most variables a formula can have: one per representable index.
-const MAX_VARS: usize = crate::Var::MAX_INDEX as usize + 1;
-
-/// First token of the first non-comment, non-blank line (used to sniff
-/// the WCNF dialect: the classic format always opens with `p`).
-fn first_meaningful_token(text: &str) -> Option<&str> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('c') && !l.starts_with('%'))
-        .find_map(|l| l.split_ascii_whitespace().next())
-}
-
-/// Parses new-format (headerless) WCNF: `h <lits> 0` for hard clauses,
-/// `<weight> <lits> 0` for soft clauses.
-fn parse_wcnf_new(text: &str) -> Result<WcnfFormula, ParseDimacsError> {
-    let mut parser = Parser::new(text);
-    let mut formula = WcnfFormula::new();
-    // No declared variable count: literals are bounded only by the
-    // representable range (`MAX_VARS`), and the formula grows on demand.
-    loop {
-        let first = match parser.next_token() {
-            Some(t) => t,
-            None => return Ok(formula),
-        };
-        let weight: Option<Weight> = if first == "h" {
-            None
-        } else {
-            let w: Weight = first.parse().map_err(|_| {
-                ParseDimacsError::new(
-                    parser.line,
-                    ParseDimacsErrorKind::BadWeight(first.to_string()),
-                )
-            })?;
-            if w == 0 || w == crate::HARD_WEIGHT {
-                return Err(ParseDimacsError::new(
-                    parser.line,
-                    ParseDimacsErrorKind::BadWeight(first.to_string()),
-                ));
-            }
-            Some(w)
-        };
-        let mut lits = Vec::new();
-        loop {
-            let tok = match parser.next_token() {
-                Some(t) => t,
-                None => {
-                    return Err(ParseDimacsError::new(
-                        parser.line,
-                        ParseDimacsErrorKind::UnterminatedClause,
-                    ))
-                }
-            };
-            if !parser.push_lit(tok, MAX_VARS, &mut lits)? {
-                break;
-            }
-        }
-        match weight {
-            None => formula.add_hard(lits),
-            Some(w) => formula.add_soft(lits, w),
-        }
-    }
-}
+const MAX_VARS: usize = Var::MAX_INDEX as usize + 1;
 
 /// Serialises a [`CnfFormula`] to DIMACS CNF text.
 #[must_use]
@@ -290,178 +259,386 @@ struct Header {
     num_clauses: usize,
     /// `Some(top)` iff the wcnf header declared a top weight.
     top: Option<Weight>,
+    /// The line of the header's `p`.
+    line: usize,
 }
 
-struct ParsedClause {
-    weight: Option<Weight>,
+impl Header {
+    /// The error for a header of the other format.
+    fn wrong_format(&self) -> ParseDimacsError {
+        ParseDimacsError::new(self.line, ParseDimacsErrorKind::BadHeader)
+    }
+}
+
+/// How a text opens: with a `p` header, or as new-format WCNF whose
+/// first token (if any) is already taken.
+enum Start<'a> {
+    Header(Header),
+    Headerless(Option<&'a str>),
+}
+
+/// The scanner under every dialect. It hands out tokens as slices of the
+/// text, skipping comment and blank lines, and counts lines as
+/// `str::lines` does. Tokens parse with `str::parse`, except the common
+/// literals that `quick_literal` reads.
+///
+/// Lines are read as `str::trim` and `str::split_ascii_whitespace` read
+/// them, but byte by byte. The two differ only on whitespace that `trim`
+/// strips and the split keeps inside tokens: the vertical tab and the
+/// non-ASCII spaces. A line holding a byte that may be such whitespace
+/// has its ends trimmed by `str::trim` itself (see `open_line` and
+/// `cut_line`).
+struct Reader<'a> {
+    text: &'a str,
+    /// The cursor: a byte offset into `text`.
+    pos: usize,
+    /// Tokens of the cursor's line end here. This is the end of the text,
+    /// except on a line that `str::trim` shortens, where it is the end of
+    /// the trimmed text.
+    stop: usize,
+    /// The cursor's line, counted from 1 (0 in an empty text).
+    line: usize,
+    /// The literals of the clause read last.
     lits: Vec<Lit>,
 }
 
-struct Parser<'a> {
-    lines: std::iter::Peekable<std::str::Lines<'a>>,
-    /// Tokens remaining on the current line.
-    tokens: Vec<&'a str>,
-    /// Position in `tokens`.
-    pos: usize,
-    line: usize,
-    header_line: usize,
-}
-
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
     fn new(text: &'a str) -> Self {
-        Parser {
-            lines: text.lines().peekable(),
-            tokens: Vec::new(),
+        let mut reader = Reader {
+            text,
             pos: 0,
+            stop: text.len(),
             line: 0,
-            header_line: 0,
+            lits: Vec::new(),
+        };
+        if !text.is_empty() {
+            reader.line = 1;
+            reader.open_line();
+        }
+        reader
+    }
+
+    fn error(&self, kind: ParseDimacsErrorKind) -> ParseDimacsError {
+        ParseDimacsError::new(self.line, kind)
+    }
+
+    /// Reads the first token and, if it is `p`, the header it opens.
+    fn start(&mut self) -> Result<Start<'a>, ParseDimacsError> {
+        match self.next_token() {
+            Some("p") => self.header().map(Start::Header),
+            first => Ok(Start::Headerless(first)),
         }
     }
 
-    /// Advances to the next meaningful token, skipping comments/blanks.
-    fn next_token(&mut self) -> Option<&'a str> {
-        loop {
-            if self.pos < self.tokens.len() {
-                let tok = self.tokens[self.pos];
-                self.pos += 1;
-                return Some(tok);
-            }
-            let line = self.lines.next()?;
-            self.line += 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('c') || trimmed.starts_with('%') {
-                continue;
-            }
-            self.tokens = trimmed.split_ascii_whitespace().collect();
-            self.pos = 0;
-        }
-    }
-
-    fn read_header(&mut self) -> Result<Header, ParseDimacsError> {
-        let tok = self
-            .next_token()
-            .ok_or_else(|| ParseDimacsError::new(self.line, ParseDimacsErrorKind::BadHeader))?;
-        self.header_line = self.line;
-        if tok != "p" {
-            return Err(ParseDimacsError::new(
-                self.line,
-                ParseDimacsErrorKind::BadHeader,
-            ));
-        }
-        let bad = |p: &Parser<'_>| ParseDimacsError::new(p.line, ParseDimacsErrorKind::BadHeader);
-        let fmt_tok = self.next_token().ok_or_else(|| bad(self))?;
-        let format = match fmt_tok {
-            "cnf" => Format::Cnf,
-            "wcnf" => Format::Wcnf,
-            _ => return Err(bad(self)),
+    /// Reads a header after its `p`.
+    fn header(&mut self) -> Result<Header, ParseDimacsError> {
+        let line = self.line;
+        let format = match self.next_token() {
+            Some("cnf") => Format::Cnf,
+            Some("wcnf") => Format::Wcnf,
+            _ => return Err(self.error(ParseDimacsErrorKind::BadHeader)),
         };
         // A header may not declare more variables than a literal can
         // name: per-variable arrays are sized from this count.
-        let nv: usize = self
-            .next_token()
-            .ok_or_else(|| bad(self))?
-            .parse()
-            .map_err(|_| bad(self))?;
-        if nv > MAX_VARS {
-            return Err(bad(self));
-        }
-        let nc: usize = self
-            .next_token()
-            .ok_or_else(|| bad(self))?
-            .parse()
-            .map_err(|_| bad(self))?;
-        // Optional wcnf top weight; it sits on the same (header) line.
-        let mut top = None;
-        if format == Format::Wcnf && self.pos < self.tokens.len() {
-            let t = self.tokens[self.pos];
-            self.pos += 1;
-            top = Some(t.parse().map_err(|_| {
-                ParseDimacsError::new(self.line, ParseDimacsErrorKind::BadWeight(t.to_string()))
-            })?);
-        }
+        let num_vars = self
+            .count()
+            .filter(|&n| n <= MAX_VARS)
+            .ok_or_else(|| self.error(ParseDimacsErrorKind::BadHeader))?;
+        let num_clauses = self
+            .count()
+            .ok_or_else(|| self.error(ParseDimacsErrorKind::BadHeader))?;
+        // Optional wcnf top weight; it sits on the same line as the
+        // clause count.
+        let top = match format {
+            Format::Wcnf => self.token_on_line().map(|t| self.weight(t)).transpose()?,
+            Format::Cnf => None,
+        };
         Ok(Header {
             format,
-            num_vars: nv,
-            num_clauses: nc,
+            num_vars,
+            num_clauses,
             top,
+            line,
         })
     }
 
-    /// Reads the next clause. `wcnf_top = Some(top)` switches weighted
-    /// mode on (each clause starts with a weight). Returns `None` at EOF.
-    fn read_clause(
+    /// The next token as a header count, or `None` if it is missing or
+    /// malformed.
+    fn count(&mut self) -> Option<usize> {
+        self.next_token()?.parse().ok()
+    }
+
+    /// Parses a weight token (any `u64`; callers reject 0 and
+    /// `HARD_WEIGHT` where the dialect does).
+    fn weight(&self, tok: &str) -> Result<Weight, ParseDimacsError> {
+        tok.parse()
+            .map_err(|_| self.error(ParseDimacsErrorKind::BadWeight(tok.to_string())))
+    }
+
+    /// Reads `p cnf` clauses up to the end of the text, handing each to
+    /// `add`.
+    fn cnf_body(
         &mut self,
-        num_vars: usize,
-        wcnf_top: Option<Option<Weight>>,
-    ) -> Result<Option<ParsedClause>, ParseDimacsError> {
-        let first = match self.next_token() {
-            Some(t) => t,
-            None => return Ok(None),
-        };
-        let mut lits = Vec::new();
-        let weight = if wcnf_top.is_some() {
-            let w: Weight = first.parse().map_err(|_| {
-                ParseDimacsError::new(
-                    self.line,
-                    ParseDimacsErrorKind::BadWeight(first.to_string()),
-                )
-            })?;
-            if w == 0 {
-                return Err(ParseDimacsError::new(
-                    self.line,
-                    ParseDimacsErrorKind::BadWeight(first.to_string()),
-                ));
+        header: &Header,
+        mut add: impl FnMut(&[Lit]),
+    ) -> Result<(), ParseDimacsError> {
+        let mut seen = 0usize;
+        while let Some(first) = self.next_token() {
+            self.read_lits(Some(first), header.num_vars)?;
+            if seen == header.num_clauses {
+                return Err(self.error(ParseDimacsErrorKind::TooManyClauses));
             }
-            Some(w)
-        } else {
-            if !self.push_lit(first, num_vars, &mut lits)? {
-                // The first token was already the terminator: empty clause.
-                return Ok(Some(ParsedClause { weight: None, lits }));
+            seen += 1;
+            add(&self.lits);
+        }
+        Ok(())
+    }
+
+    /// Reads classic `p wcnf` clauses up to the end of the text.
+    fn wcnf_body(&mut self, header: &Header) -> Result<WcnfFormula, ParseDimacsError> {
+        let mut formula = WcnfFormula::with_vars(header.num_vars);
+        let mut seen = 0usize;
+        while let Some(first) = self.next_token() {
+            let weight = self.weight(first)?;
+            if weight == 0 {
+                return Err(self.error(ParseDimacsErrorKind::BadWeight(first.to_string())));
             }
-            None
-        };
-        loop {
-            let tok = match self.next_token() {
-                Some(t) => t,
-                None => {
-                    return Err(ParseDimacsError::new(
-                        self.line,
-                        ParseDimacsErrorKind::UnterminatedClause,
-                    ))
+            self.read_lits(None, header.num_vars)?;
+            if seen == header.num_clauses {
+                return Err(self.error(ParseDimacsErrorKind::TooManyClauses));
+            }
+            seen += 1;
+            if Some(weight) == header.top {
+                formula.add_hard(self.lits.iter().copied());
+            } else if weight == HARD_WEIGHT {
+                // The hard-weight sentinel cannot be stored as a soft
+                // weight; a classic file using it without declaring it
+                // as `top` is malformed.
+                return Err(self.error(ParseDimacsErrorKind::BadWeight(weight.to_string())));
+            } else {
+                formula.add_soft(self.lits.iter().copied(), weight);
+            }
+        }
+        Ok(formula)
+    }
+
+    /// Reads new-format clauses, `h <lits> 0` for hard ones and
+    /// `<weight> <lits> 0` for soft ones, starting with the token
+    /// `first`.
+    fn headerless_body(&mut self, first: Option<&'a str>) -> Result<WcnfFormula, ParseDimacsError> {
+        let mut formula = WcnfFormula::new();
+        let mut next = first;
+        while let Some(tok) = next {
+            let weight = if tok == "h" {
+                None
+            } else {
+                let w = self.weight(tok)?;
+                if w == 0 || w == HARD_WEIGHT {
+                    return Err(self.error(ParseDimacsErrorKind::BadWeight(tok.to_string())));
                 }
+                Some(w)
             };
-            if !self.push_lit(tok, num_vars, &mut lits)? {
-                return Ok(Some(ParsedClause { weight, lits }));
+            // No declared variable count: literals are bounded only by
+            // the representable range, and the formula grows on demand.
+            self.read_lits(None, MAX_VARS)?;
+            match weight {
+                None => formula.add_hard(self.lits.iter().copied()),
+                Some(w) => formula.add_soft(self.lits.iter().copied(), w),
+            }
+            next = self.next_token();
+        }
+        Ok(formula)
+    }
+
+    /// Reads literals up to the clause's terminating `0` into
+    /// `self.lits`. `first` is the clause's first literal token when the
+    /// caller has already taken it.
+    fn read_lits(
+        &mut self,
+        first: Option<&'a str>,
+        num_vars: usize,
+    ) -> Result<(), ParseDimacsError> {
+        self.lits.clear();
+        let mut next = first;
+        loop {
+            let value = match next.take() {
+                Some(tok) => self.literal_value(tok)?,
+                None => match self.quick_literal() {
+                    Some(value) => value,
+                    None => {
+                        let tok = self
+                            .next_token()
+                            .ok_or_else(|| self.error(ParseDimacsErrorKind::UnterminatedClause))?;
+                        self.literal_value(tok)?
+                    }
+                },
+            };
+            if value == 0 {
+                return Ok(());
+            }
+            let var = value.unsigned_abs();
+            if var as usize > num_vars {
+                return Err(self.error(ParseDimacsErrorKind::VariableOutOfRange(value)));
+            }
+            // `num_vars <= MAX_VARS`, so the index is representable.
+            self.lits.push(Lit::new(Var::new(var - 1), value > 0));
+        }
+    }
+
+    /// Parses a literal token.
+    fn literal_value(&self, tok: &str) -> Result<i32, ParseDimacsError> {
+        tok.parse()
+            .map_err(|_| self.error(ParseDimacsErrorKind::BadLiteral(tok.to_string())))
+    }
+
+    /// Reads the next token if it is a literal of the common form, up to
+    /// nine digits with an optional `-` and no other byte, on the
+    /// cursor's line after spaces. Scans it once, parsing as it goes.
+    /// Returns `None`, with the cursor unmoved, for any other token; the
+    /// general path then reads it.
+    fn quick_literal(&mut self) -> Option<i32> {
+        let bytes = &self.text.as_bytes()[..self.stop];
+        let mut pos = self.pos;
+        while pos < bytes.len() && bytes[pos] == b' ' {
+            pos += 1;
+        }
+        let negative = pos < bytes.len() && bytes[pos] == b'-';
+        pos += usize::from(negative);
+        let digits = pos;
+        let mut value = 0;
+        while pos < bytes.len() && pos - digits < 9 && bytes[pos].is_ascii_digit() {
+            value = value * 10 + i32::from(bytes[pos] - b'0');
+            pos += 1;
+        }
+        // The token must end here, or it is longer than this path reads.
+        if pos == digits || (pos < bytes.len() && !bytes[pos].is_ascii_whitespace()) {
+            return None;
+        }
+        self.pos = pos;
+        Some(if negative { -value } else { value })
+    }
+
+    /// The next token, skipping comment and blank lines; `None` at the
+    /// end of the text.
+    fn next_token(&mut self) -> Option<&'a str> {
+        loop {
+            if let Some(tok) = self.token_on_line() {
+                return Some(tok);
+            }
+            if !self.next_line() {
+                return None;
             }
         }
     }
 
-    /// Parses one literal token into `lits`. Returns `Ok(false)` when the
-    /// token is the clause terminator `0`.
-    fn push_lit(
-        &self,
-        tok: &str,
-        num_vars: usize,
-        lits: &mut Vec<Lit>,
-    ) -> Result<bool, ParseDimacsError> {
-        let value: i32 = tok.parse().map_err(|_| {
-            ParseDimacsError::new(self.line, ParseDimacsErrorKind::BadLiteral(tok.to_string()))
-        })?;
-        if value == 0 {
-            return Ok(false);
+    /// The next token on the cursor's line, if there is one. Tokens
+    /// start and end on character boundaries: next to ASCII bytes, at the
+    /// text's ends, or where `str::trim` ends a line.
+    fn token_on_line(&mut self) -> Option<&'a str> {
+        let bytes = &self.text.as_bytes()[..self.stop];
+        let mut pos = self.pos;
+        while pos < bytes.len() && is_separator(bytes[pos]) {
+            pos += 1;
         }
-        if value.unsigned_abs() as usize > num_vars {
-            return Err(ParseDimacsError::new(
-                self.line,
-                ParseDimacsErrorKind::VariableOutOfRange(value),
-            ));
+        let start = pos;
+        while pos < bytes.len() && bytes[pos].is_ascii_graphic() {
+            pos += 1;
         }
-        let lit = Lit::from_dimacs(value).ok_or_else(|| {
-            ParseDimacsError::new(self.line, ParseDimacsErrorKind::BadLiteral(tok.to_string()))
-        })?;
-        lits.push(lit);
-        Ok(true)
+        self.pos = pos;
+        if pos < bytes.len() && !bytes[pos].is_ascii_whitespace() {
+            return self.rare_token(start);
+        }
+        (pos > start).then(|| &self.text[start..pos])
     }
+
+    /// `token_on_line` for a token holding a byte that is neither
+    /// printable ASCII nor whitespace, from the cursor inside it.
+    fn rare_token(&mut self, start: usize) -> Option<&'a str> {
+        let bytes = &self.text.as_bytes()[..self.stop];
+        let mut unsure = false;
+        while self.pos < bytes.len() && !bytes[self.pos].is_ascii_whitespace() {
+            unsure |= may_be_unicode_space(bytes[self.pos]);
+            self.pos += 1;
+        }
+        if unsure {
+            self.cut_line(start);
+        }
+        (self.pos > start).then(|| &self.text[start..self.pos])
+    }
+
+    /// Ends the cursor's line where `str::trim` ends it, given that a
+    /// token starts at `from` (a character boundary, as every token
+    /// start is). Cutting a line twice leaves it as cut once.
+    fn cut_line(&mut self, from: usize) {
+        let line_end = self.find_newline(from);
+        self.stop = from + self.text[from..line_end].trim_end().len();
+        self.pos = self.pos.min(self.stop);
+    }
+
+    /// Moves the cursor to the start of the next line that holds tokens,
+    /// counting the lines it passes. Returns `false` at the end of the
+    /// text.
+    fn next_line(&mut self) -> bool {
+        let len = self.text.len();
+        if self.stop < len {
+            // Only whitespace that `str::trim` strips is left on the line.
+            self.pos = self.find_newline(self.pos);
+            self.stop = len;
+        }
+        // The cursor is on a `\n` or at the end of the text.
+        if self.pos + 1 >= len {
+            self.pos = len;
+            return false;
+        }
+        self.pos += 1;
+        self.line += 1;
+        self.open_line();
+        true
+    }
+
+    /// Starts the line at the cursor: moves past its leading whitespace,
+    /// and on to its `\n` if it is a comment.
+    fn open_line(&mut self) {
+        let bytes = self.text.as_bytes();
+        while self.pos < bytes.len() && is_separator(bytes[self.pos]) {
+            self.pos += 1;
+        }
+        if bytes
+            .get(self.pos)
+            .copied()
+            .is_some_and(may_be_unicode_space)
+        {
+            // `str::trim` may strip more than the separators.
+            let rest = &self.text[self.pos..self.find_newline(self.pos)];
+            self.pos += rest.len() - rest.trim_start().len();
+            self.cut_line(self.pos);
+        }
+        if matches!(bytes.get(self.pos), Some(b'c' | b'%')) {
+            self.pos = self.find_newline(self.pos);
+        }
+    }
+
+    /// The offset of the first `\n` at or after `from`, or the text's
+    /// length.
+    fn find_newline(&self, from: usize) -> usize {
+        self.text.as_bytes()[from..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(self.text.len(), |i| from + i)
+    }
+}
+
+/// Token separators within a line: the ASCII whitespace that
+/// `str::split_ascii_whitespace` splits on, less `\n`.
+fn is_separator(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\x0c')
+}
+
+/// Whether `b` may be part of whitespace that `str::trim` strips and
+/// `str::split_ascii_whitespace` does not split on: the vertical tab, or
+/// any byte of a non-ASCII character.
+fn may_be_unicode_space(b: u8) -> bool {
+    b == b'\x0b' || !b.is_ascii()
 }
 
 #[cfg(test)]
@@ -816,5 +993,75 @@ mod tests {
         assert_eq!(again.num_hard(), 1);
         assert_eq!(again.num_soft(), 2);
         assert_eq!(again.total_soft_weight(), 10);
+    }
+
+    #[test]
+    fn parse_maxsat_takes_the_dialect_from_the_first_token() {
+        let plain = parse_maxsat("c x\np\tcnf 2 2\n1 -2 0\n2 0\n").unwrap();
+        let cnf = parse_cnf("p cnf 2 2\n1 -2 0\n2 0\n").unwrap();
+        assert_eq!(plain, WcnfFormula::from_cnf_all_soft(&cnf));
+        // A header may continue on the next line, as any token may.
+        let classic = parse_maxsat("p\nwcnf 1 2 9\n9 1 0\n4 -1 0\n").unwrap();
+        assert_eq!((classic.num_hard(), classic.num_soft()), (1, 1));
+        assert_eq!(classic, parse_maxsat("h 1 0\n4 -1 0\n").unwrap());
+        // A `p` line after the first token is not a header.
+        let e = parse_maxsat("1 2 0\np cnf 2 1\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.kind),
+            (2, ParseDimacsErrorKind::BadWeight("p".into()))
+        );
+        // Errors are those of the dialect's own parser.
+        let e = parse_maxsat("p cnf 3 1\n1 2 3").unwrap_err();
+        assert_eq!(e, parse_cnf("p cnf 3 1\n1 2 3").unwrap_err());
+        let e = parse_maxsat("p wcnf 1 1 5\n0 1 0\n").unwrap_err();
+        assert_eq!(e, parse_wcnf("p wcnf 1 1 5\n0 1 0\n").unwrap_err());
+        assert_eq!(
+            parse_maxsat("p dimacs 1 1\n").unwrap_err().kind,
+            ParseDimacsErrorKind::BadHeader
+        );
+    }
+
+    #[test]
+    fn literal_tokens_read_like_str_parse() {
+        // Nine digits take the one-pass path and ten the general one;
+        // both must read signs and leading zeros as `str::parse` does.
+        let lits = |body: &str| {
+            parse_cnf(&format!("p cnf 2147483647 1\n1 {body} 0\n"))
+                .map(|f| f.clause(0).lits()[1].to_dimacs())
+                .map_err(|e| e.kind)
+        };
+        assert_eq!(lits("999999999"), Ok(999_999_999));
+        assert_eq!(lits("-0000000007"), Ok(-7));
+        assert_eq!(lits("+000000012"), Ok(12));
+        assert_eq!(lits("2147483647"), Ok(2_147_483_647));
+        assert_eq!(
+            lits("-2147483648"),
+            Err(ParseDimacsErrorKind::VariableOutOfRange(i32::MIN))
+        );
+        assert_eq!(
+            lits("2147483648"),
+            Err(ParseDimacsErrorKind::BadLiteral("2147483648".into()))
+        );
+        assert_eq!(
+            lits("--1"),
+            Err(ParseDimacsErrorKind::BadLiteral("--1".into()))
+        );
+        // `-0` ends a clause, on either path.
+        let f = parse_cnf("p cnf 2 2\n-0\n1 -0\n").unwrap();
+        assert!(f.clause(0).is_empty());
+        assert_eq!(f.clause(1).len(), 1);
+    }
+
+    #[test]
+    fn line_ends_trimmed_of_unicode_whitespace() {
+        // `str::trim` strips a vertical tab or U+00A0 at either end of a
+        // line, so neither starts a token there; inside a line they do.
+        let f = parse_cnf("\u{a0}c note\np cnf 2 1\n\x0b1 2 0\u{a0}\x0b\n").unwrap();
+        assert_eq!(f.clause(0).len(), 2);
+        let e = parse_cnf("p cnf 2 1\n1 \u{a0}2 0\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.kind),
+            (2, ParseDimacsErrorKind::BadLiteral("\u{a0}2".into()))
+        );
     }
 }

@@ -56,8 +56,6 @@
 //! assert!(engine.is_active(s1));
 //! ```
 
-use std::collections::HashMap;
-
 use coremax_cnf::{Assignment, Lit, Var};
 
 use crate::budget::Budget;
@@ -105,10 +103,10 @@ pub struct IncrementalSolver {
     solver: Solver,
     budget: Budget,
     num_vars: usize,
+    /// The selector of each soft, by `SoftId`. Each is a fresh variable,
+    /// so their variables ascend, which `failed_softs` searches by.
     selectors: Vec<Lit>,
     states: Vec<SoftState>,
-    /// Selector-variable index → soft id, for failed-assumption mapping.
-    selector_index: HashMap<u32, SoftId>,
     /// All clauses ever added (with their shared/pure marking), kept
     /// only in [`EngineMode::Rebuild`] so each solve call can reload a
     /// fresh solver.
@@ -154,7 +152,6 @@ impl IncrementalSolver {
             num_vars: 0,
             selectors: Vec::new(),
             states: Vec::new(),
-            selector_index: HashMap::new(),
             mirror: Vec::new(),
             shared: None,
             retired_stats: SolverStats::default(),
@@ -249,17 +246,22 @@ impl IncrementalSolver {
     }
 
     fn add_clause_impl<I: IntoIterator<Item = Lit>>(&mut self, lits: I, shared: bool) {
-        let clause: Vec<Lit> = lits.into_iter().collect();
-        for &l in &clause {
-            self.num_vars = self.num_vars.max(l.var().index() + 1);
-        }
-        if shared {
-            self.solver.add_clause_shared(clause.iter().copied());
-        } else {
-            self.solver.add_clause(clause.iter().copied());
-        }
         if self.mode == EngineMode::Rebuild {
+            let clause: Vec<Lit> = lits.into_iter().collect();
+            self.load_clause(clause.iter().copied(), shared);
             self.mirror.push((clause, shared));
+        } else {
+            self.load_clause(lits, shared);
+        }
+        // The solver grows its variables to cover the clause.
+        self.num_vars = self.num_vars.max(self.solver.num_vars());
+    }
+
+    fn load_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I, shared: bool) {
+        if shared {
+            self.solver.add_clause_shared(lits);
+        } else {
+            self.solver.add_clause(lits);
         }
     }
 
@@ -271,7 +273,6 @@ impl IncrementalSolver {
         let id = SoftId(self.selectors.len());
         self.selectors.push(sel);
         self.states.push(SoftState::Active);
-        self.selector_index.insert(sel.var().index_u32(), id);
         self.add_clause(lits.into_iter().chain(std::iter::once(sel)));
         id
     }
@@ -444,7 +445,12 @@ impl IncrementalSolver {
             .solver
             .failed_assumptions()
             .iter()
-            .filter_map(|a| self.selector_index.get(&a.var().index_u32()).copied())
+            .filter_map(|a| {
+                self.selectors
+                    .binary_search_by_key(&a.var(), |s| s.var())
+                    .ok()
+                    .map(SoftId)
+            })
             .collect();
         ids.sort_unstable();
         ids

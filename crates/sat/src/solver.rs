@@ -162,6 +162,15 @@ struct VarData {
     reason: CRef,
 }
 
+/// Extends a per-variable array to `len` entries of `value`. Capacity
+/// goes to a power of two, as one push per variable would leave it:
+/// growing to the exact length measured a higher peak memory on the
+/// portfolio benchmark, where many short-lived engines grow by turns.
+fn grow<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.reserve_exact(len.next_power_of_two().saturating_sub(v.len()));
+    v.resize(len, value);
+}
+
 /// Distinct decision levels above `floor` among `lits` (the literal
 /// block distance). The floor is the running solve's assumption prefix,
 /// so assumption levels are left out as in Glucose's incremental mode.
@@ -358,28 +367,36 @@ impl Solver {
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var::new(self.var_data.len() as u32);
-        self.assigns.push(VALUE_UNDEF);
-        self.assigns.push(VALUE_UNDEF);
-        self.var_data.push(VarData {
-            level: 0,
-            reason: CRef::UNDEF,
-        });
-        self.activity.push(0.0);
-        self.phase.push(self.config.default_phase);
-        self.seen.push(false);
-        self.unit_pure.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.bin_watches.push(Vec::new());
-        self.bin_watches.push(Vec::new());
-        self.order.insert(v, &self.activity);
+        self.ensure_vars(v.index() + 1);
         v
     }
 
-    /// Ensures variables `0..num_vars` exist.
+    /// Ensures variables `0..num_vars` exist. Each per-variable array
+    /// grows once, and the new variables enter the decision heap in
+    /// index order.
     pub fn ensure_vars(&mut self, num_vars: usize) {
-        while self.num_vars() < num_vars {
-            self.new_var();
+        let old = self.num_vars();
+        if num_vars <= old {
+            return;
+        }
+        assert!(
+            num_vars - 1 <= Var::MAX_INDEX as usize,
+            "variable index out of range"
+        );
+        grow(&mut self.assigns, 2 * num_vars, VALUE_UNDEF);
+        let unassigned = VarData {
+            level: 0,
+            reason: CRef::UNDEF,
+        };
+        grow(&mut self.var_data, num_vars, unassigned);
+        grow(&mut self.activity, num_vars, 0.0);
+        grow(&mut self.phase, num_vars, self.config.default_phase);
+        grow(&mut self.seen, num_vars, false);
+        grow(&mut self.unit_pure, num_vars, false);
+        grow(&mut self.watches, 2 * num_vars, Vec::new());
+        grow(&mut self.bin_watches, 2 * num_vars, Vec::new());
+        for i in old..num_vars {
+            self.order.insert(Var::new(i as u32), &self.activity);
         }
     }
 
@@ -580,8 +597,8 @@ impl Solver {
     }
 
     fn add_clause_impl(&mut self, lits: &mut Vec<Lit>, ordered: &mut Vec<Lit>, pure: bool) {
-        for &l in lits.iter() {
-            self.ensure_vars(l.var().index() + 1);
+        if let Some(top) = lits.iter().map(|l| l.var().index()).max() {
+            self.ensure_vars(top + 1);
         }
         lits.sort_unstable();
         lits.dedup();
