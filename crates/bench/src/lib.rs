@@ -1,9 +1,12 @@
 //! Shared experiment harness for regenerating the paper's tables and
 //! figures.
 //!
-//! The binaries (`table1`, `table2`, `scatter`) and Criterion benches
-//! use these helpers to run every solver over the generated instance
-//! suite under a per-instance budget and collect outcome/time rows.
+//! The paper's binaries (`table1`, `table2`, `cactus`, `scatter`) and
+//! the CI baselines `perf_baseline`, `weighted_baseline`,
+//! `parallel_baseline` and `anytime_baseline` use these helpers to run
+//! every solver over the generated instance suite under a per-instance
+//! budget and collect outcome/time rows. `sharing_baseline`,
+//! `obs_overhead_check` and the Criterion benches stand alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +48,7 @@ pub struct RunRecord {
     /// CDCL conflicts aggregated over the run's SAT calls.
     pub sat_conflicts: u64,
     /// Incremental totalizer bound extensions (OLL-style solvers;
-    /// zero for the rebuild-per-core drivers).
+    /// zero for the others).
     pub totalizer_extensions: u64,
     /// Preprocessing counters (zeros when `preprocess` is false).
     pub simp: SimpStats,

@@ -170,6 +170,31 @@ fn tab_separated_header_solves() {
 }
 
 #[test]
+fn lone_empty_clause_verifies() {
+    // One empty clause, soft as every CNF clause is: the optimum falsifies
+    // it, and `--verify` checks the model that proves it.
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = Command::new(binary())
+        .args(["--verify", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn coremax-solve");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"p cnf 1 1\n0\n")
+        .unwrap();
+    let output = child.wait_with_output().expect("wait");
+    assert_eq!(output.status.code(), Some(0), "{output:?}");
+    let (status, cost) = parse_single(&String::from_utf8(output.stdout).expect("utf8"));
+    assert_eq!((status.as_str(), cost), ("OPTIMAL", Some(1)));
+}
+
+#[test]
 fn batch_hard_abort_exits_30_not_10() {
     // Batch counterpart of the single-file distinction: an aborted
     // instance with no incumbent anywhere in the directory must exit

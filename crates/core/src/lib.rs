@@ -73,6 +73,7 @@ mod msu4_inc;
 mod oll;
 mod pbo_baseline;
 mod preprocess;
+mod run;
 mod sat_search;
 mod stratify;
 mod types;

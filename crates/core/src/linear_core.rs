@@ -16,13 +16,12 @@
 //! The exact pseudo-code of \[22\] is not reproduced in the DATE'08
 //! paper; this reconstruction matches its described properties.
 
-use std::time::Instant;
-
-use coremax_cards::{encode_at_most, CardEncoding, CnfSink};
+use coremax_cards::{encode_at_most, CardEncoding};
 use coremax_cnf::{Lit, WcnfFormula};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SharedContext, SoftId, SolveOutcome};
+use coremax_sat::{Budget, SharedContext, SolveOutcome};
 
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
+use crate::run::CoreRun;
+use crate::types::{MaxSatSolution, MaxSatSolver};
 
 /// Shared implementation of the msu2/msu3 linear UNSAT→SAT search.
 #[derive(Debug, Clone)]
@@ -30,53 +29,34 @@ struct LinearCore {
     encoding: CardEncoding,
     core_at_least_one: bool,
     budget: Budget,
-    engine_mode: EngineMode,
     shared: Option<SharedContext>,
 }
 
 impl LinearCore {
-    fn solve(&self, wcnf: &WcnfFormula, stats: &mut MaxSatStats) -> MaxSatSolution {
+    fn new(encoding: CardEncoding, core_at_least_one: bool) -> Self {
+        LinearCore {
+            encoding,
+            core_at_least_one,
+            budget: Budget::new(),
+            shared: None,
+        }
+    }
+
+    fn solve(&self, wcnf: &WcnfFormula) -> MaxSatSolution {
         assert!(
             wcnf.is_unweighted(),
             "msu2/msu3 handle unweighted (partial) MaxSAT; got weighted soft clauses"
         );
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-
-        let num_soft = wcnf.num_soft();
-        let mut k: usize = 0; // current lower bound on cost
-
-        let finish = |status: MaxSatStatus,
-                      cost: Option<usize>,
-                      lower_bound: usize,
-                      model: Option<coremax_cnf::Assignment>,
-                      stats: &mut MaxSatStats| {
-            stats.wall_time = start.elapsed();
-            MaxSatSolution {
-                status,
-                cost: cost.map(|c| c as u64),
-                model: model.clone(),
-                lower_bound: lower_bound as u64,
-                stats: *stats,
-            }
-        };
-
-        // One engine for the whole run. Unblocked softs are enforced by
-        // their selector assumptions; *blocking* clause `i` just
-        // deactivates it, so its selector becomes the blocking variable
-        // the global bound ranges over — no clause is ever re-added.
-        let mut engine =
-            IncrementalSolver::with_mode_and_shared(self.engine_mode, self.shared.clone());
-        engine.ensure_vars(wcnf.num_vars());
-        engine.set_budget(child_budget.clone());
-        for h in wcnf.hard_clauses() {
-            engine.add_clause_shared(h.lits().iter().copied());
+        // Unblocked softs are enforced by their selector assumptions;
+        // *blocking* clause `i` just deactivates it, so its selector
+        // becomes the blocking variable the global bound ranges over —
+        // no clause is ever re-added. The lower bound is the search's
+        // current `k`.
+        let mut run = CoreRun::new(wcnf, &self.budget, self.shared.clone());
+        for s in wcnf.soft_clauses() {
+            run.engine.add_soft(s.clause.lits().iter().copied());
         }
-        let handles: Vec<SoftId> = wcnf
-            .soft_clauses()
-            .iter()
-            .map(|s| engine.add_soft(s.clause.lits().iter().copied()))
-            .collect();
+        let num_soft = wcnf.num_soft();
 
         let mut vb: Vec<Lit> = Vec::new(); // selectors of blocked clauses
 
@@ -89,92 +69,60 @@ impl LinearCore {
         let mut bound_key: (usize, usize) = (0, 0); // (vb.len(), k) encoded
 
         loop {
+            let k = run.lb() as usize;
             if !vb.is_empty()
                 && k < vb.len()
                 && (bound_key != (vb.len(), k) || bound_gate.is_none())
             {
                 if let Some(t) = bound_gate.take() {
-                    engine.add_clause([t]);
+                    run.engine.add_clause([t]);
                 }
-                let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                let t = Lit::positive(engine.new_var());
-                let mut sink = CnfSink::new(engine.num_vars());
-                encode_at_most(&vb, k, self.encoding, &mut sink);
-                engine.ensure_vars(sink.num_vars());
-                let clauses = sink.into_clauses();
-                stats.cardinality_clauses += clauses.len() as u64;
-                let clauses_added = clauses.len() as u64;
-                for c in clauses {
-                    engine.add_clause(c.into_iter().chain(std::iter::once(t)));
-                }
+                let t = Lit::positive(run.engine.new_var());
+                let ((), clauses) =
+                    run.encode(Some(t), |sink| encode_at_most(&vb, k, self.encoding, sink));
                 bound_gate = Some(t);
                 bound_key = (vb.len(), k);
-                encode_span.finish(&mut stats.phase);
-                if coremax_obs::tracing_enabled() {
-                    coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                        blocking_vars: 0,
-                        clauses: clauses_added,
-                    });
-                }
+                run.relaxed(0, clauses);
             } else if k >= vb.len() {
                 // The bound is vacuous; retire any active version.
                 if let Some(t) = bound_gate.take() {
-                    engine.add_clause([t]);
+                    run.engine.add_clause([t]);
                 }
             }
             let gate_assumptions: Vec<Lit> = bound_gate.iter().map(|&t| !t).collect();
 
-            stats.sat_calls += 1;
-            match engine.solve(&gate_assumptions) {
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    // `k` is the running lower bound of the UNSAT→SAT
-                    // search: certified even when the run is cut short.
-                    return finish(MaxSatStatus::Unknown, None, k, None, stats);
-                }
+            match run.solve(&gate_assumptions) {
+                // `k` is the running lower bound of the UNSAT→SAT
+                // search: certified even when the run is cut short.
+                SolveOutcome::Unknown => return run.unknown(),
                 SolveOutcome::Sat => {
-                    stats.sat_iterations += 1;
-                    let model = engine.model().expect("model after SAT").clone();
-                    stats.absorb_sat(&engine.stats());
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Incumbent { cost: k as u64 });
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: k as u64,
-                            ub: Some(k as u64),
-                        });
-                    }
-                    return finish(MaxSatStatus::Optimal, Some(k), k, Some(model), stats);
+                    // The model falsifies at most `k` clauses (only
+                    // blocked ones, under the bound), so exactly `k`.
+                    run.offer(run.model());
+                    return run.optimal();
                 }
                 SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
                     // Refuted independently of every assumption: blocked
                     // selectors and the bound gate are free at the clause
                     // level and the ge1 clauses are satisfiable on their
                     // own, so only the hard clauses can be contradictory.
-                    if engine.formula_refuted() {
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
+                    if run.engine.formula_refuted() {
+                        return run.infeasible();
                     }
-                    stats.cores += 1;
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::CoreExtracted {
-                            size: engine.failed_softs().len() as u64,
-                            weight: 1,
-                        });
-                    }
+                    let failed = run.engine.failed_softs();
+                    run.core(failed.len(), 1);
                     let touched_bound =
-                        bound_gate.is_some_and(|t| engine.failed_assumptions().contains(&!t));
+                        bound_gate.is_some_and(|t| run.engine.failed_assumptions().contains(&!t));
                     // Failed soft assumptions are exactly the unblocked
                     // clauses of the core; blocking one turns its selector
                     // into a blocking variable.
                     let mut fresh_blockers: Vec<Lit> = Vec::new();
-                    for id in engine.failed_softs() {
-                        debug_assert!(handles.contains(&id));
-                        if engine.is_active(id) {
-                            engine.deactivate(id);
-                            let b = engine.selector(id);
+                    for id in failed {
+                        if run.engine.is_active(id) {
+                            run.engine.deactivate(id);
+                            let b = run.engine.selector(id);
                             vb.push(b);
-                            stats.blocking_vars += 1;
+                            run.stats.blocking_vars += 1;
                             fresh_blockers.push(b);
                         }
                     }
@@ -182,8 +130,7 @@ impl LinearCore {
                         // No assumption of either kind was involved —
                         // cannot happen without a formula-level refutation,
                         // but classify conservatively as infeasible.
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
+                        return run.infeasible();
                     }
                     // Like msu4's optional line-19 constraint, the ≥1
                     // clause is only sound over the *newly* blocked
@@ -194,26 +141,19 @@ impl LinearCore {
                     // implied only when the refutation did not use the
                     // bound at all.
                     if self.core_at_least_one && !fresh_blockers.is_empty() && !touched_bound {
-                        engine.add_clause(fresh_blockers.iter().copied());
-                        stats.cardinality_clauses += 1;
+                        run.engine.add_clause(fresh_blockers.iter().copied());
+                        run.stats.cardinality_clauses += 1;
                     }
                     if fresh_blockers.is_empty() {
                         // The core involves only hard clauses, blocked
                         // clauses and the bound: any assignment of cost ≤ k
                         // would extend to a model of the refuted working
                         // formula, so the refutation proves optimum > k.
-                        k += 1;
-                        if coremax_obs::tracing_enabled() {
-                            coremax_obs::emit(coremax_obs::Event::Bounds {
-                                lb: k as u64,
-                                ub: None,
-                            });
-                        }
-                        if k > num_soft {
+                        run.raise_lb(k as u64 + 1);
+                        if k + 1 > num_soft {
                             // Cannot falsify more clauses than exist: the
                             // hard part must be inconsistent.
-                            stats.absorb_sat(&engine.stats());
-                            return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
+                            return run.infeasible();
                         }
                     }
                     // With fresh blocking variables the working formula
@@ -222,9 +162,8 @@ impl LinearCore {
                     // bound, so the loop terminates in ≤ 2·|soft| rounds.
                 }
             }
-            if child_budget.interrupted() {
-                stats.absorb_sat(&engine.stats());
-                return finish(MaxSatStatus::Unknown, None, k, None, stats);
+            if run.interrupted() {
+                return run.unknown();
             }
         }
     }
@@ -263,36 +202,14 @@ impl Msu3 {
     /// msu3 with the BDD bound encoding.
     #[must_use]
     pub fn new() -> Self {
-        Msu3 {
-            inner: LinearCore {
-                encoding: CardEncoding::Bdd,
-                core_at_least_one: false,
-                budget: Budget::new(),
-                engine_mode: EngineMode::Persistent,
-                shared: None,
-            },
-        }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.inner.engine_mode = mode;
-        self
+        Msu3::with_encoding(CardEncoding::Bdd)
     }
 
     /// msu3 with an explicit bound encoding.
     #[must_use]
     pub fn with_encoding(encoding: CardEncoding) -> Self {
         Msu3 {
-            inner: LinearCore {
-                encoding,
-                core_at_least_one: false,
-                budget: Budget::new(),
-                engine_mode: EngineMode::Persistent,
-                shared: None,
-            },
+            inner: LinearCore::new(encoding, false),
         }
     }
 }
@@ -311,8 +228,7 @@ impl MaxSatSolver for Msu3 {
     }
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
-        let mut stats = MaxSatStats::default();
-        self.inner.solve(wcnf, &mut stats)
+        self.inner.solve(wcnf)
     }
 }
 
@@ -338,24 +254,8 @@ impl Msu2 {
     #[must_use]
     pub fn new() -> Self {
         Msu2 {
-            inner: LinearCore {
-                encoding: CardEncoding::SequentialCounter,
-                core_at_least_one: true,
-                budget: Budget::new(),
-                engine_mode: EngineMode::Persistent,
-                shared: None,
-            },
+            inner: LinearCore::new(CardEncoding::SequentialCounter, true),
         }
-    }
-}
-
-impl Msu2 {
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.inner.engine_mode = mode;
-        self
     }
 }
 
@@ -373,14 +273,14 @@ impl MaxSatSolver for Msu2 {
     }
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
-        let mut stats = MaxSatStats::default();
-        self.inner.solve(wcnf, &mut stats)
+        self.inner.solve(wcnf)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MaxSatStatus;
     use coremax_cnf::dimacs;
     use coremax_sat::dpll_max_satisfiable;
 

@@ -2,7 +2,7 @@
 
 use coremax_cards::CardEncoding;
 use coremax_cnf::WcnfFormula;
-use coremax_sat::{Budget, EngineMode};
+use coremax_sat::Budget;
 
 use crate::types::{MaxSatSolution, MaxSatSolver};
 use crate::wmsu1::Wmsu1;
@@ -58,15 +58,6 @@ impl Msu1 {
     pub fn with_encoding(encoding: CardEncoding) -> Self {
         Msu1 {
             inner: Wmsu1::with_encoding(encoding),
-        }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(self, mode: EngineMode) -> Self {
-        Msu1 {
-            inner: self.inner.with_engine_mode(mode),
         }
     }
 }

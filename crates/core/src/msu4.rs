@@ -1,13 +1,13 @@
 //! The msu4 algorithm — Algorithm 1 of the paper.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
-use coremax_cards::{encode_at_most, sorted_prefix, CardEncoding, CnfSink};
-use coremax_cnf::{Lit, WcnfFormula};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SharedContext, SoftId, SolveOutcome};
+use coremax_cards::{encode_at_most, sorted_prefix, CardEncoding};
+use coremax_cnf::{Assignment, Lit, WcnfFormula, Weight};
+use coremax_sat::{Budget, SharedContext, SoftId, SolveOutcome};
 
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
+use crate::run::CoreRun;
+use crate::types::{MaxSatSolution, MaxSatSolver};
 
 /// Configuration of the [`Msu4`] solver.
 #[derive(Debug, Clone)]
@@ -80,7 +80,6 @@ impl Default for Msu4Config {
 pub struct Msu4 {
     config: Msu4Config,
     budget: Budget,
-    engine_mode: EngineMode,
     shared: Option<SharedContext>,
 }
 
@@ -115,17 +114,8 @@ impl Msu4 {
         Msu4 {
             config,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
             shared: None,
         }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
     }
 
     /// The active configuration.
@@ -157,65 +147,33 @@ impl MaxSatSolver for Msu4 {
             wcnf.is_unweighted(),
             "msu4 handles unweighted (partial) MaxSAT; got weighted soft clauses"
         );
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-
-        let num_soft = wcnf.num_soft();
-
+        let mut run = CoreRun::new(wcnf, &self.budget, self.shared.clone());
         // Bounds in *cost* space: lb = the paper's νU (each disjointly
         // refuted core forces one more falsified clause, Prop. 1);
-        // ub = the paper's νBV (best model found, Prop. 2).
-        let mut lb: usize = 0;
-        let mut ub: usize = num_soft;
-        let mut best_model: Option<coremax_cnf::Assignment> = None;
-
-        let finish = |status: MaxSatStatus,
-                      cost: Option<usize>,
-                      lower_bound: usize,
-                      model: Option<coremax_cnf::Assignment>,
-                      mut stats: MaxSatStats| {
-            stats.wall_time = start.elapsed();
-            MaxSatSolution {
-                status,
-                cost: cost.map(|c| c as u64),
-                model,
-                lower_bound: lower_bound as u64,
-                stats,
-            }
-        };
-
-        // One engine for the whole run.
-        let mut engine =
-            IncrementalSolver::with_mode_and_shared(self.engine_mode, self.shared.clone());
-        engine.ensure_vars(wcnf.num_vars());
-        engine.set_budget(child_budget.clone());
-        for h in wcnf.hard_clauses() {
-            engine.add_clause_shared(h.lits().iter().copied());
-        }
+        // ub = the paper's νBV (the incumbent's cost, Prop. 2), or every
+        // soft clause before the first model.
+        let num_soft = wcnf.num_soft() as Weight;
 
         // Feasibility pre-check: cores are not guaranteed minimal, so a
         // hard-only contradiction could otherwise hide inside a mixed
         // core and the termination argument of Algorithm 1 (which assumes
         // plain MaxSAT) would return a bogus optimum. Running it on the
         // same engine seeds the clause database before the softs arrive.
-        let mut hard_model: Option<coremax_cnf::Assignment> = None;
+        // Its model is not an incumbent (ub stays νBV = every soft): it
+        // only stands in for one at an exit that has none.
+        let mut hard_model: Option<Assignment> = None;
         if wcnf.num_hard() > 0 {
-            stats.sat_calls += 1;
-            match engine.solve(&[]) {
-                SolveOutcome::Unsat => {
-                    stats.absorb_sat(&engine.stats());
-                    return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
-                }
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    return finish(MaxSatStatus::Unknown, None, 0, None, stats);
-                }
-                SolveOutcome::Sat => {
-                    hard_model = engine.model().cloned();
-                }
+            match run.solve(&[]) {
+                SolveOutcome::Unsat => return run.infeasible(),
+                SolveOutcome::Unknown => return run.unknown(),
+                SolveOutcome::Sat => hard_model = Some(run.model()),
             }
         }
+        let fall_back = |run: &mut CoreRun, hard_model: Option<Assignment>| {
+            if let Some(model) = hard_model.filter(|_| run.ub().is_none()) {
+                run.offer(model);
+            }
+        };
 
         // Selector per soft clause; an *unblocked* clause is one whose
         // selector assumption is still active, and blocking it merely
@@ -227,8 +185,8 @@ impl MaxSatSolver for Msu4 {
             .soft_clauses()
             .iter()
             .map(|s| {
-                let id = engine.add_soft(s.clause.lits().iter().copied());
-                (engine.assumption(id), id)
+                let id = run.engine.add_soft(s.clause.lits().iter().copied());
+                (run.engine.assumption(id), id)
             })
             .collect();
         // All blocking literals, in introduction order (the paper's VB).
@@ -242,45 +200,26 @@ impl MaxSatSolver for Msu4 {
         let mut bound = BlockingBound::new(self.config.encoding, true);
 
         loop {
-            stats.sat_calls += 1;
-            match engine.solve(bound.assumptions()) {
+            match run.solve(bound.assumptions()) {
                 SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    // Certified interval: lb from disjoint cores, ub from
-                    // the best model found (the hard-feasibility model is
-                    // a valid incumbent when no better one exists).
-                    let incumbent = best_model.or_else(|| hard_model.clone());
-                    let cost = incumbent.as_ref().map(|m| {
-                        wcnf.soft_clauses()
-                            .iter()
-                            .filter(|s| !s.clause.is_satisfied_by(m))
-                            .count()
-                    });
-                    return finish(MaxSatStatus::Unknown, cost, lb, incumbent, stats);
+                    fall_back(&mut run, hard_model);
+                    return run.unknown();
                 }
                 SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
                     // Independent of all assumptions: only the hard
                     // clauses can be contradictory (selectors and bound
                     // gates are free at the clause level, ge1 clauses are
                     // satisfiable on their own) — and the pre-check
                     // already ran, so this is a late hard refutation.
-                    if engine.formula_refuted() {
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
+                    if run.engine.formula_refuted() {
+                        return run.infeasible();
                     }
-                    stats.cores += 1;
                     let core: Vec<Lit> = if self.config.minimize_cores {
-                        minimize_failed_assumptions(&mut engine, &child_budget)
+                        minimize_failed_assumptions(&mut run)
                     } else {
-                        engine.failed_assumptions().to_vec()
+                        run.engine.failed_assumptions().to_vec()
                     };
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::CoreExtracted {
-                            size: core.len() as u64,
-                            weight: 1,
-                        });
-                    }
+                    run.core(core.len(), 1);
                     // φI: unblocked soft clauses in the core (the paper's
                     // "initial clauses"). A bound literal can be the
                     // assumption of a blocked soft (a one-input network
@@ -288,91 +227,59 @@ impl MaxSatSolver for Msu4 {
                     let new_blocked: Vec<SoftId> = core
                         .iter()
                         .filter_map(|a| soft_of.get(a).copied())
-                        .filter(|&id| engine.is_active(id))
+                        .filter(|&id| run.engine.is_active(id))
                         .collect();
                     if new_blocked.is_empty() {
                         // Line 21–22: the core can be re-derived no matter
                         // which further clauses are blocked, so the current
                         // upper bound is the optimum.
-                        debug_assert!(best_model.is_some() || ub == num_soft);
-                        stats.absorb_sat(&engine.stats());
-                        let model = best_model.or_else(|| hard_model.clone());
-                        return finish(MaxSatStatus::Optimal, Some(ub), ub, model, stats);
+                        fall_back(&mut run, hard_model);
+                        return run.optimal();
                     }
                     // Lines 17–20: attach blocking variables and (optionally)
                     // require at least one of them to be used.
                     let mut core_blockers = Vec::with_capacity(new_blocked.len());
                     for id in new_blocked {
-                        engine.deactivate(id);
-                        let b = engine.selector(id);
+                        run.engine.deactivate(id);
+                        let b = run.engine.selector(id);
                         vb.push(b);
                         core_blockers.push(b);
-                        stats.blocking_vars += 1;
+                        run.stats.blocking_vars += 1;
                     }
                     if self.config.core_at_least_one {
-                        engine.add_clause(core_blockers.iter().copied());
-                        stats.cardinality_clauses += 1;
+                        run.engine.add_clause(core_blockers.iter().copied());
+                        run.stats.cardinality_clauses += 1;
                     }
                     // Lines 23–24: every such core lifts the lower bound.
-                    lb += 1;
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: lb as u64,
-                            ub: best_model.is_some().then_some(ub as u64),
-                        });
-                    }
+                    run.raise_lb(run.lb() + 1);
                 }
                 SolveOutcome::Sat => {
-                    stats.sat_iterations += 1;
-                    let model = engine.model().expect("model after SAT").clone();
-                    // Line 26 uses ν = blocking variables assigned 1; we
-                    // tighten it to the model's *actual* number of
-                    // falsified soft clauses f ≤ ν (a model may raise a
-                    // blocking variable of a clause it satisfies anyway).
-                    // Soundness is unchanged: any assignment of cost
-                    // ≤ f−1 extends to a model of φW with Σb ≤ f−1, so
-                    // the strengthened constraint excludes no optimum.
+                    // Line 26 uses ν = blocking variables assigned 1; the
+                    // incumbent's cost tightens it to the model's *actual*
+                    // number of falsified soft clauses f ≤ ν (a model may
+                    // raise a blocking variable of a clause it satisfies
+                    // anyway). Soundness is unchanged: any assignment of
+                    // cost ≤ f−1 extends to a model of φW with Σb ≤ f−1,
+                    // so the strengthened constraint excludes no optimum.
                     // Without this, descent proceeds one wasted blocking
                     // variable at a time, one SAT call per step.
-                    let f = wcnf
-                        .soft_clauses()
-                        .iter()
-                        .filter(|s| !s.clause.is_satisfied_by(&model))
-                        .count();
-                    if f < ub || best_model.is_none() {
-                        ub = f;
-                        best_model = Some(model);
-                        if coremax_obs::tracing_enabled() {
-                            coremax_obs::emit(coremax_obs::Event::Incumbent { cost: ub as u64 });
-                            coremax_obs::emit(coremax_obs::Event::Bounds {
-                                lb: lb as u64,
-                                ub: Some(ub as u64),
-                            });
-                        }
-                    }
+                    run.offer(run.model());
                     // Lines 30–31: demand strictly fewer blocking vars
                     // (ub = 0 needs no bound: line 32 below returns).
+                    let ub = run.ub().expect("incumbent after SAT");
                     if ub > 0 {
-                        bound.tighten(&mut engine, &vb, ub, &mut stats);
+                        bound.tighten(&mut run, &vb, ub as usize);
                     }
                 }
             }
             // Line 32: bounds met.
-            if lb >= ub {
-                stats.absorb_sat(&engine.stats());
-                let model = best_model.or_else(|| hard_model.clone());
-                return finish(MaxSatStatus::Optimal, Some(ub), ub, model, stats);
+            if run.lb() >= run.ub().unwrap_or(num_soft) {
+                fall_back(&mut run, hard_model);
+                return run.optimal();
             }
-            if child_budget.interrupted() {
-                stats.absorb_sat(&engine.stats());
-                let incumbent = best_model.or_else(|| hard_model.clone());
-                let cost = incumbent.as_ref().map(|m| {
-                    wcnf.soft_clauses()
-                        .iter()
-                        .filter(|s| !s.clause.is_satisfied_by(m))
-                        .count()
-                });
-                return finish(MaxSatStatus::Unknown, cost, lb, incumbent, stats);
+            if run.interrupted() {
+                fall_back(&mut run, hard_model);
+                return run.unknown();
             }
         }
     }
@@ -425,40 +332,27 @@ impl BlockingBound {
         &self.assumptions
     }
 
-    /// Tightens the bound to `Σ vb ≤ ub − 1`, for `1 ≤ ub ≤ |vb|`,
-    /// counting the clauses it encodes.
-    pub(crate) fn tighten(
-        &mut self,
-        engine: &mut IncrementalSolver,
-        vb: &[Lit],
-        ub: usize,
-        stats: &mut MaxSatStats,
-    ) {
+    /// Tightens the bound to `Σ vb ≤ ub − 1`, for `1 ≤ ub ≤ |vb|`.
+    pub(crate) fn tighten(&mut self, run: &mut CoreRun, vb: &[Lit], ub: usize) {
         debug_assert!(1 <= ub && ub <= vb.len());
         let network = self.encoding == CardEncoding::SortingNetwork;
-        let mut clauses_added = 0;
+        let mut clauses = 0;
         if !network || self.counted != vb.len() {
-            let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
             if let Some(t) = self.gate.take() {
-                engine.add_clause([t]);
+                run.engine.add_clause([t]);
             }
-            self.gate = self.gated.then(|| Lit::positive(engine.new_var()));
-            let mut sink = CnfSink::new(engine.num_vars());
-            if network {
-                self.outputs = sorted_prefix(vb, ub, &mut sink);
-                self.counted = vb.len();
-            } else {
-                encode_at_most(vb, ub - 1, self.encoding, &mut sink);
-            }
-            engine.ensure_vars(sink.num_vars());
-            let clauses = sink.into_clauses();
-            clauses_added = clauses.len() as u64;
-            for c in clauses {
-                engine.add_clause(c.into_iter().chain(self.gate));
-            }
-            encode_span.finish(&mut stats.phase);
+            self.gate = self.gated.then(|| Lit::positive(run.engine.new_var()));
+            let encoding = self.encoding;
+            (self.outputs, clauses) = run.encode(self.gate, |sink| {
+                if network {
+                    sorted_prefix(vb, ub, sink)
+                } else {
+                    encode_at_most(vb, ub - 1, encoding, sink);
+                    Vec::new()
+                }
+            });
+            self.counted = vb.len();
         }
-        stats.cardinality_clauses += clauses_added;
         self.assumptions.clear();
         self.assumptions.extend(self.gate.map(|t| !t));
         if network {
@@ -466,15 +360,10 @@ impl BlockingBound {
             if self.gated {
                 self.assumptions.push(bound);
             } else {
-                engine.add_clause([bound]);
+                run.engine.add_clause([bound]);
             }
         }
-        if coremax_obs::tracing_enabled() {
-            coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                blocking_vars: 0,
-                clauses: clauses_added,
-            });
-        }
+        run.relaxed(0, clauses);
     }
 }
 
@@ -484,20 +373,21 @@ impl BlockingBound {
 /// UNSAT. The incremental counterpart of [`crate::minimize_core`] — one
 /// assumption-based call per candidate on the *same* engine, instead of
 /// a fresh solver per clause-subset probe.
-fn minimize_failed_assumptions(engine: &mut IncrementalSolver, budget: &Budget) -> Vec<Lit> {
-    let mut core: Vec<Lit> = engine.failed_assumptions().to_vec();
+fn minimize_failed_assumptions(run: &mut CoreRun) -> Vec<Lit> {
+    let mut core: Vec<Lit> = run.engine.failed_assumptions().to_vec();
     let mut i = 0;
     while i < core.len() {
-        if budget.interrupted() {
+        if run.interrupted() {
             break;
         }
         let mut candidate = core.clone();
         candidate.remove(i);
-        match engine.solve_exact(&candidate) {
-            SolveOutcome::Unsat if !engine.formula_refuted() => {
+        // Uncounted: a probe, not an iteration of Algorithm 1.
+        match run.engine.solve_exact(&candidate) {
+            SolveOutcome::Unsat if !run.engine.formula_refuted() => {
                 // Still UNSAT without it: adopt the failed subset of the
                 // candidate (often several literals smaller at once).
-                let failed: Vec<Lit> = engine.failed_assumptions().to_vec();
+                let failed: Vec<Lit> = run.engine.failed_assumptions().to_vec();
                 core.retain(|l| failed.contains(l));
             }
             // SAT, Unknown, or a formula-level refutation (cannot happen
@@ -511,6 +401,7 @@ fn minimize_failed_assumptions(engine: &mut IncrementalSolver, budget: &Budget) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MaxSatStatus;
     use coremax_cnf::dimacs;
     use coremax_sat::dpll_max_satisfiable;
 
@@ -559,6 +450,20 @@ mod tests {
         for mut solver in [Msu4::v1(), Msu4::v2()] {
             let s = solver.solve(&w);
             assert_eq!(s.cost, Some(2), "{}", solver.name());
+        }
+    }
+
+    #[test]
+    fn lone_empty_soft_clause_is_optimal_with_a_model() {
+        // No hard clauses and one empty soft: the only core blocks it,
+        // so lb meets ub = 1 before any SAT answer, and the optimum
+        // still needs a model.
+        let w = unweighted("p cnf 1 1\n0\n");
+        for mut solver in [Msu4::v1(), Msu4::v2()] {
+            let s = solver.solve(&w);
+            assert_eq!(s.status, MaxSatStatus::Optimal, "{}", solver.name());
+            assert_eq!(s.cost, Some(1), "{}", solver.name());
+            assert!(crate::verify_solution(&w, &s), "{}", solver.name());
         }
     }
 

@@ -2,9 +2,9 @@
 //!
 //! The paper's §5 names "exploit[ing] alternative SAT solver technology"
 //! as the first improvement direction; this module is that improvement.
-//! Instead of rebuilding the working formula each iteration (the msu4
-//! paper used non-incremental MiniSAT 1.14), every soft clause `ωᵢ` is
-//! added **once** as `ωᵢ ∨ sᵢ` with a fresh selector variable, and the
+//! The msu4 paper rebuilt the working formula for non-incremental
+//! MiniSAT 1.14 each iteration. Here every soft clause `ωᵢ` is added
+//! **once** as `ωᵢ ∨ sᵢ` with a fresh selector variable, and the
 //! selectors double as blocking variables:
 //!
 //! - an *unblocked* clause is enforced by assuming `¬sᵢ`;
@@ -19,18 +19,21 @@
 //!
 //! This is how later core-guided solvers (e.g. open-wbo's MSU3/OLL
 //! implementations) drive their SAT engines, applied to Algorithm 1.
-
-use std::time::Instant;
+//! [`crate::Msu4`] runs on the same kind of engine; the two differ
+//! in how they keep the bound (see [`Msu4Incremental`]).
 
 use coremax_cards::CardEncoding;
-use coremax_cnf::{Lit, WcnfFormula};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SharedContext, SolveOutcome};
+use coremax_cnf::{Lit, WcnfFormula, Weight};
+use coremax_sat::{Budget, SharedContext, SolveOutcome};
 
 use crate::msu4::BlockingBound;
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
+use crate::run::CoreRun;
+use crate::types::{MaxSatSolution, MaxSatSolver};
 
 /// Assumption-based incremental msu4. Same algorithm and answer as
-/// [`crate::Msu4`], one SAT solver for the whole run.
+/// [`crate::Msu4`]; where msu4 keeps one gated bound live and retires
+/// it when superseded, this variant adds every bound permanently and
+/// runs no feasibility pre-check.
 ///
 /// # Input restrictions
 ///
@@ -54,7 +57,6 @@ use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 #[derive(Debug, Clone)]
 pub struct Msu4Incremental {
     budget: Budget,
-    engine_mode: EngineMode,
     shared: Option<SharedContext>,
 }
 
@@ -70,17 +72,8 @@ impl Msu4Incremental {
     pub fn new() -> Self {
         Msu4Incremental {
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
             shared: None,
         }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
     }
 }
 
@@ -102,44 +95,15 @@ impl MaxSatSolver for Msu4Incremental {
             wcnf.is_unweighted(),
             "msu4-inc handles unweighted (partial) MaxSAT; got weighted soft clauses"
         );
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-        let num_soft = wcnf.num_soft();
-
-        let finish = |status: MaxSatStatus,
-                      cost: Option<usize>,
-                      lower_bound: usize,
-                      model: Option<coremax_cnf::Assignment>,
-                      mut stats: MaxSatStats| {
-            stats.wall_time = start.elapsed();
-            MaxSatSolution {
-                status,
-                cost: cost.map(|c| c as u64),
-                model,
-                lower_bound: lower_bound as u64,
-                stats,
-            }
-        };
-
-        // One engine for the whole run; the selector-per-soft-clause
-        // bookkeeping this module used to do by hand now lives in
-        // `IncrementalSolver`.
-        let mut engine =
-            IncrementalSolver::with_mode_and_shared(self.engine_mode, self.shared.clone());
-        engine.ensure_vars(wcnf.num_vars());
-        engine.set_budget(child_budget.clone());
-        for h in wcnf.hard_clauses() {
-            engine.add_clause_shared(h.lits().iter().copied());
-        }
+        let mut run = CoreRun::new(wcnf, &self.budget, self.shared.clone());
         for s in wcnf.soft_clauses() {
-            engine.add_soft(s.clause.lits().iter().copied());
+            run.engine.add_soft(s.clause.lits().iter().copied());
         }
+        // ub is the incumbent's cost, or every soft clause before the
+        // first model.
+        let num_soft = wcnf.num_soft() as Weight;
 
         let mut vb: Vec<Lit> = Vec::new(); // selectors of blocked clauses
-        let mut lb = 0usize;
-        let mut ub = num_soft;
-        let mut best_model: Option<coremax_cnf::Assignment> = None;
         let mut bound = BlockingBound::new(CardEncoding::SortingNetwork, false);
         // Whether any cardinality bound was materialised: a
         // clause-level refutation *before* that can only involve the
@@ -148,23 +112,10 @@ impl MaxSatSolver for Msu4Incremental {
         let mut bounds_added = false;
 
         loop {
-            stats.sat_calls += 1;
-            match engine.solve(&[]) {
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    // Certified interval: lb from disjoint cores, ub from
-                    // the best model found so far.
-                    return finish(
-                        MaxSatStatus::Unknown,
-                        best_model.is_some().then_some(ub),
-                        lb,
-                        best_model,
-                        stats,
-                    );
-                }
+            match run.solve(&[]) {
+                SolveOutcome::Unknown => return run.unknown(),
                 SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
-                    if engine.formula_refuted() {
+                    if run.engine.formula_refuted() {
                         // Refuted independently of the assumptions: either
                         // the hard clauses are inconsistent (infeasible) or
                         // the accumulated bounds are (current ub optimal —
@@ -173,114 +124,51 @@ impl MaxSatSolver for Msu4Incremental {
                         // `Optimal` here always carries that iteration's
                         // model; before any bound the refutation can only
                         // cite hard clauses, however late CDCL finds it.
-                        if !bounds_added {
-                            stats.absorb_sat(&engine.stats());
-                            return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
-                        }
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Optimal, Some(ub), ub, best_model, stats);
-                    }
-                    stats.cores += 1;
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::CoreExtracted {
-                            size: engine.failed_softs().len() as u64,
-                            weight: 1,
-                        });
+                        return if bounds_added {
+                            run.optimal()
+                        } else {
+                            run.infeasible()
+                        };
                     }
                     // Failed softs name the core's clauses directly, all
                     // unblocked by construction.
+                    let failed = run.engine.failed_softs();
+                    run.core(failed.len(), 1);
                     let mut fresh = 0usize;
-                    for id in engine.failed_softs() {
-                        if engine.is_active(id) {
-                            engine.deactivate(id);
-                            vb.push(engine.selector(id));
+                    for id in failed {
+                        if run.engine.is_active(id) {
+                            run.engine.deactivate(id);
+                            vb.push(run.engine.selector(id));
                             fresh += 1;
-                            stats.blocking_vars += 1;
+                            run.stats.blocking_vars += 1;
                         }
                     }
                     if fresh == 0 {
                         // The assumption core was empty or already
                         // blocked: the hard part must be inconsistent.
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
+                        return run.infeasible();
                     }
-                    lb += 1;
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: lb as u64,
-                            ub: best_model.is_some().then_some(ub as u64),
-                        });
-                    }
+                    run.raise_lb(run.lb() + 1);
                 }
                 SolveOutcome::Sat => {
-                    stats.sat_iterations += 1;
-                    let model = engine.model().expect("model after SAT").clone();
                     // Cost = falsified soft clauses (unblocked ones are
                     // enforced by assumptions, so only blocked count).
-                    let f = wcnf
-                        .soft_clauses()
-                        .iter()
-                        .filter(|s| !s.clause.is_satisfied_by(&model))
-                        .count();
-                    if f < ub || best_model.is_none() {
-                        ub = f;
-                        best_model = Some(model);
-                        if coremax_obs::tracing_enabled() {
-                            coremax_obs::emit(coremax_obs::Event::Incumbent { cost: ub as u64 });
-                            coremax_obs::emit(coremax_obs::Event::Bounds {
-                                lb: lb as u64,
-                                ub: Some(ub as u64),
-                            });
-                        }
-                    }
+                    run.offer(run.model());
                     // Tighten: Σ_vb s ≤ ub − 1 (added permanently; bounds
                     // only tighten so stale ones are merely redundant).
                     // ub = 0 needs no bound: the check below returns.
+                    let ub = run.ub().expect("incumbent after SAT");
                     if ub > 0 {
-                        bound.tighten(&mut engine, &vb, ub, &mut stats);
+                        bound.tighten(&mut run, &vb, ub as usize);
                         bounds_added = true;
                     }
                 }
             }
-            if lb >= ub {
-                if best_model.is_none() {
-                    // The lower bound met the worst case before any SAT
-                    // iteration (every soft clause is blocked, so the
-                    // assumption set is empty): one relaxed call
-                    // materialises a model attaining `ub` — an Optimal
-                    // verdict must never be model-free — or exposes the
-                    // hard clauses as infeasible.
-                    stats.sat_calls += 1;
-                    match engine.solve_exact(&[]) {
-                        SolveOutcome::Sat => {
-                            stats.sat_iterations += 1;
-                            best_model = engine.model().cloned();
-                        }
-                        SolveOutcome::Unsat => {
-                            stats.absorb_sat(&engine.stats());
-                            return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
-                        }
-                        SolveOutcome::Unknown => {
-                            // lb ≥ ub is proven but no model could be
-                            // materialised in time: report the certified
-                            // lower bound with no incumbent.
-                            stats.absorb_sat(&engine.stats());
-                            return finish(MaxSatStatus::Unknown, None, lb.min(ub), None, stats);
-                        }
-                    }
-                }
-                stats.absorb_sat(&engine.stats());
-                return finish(MaxSatStatus::Optimal, Some(ub), ub, best_model, stats);
+            if run.lb() >= run.ub().unwrap_or(num_soft) {
+                return run.optimal();
             }
-            if child_budget.interrupted() {
-                stats.absorb_sat(&engine.stats());
-                return finish(
-                    MaxSatStatus::Unknown,
-                    best_model.is_some().then_some(ub),
-                    lb,
-                    best_model,
-                    stats,
-                );
+            if run.interrupted() {
+                return run.unknown();
             }
         }
     }
@@ -289,7 +177,7 @@ impl MaxSatSolver for Msu4Incremental {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Msu4;
+    use crate::{MaxSatStatus, Msu4};
     use coremax_cnf::dimacs;
     use coremax_sat::dpll_max_satisfiable;
 

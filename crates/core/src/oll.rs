@@ -38,13 +38,13 @@
 //! charged `lb` is reported as that interval too, never as optimal.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
-use coremax_cards::{CnfSink, IncrementalTotalizer};
+use coremax_cards::IncrementalTotalizer;
 use coremax_cnf::{Lit, WcnfFormula, Weight};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SharedContext, SoftId, SolveOutcome};
+use coremax_sat::{Budget, SharedContext, SoftId, SolveOutcome};
 
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
+use crate::run::CoreRun;
+use crate::types::{MaxSatSolution, MaxSatSolver};
 
 /// OLL/RC2-class solver: soft cardinality constraints with
 /// incrementally extended totalizers, core exhaustion and weight-aware
@@ -67,7 +67,6 @@ use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 #[derive(Debug, Clone)]
 pub struct Oll {
     budget: Budget,
-    engine_mode: EngineMode,
     shared: Option<SharedContext>,
 }
 
@@ -83,17 +82,8 @@ impl Oll {
     pub fn new() -> Self {
         Oll {
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
             shared: None,
         }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
     }
 }
 
@@ -119,19 +109,6 @@ struct Working {
     origin: Origin,
 }
 
-/// Moves a sink's fresh variables and clauses into the engine,
-/// returning the clause count.
-fn drain_sink(engine: &mut IncrementalSolver, sink: CnfSink, stats: &mut MaxSatStats) -> u64 {
-    engine.ensure_vars(sink.num_vars());
-    let clauses = sink.into_clauses();
-    let added = clauses.len() as u64;
-    stats.cardinality_clauses += added;
-    for c in clauses {
-        engine.add_clause(c);
-    }
-    added
-}
-
 impl MaxSatSolver for Oll {
     fn name(&self) -> &'static str {
         "oll"
@@ -150,32 +127,7 @@ impl MaxSatSolver for Oll {
     }
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-
-        let finish = |status: MaxSatStatus,
-                      cost: Option<Weight>,
-                      lower_bound: Weight,
-                      model: Option<coremax_cnf::Assignment>,
-                      mut stats: MaxSatStats| {
-            stats.wall_time = start.elapsed();
-            MaxSatSolution {
-                status,
-                cost,
-                model,
-                lower_bound,
-                stats,
-            }
-        };
-
-        let mut engine =
-            IncrementalSolver::with_mode_and_shared(self.engine_mode, self.shared.clone());
-        engine.ensure_vars(wcnf.num_vars());
-        engine.set_budget(child_budget.clone());
-        for h in wcnf.hard_clauses() {
-            engine.add_clause_shared(h.lits().iter().copied());
-        }
+        let mut run = CoreRun::new(wcnf, &self.budget, self.shared.clone());
 
         // Every original soft is registered up front but starts
         // deactivated; the stratified schedule below activates them
@@ -183,8 +135,8 @@ impl MaxSatSolver for Oll {
         let mut working: HashMap<SoftId, Working> = HashMap::new();
         let mut pending: Vec<(SoftId, Weight)> = Vec::new();
         for s in wcnf.soft_clauses() {
-            let id = engine.add_soft(s.clause.lits().iter().copied());
-            engine.deactivate(id);
+            let id = run.engine.add_soft(s.clause.lits().iter().copied());
+            run.engine.deactivate(id);
             pending.push((id, s.weight));
         }
 
@@ -192,14 +144,13 @@ impl MaxSatSolver for Oll {
         // heaviest remaining weight.
         let open_stratum = |pending: &mut Vec<(SoftId, Weight)>,
                             working: &mut HashMap<SoftId, Working>,
-                            engine: &mut IncrementalSolver,
-                            stats: &mut MaxSatStats| {
+                            run: &mut CoreRun| {
             let Some(threshold) = pending.iter().map(|&(_, w)| w).max() else {
                 return;
             };
             pending.retain(|&(id, w)| {
                 if w >= threshold {
-                    engine.activate(id);
+                    run.engine.activate(id);
                     working.insert(
                         id,
                         Working {
@@ -212,8 +163,8 @@ impl MaxSatSolver for Oll {
                     true
                 }
             });
-            let index = stats.strata;
-            stats.strata += 1;
+            let index = run.stats.strata;
+            run.stats.strata += 1;
             if coremax_obs::tracing_enabled() {
                 coremax_obs::emit(coremax_obs::Event::StratumOpened {
                     index,
@@ -222,7 +173,7 @@ impl MaxSatSolver for Oll {
                 });
             }
         };
-        open_stratum(&mut pending, &mut working, &mut engine, &mut stats);
+        open_stratum(&mut pending, &mut working, &mut run);
 
         let mut tots: Vec<IncrementalTotalizer> = Vec::new();
         // The latest soft on each materialised totalizer output, by
@@ -230,51 +181,30 @@ impl MaxSatSolver for Oll {
         // unless its output is listed as hardened (false for good).
         let mut output_softs: HashMap<(usize, usize), SoftId> = HashMap::new();
         let mut hardened_outputs: HashSet<(usize, usize)> = HashSet::new();
-        let mut lb: Weight = 0;
-        let mut best_cost: Option<Weight> = None;
-        let mut best_model: Option<coremax_cnf::Assignment> = None;
 
         loop {
-            stats.sat_calls += 1;
-            match engine.solve(&[]) {
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    return finish(MaxSatStatus::Unknown, best_cost, lb, best_model, stats);
-                }
+            match run.solve(&[]) {
+                SolveOutcome::Unknown => return run.unknown(),
                 SolveOutcome::Sat => {
-                    stats.sat_iterations += 1;
-                    let model = engine.model().expect("model after SAT").clone();
-                    let cost = wcnf
-                        .cost(&model)
-                        .expect("hard clauses hold under a SAT model");
-                    if best_cost.is_none_or(|b| cost < b) {
-                        best_cost = Some(cost);
-                        best_model = Some(model);
-                        if coremax_obs::tracing_enabled() {
-                            coremax_obs::emit(coremax_obs::Event::Incumbent { cost });
-                            coremax_obs::emit(coremax_obs::Event::Bounds { lb, ub: Some(cost) });
-                        }
-                    }
+                    run.offer(run.model());
+                    let ub = run.ub().expect("incumbent after SAT");
+                    let lb = run.lb();
                     if pending.is_empty() {
                         // SAT under every working assumption: the OLL
                         // invariant makes this model's cost equal the
                         // accumulated per-core charges, which proves it
                         // optimal. Should the two differ, only the
                         // interval is certified.
-                        let best = best_cost.expect("incumbent just recorded");
-                        stats.absorb_sat(&engine.stats());
-                        let status = if best == lb {
-                            MaxSatStatus::Optimal
+                        return if ub == lb {
+                            run.optimal()
                         } else {
-                            MaxSatStatus::Unknown
+                            run.unknown()
                         };
-                        return finish(status, Some(best), lb.min(best), best_model, stats);
                     }
                     // Weight-aware hardening: with a certified interval
                     // [lb, ub], falsifying any working soft of residual
                     // weight > ub − lb costs more than the incumbent —
                     // make it permanently hard.
-                    let ub = best_cost.expect("incumbent exists past the first SAT");
                     let gap = ub.saturating_sub(lb);
                     let to_harden: Vec<SoftId> = working
                         .iter()
@@ -283,11 +213,11 @@ impl MaxSatSolver for Oll {
                         .collect();
                     for id in to_harden {
                         let meta = working.remove(&id).expect("listed above");
-                        engine.harden(id);
+                        run.engine.harden(id);
                         if let Origin::TotOutput { tot, level } = meta.origin {
                             hardened_outputs.insert((tot, level));
                         }
-                        stats.hardened += 1;
+                        run.stats.hardened += 1;
                         if coremax_obs::tracing_enabled() {
                             coremax_obs::emit(coremax_obs::Event::SoftHardened {
                                 weight: meta.weight,
@@ -297,8 +227,8 @@ impl MaxSatSolver for Oll {
                     }
                     pending.retain(|&(id, w)| {
                         if w > gap {
-                            engine.harden(id);
-                            stats.hardened += 1;
+                            run.engine.harden(id);
+                            run.stats.hardened += 1;
                             if coremax_obs::tracing_enabled() {
                                 coremax_obs::emit(coremax_obs::Event::SoftHardened {
                                     weight: w,
@@ -310,36 +240,28 @@ impl MaxSatSolver for Oll {
                             true
                         }
                     });
-                    open_stratum(&mut pending, &mut working, &mut engine, &mut stats);
+                    open_stratum(&mut pending, &mut working, &mut run);
                 }
                 SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
-                    if engine.formula_refuted() {
-                        stats.absorb_sat(&engine.stats());
-                        // Refuted independently of every assumption.
-                        // Before any hardening this can only cite hard
-                        // clauses (totalizer definitions and relaxation
-                        // links are satisfiable with free selectors):
-                        // the instance is infeasible. After hardening it
-                        // is unreachable (the incumbent satisfies every
-                        // hardened unit); keep the certified interval.
-                        return if stats.hardened == 0 && best_cost.is_none() {
-                            finish(MaxSatStatus::Infeasible, None, 0, None, stats)
-                        } else {
-                            finish(MaxSatStatus::Unknown, best_cost, lb, best_model, stats)
-                        };
-                    }
-                    let members: Vec<SoftId> = engine
+                    let members: Vec<SoftId> = run
+                        .engine
                         .failed_softs()
                         .into_iter()
                         .filter(|id| working.contains_key(id))
                         .collect();
-                    if members.is_empty() {
-                        stats.absorb_sat(&engine.stats());
-                        return if stats.hardened == 0 && best_cost.is_none() {
-                            finish(MaxSatStatus::Infeasible, None, 0, None, stats)
+                    // Refuted independently of every assumption, or by
+                    // no working soft. Before any hardening this can
+                    // only cite hard clauses (totalizer definitions and
+                    // relaxation links are satisfiable with free
+                    // selectors): the instance is infeasible. After
+                    // hardening it is unreachable (the incumbent
+                    // satisfies every hardened unit); keep the certified
+                    // interval.
+                    if run.engine.formula_refuted() || members.is_empty() {
+                        return if run.stats.hardened == 0 && run.ub().is_none() {
+                            run.infeasible()
                         } else {
-                            finish(MaxSatStatus::Unknown, best_cost, lb, best_model, stats)
+                            run.unknown()
                         };
                     }
                     let minw = members
@@ -347,14 +269,7 @@ impl MaxSatSolver for Oll {
                         .map(|id| working[id].weight)
                         .min()
                         .expect("non-empty core");
-                    stats.cores += 1;
-                    lb = lb.saturating_add(minw);
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::CoreExtracted {
-                            size: members.len() as u64,
-                            weight: minw,
-                        });
-                    }
+                    run.core(members.len(), minw);
 
                     // RC2-style core processing. Members heavier than
                     // w_min keep their assumption at the residual weight
@@ -373,16 +288,16 @@ impl MaxSatSolver for Oll {
                         if weight > minw {
                             working.get_mut(&id).expect("member is working").weight =
                                 weight.saturating_sub(minw);
-                            let relax = Lit::positive(engine.new_var());
-                            let selector = engine.selector(id);
-                            engine.add_clause([!selector, relax]);
+                            let relax = Lit::positive(run.engine.new_var());
+                            let selector = run.engine.selector(id);
+                            run.engine.add_clause([!selector, relax]);
                             rels.push(relax);
-                            stats.blocking_vars += 1;
-                            stats.weight_splits += 1;
+                            run.stats.blocking_vars += 1;
+                            run.stats.weight_splits += 1;
                         } else {
-                            engine.deactivate(id);
+                            run.engine.deactivate(id);
                             working.remove(&id);
-                            rels.push(engine.selector(id));
+                            rels.push(run.engine.selector(id));
                         }
                     }
 
@@ -408,12 +323,9 @@ impl MaxSatSolver for Oll {
                             continue;
                         }
                         if tots[tot].bound() < next {
-                            let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                            let mut sink = CnfSink::new(engine.num_vars());
-                            tots[tot].increase_bound(next, &mut sink);
-                            let clauses = drain_sink(&mut engine, sink, &mut stats);
-                            encode_span.finish(&mut stats.phase);
-                            stats.totalizer_extensions += 1;
+                            let ((), clauses) =
+                                run.encode(None, |sink| tots[tot].increase_bound(next, sink));
+                            run.stats.totalizer_extensions += 1;
                             if coremax_obs::tracing_enabled() {
                                 coremax_obs::emit(coremax_obs::Event::TotalizerExtended {
                                     bound: next as u64,
@@ -422,7 +334,7 @@ impl MaxSatSolver for Oll {
                             }
                         }
                         let out = tots[tot].output(next).expect("bound reaches next");
-                        let id = engine.add_soft([!out]);
+                        let id = run.engine.add_soft([!out]);
                         output_softs.insert((tot, next), id);
                         working.insert(
                             id,
@@ -437,14 +349,12 @@ impl MaxSatSolver for Oll {
                     // relaxation literals (a singleton core needs none:
                     // its violation is simply allowed).
                     if rels.len() >= 2 {
-                        let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                        let mut sink = CnfSink::new(engine.num_vars());
-                        let tot = IncrementalTotalizer::new(&rels, 1, &mut sink);
-                        let aux_vars = (sink.num_vars() - engine.num_vars()) as u64;
-                        let clauses = drain_sink(&mut engine, sink, &mut stats);
-                        encode_span.finish(&mut stats.phase);
+                        let vars_before = run.engine.num_vars();
+                        let (tot, clauses) =
+                            run.encode(None, |sink| IncrementalTotalizer::new(&rels, 1, sink));
+                        let aux_vars = run.engine.num_vars() - vars_before;
                         let out = tot.output(1).expect("two or more inputs");
-                        let id = engine.add_soft([!out]);
+                        let id = run.engine.add_soft([!out]);
                         tots.push(tot);
                         output_softs.insert((tots.len() - 1, 1), id);
                         working.insert(
@@ -457,21 +367,14 @@ impl MaxSatSolver for Oll {
                                 },
                             },
                         );
-                        if coremax_obs::tracing_enabled() {
-                            coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                                blocking_vars: aux_vars,
-                                clauses,
-                            });
-                        }
+                        run.relaxed(aux_vars, clauses);
                     }
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Bounds { lb, ub: best_cost });
-                    }
+                    // The core's charge, reported once it is relaxed.
+                    run.raise_lb(run.lb().saturating_add(minw));
                 }
             }
-            if child_budget.interrupted() {
-                stats.absorb_sat(&engine.stats());
-                return finish(MaxSatStatus::Unknown, best_cost, lb, best_model, stats);
+            if run.interrupted() {
+                return run.unknown();
             }
         }
     }
@@ -480,7 +383,7 @@ impl MaxSatSolver for Oll {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{verify_solution, BranchBound, Msu1, Wmsu1};
+    use crate::{verify_solution, BranchBound, MaxSatStatus, Msu1, Wmsu1};
     use coremax_cnf::dimacs;
 
     fn weighted(text: &str) -> WcnfFormula {
@@ -685,13 +588,11 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_mode_agrees() {
+    fn hard_units_against_every_soft_cost_their_sum() {
         let w = weighted("p wcnf 3 6 9\n9 -1 0\n9 -2 0\n9 -3 0\n2 1 0\n3 2 0\n4 3 0\n");
-        let persistent = Oll::new().solve(&w);
-        let rebuild = Oll::new().with_engine_mode(EngineMode::Rebuild).solve(&w);
-        assert_eq!(persistent.cost, rebuild.cost);
-        assert_eq!(persistent.cost, Some(9));
-        assert!(verify_solution(&w, &rebuild));
+        let s = Oll::new().solve(&w);
+        assert_eq!(s.cost, Some(9));
+        assert!(verify_solution(&w, &s));
     }
 
     #[test]

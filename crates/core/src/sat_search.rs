@@ -9,40 +9,30 @@
 //! up front (so the search space blow-up of §2.2 applies) and differ
 //! only in how the bound on `Σ b` moves.
 
-use std::time::Instant;
+use coremax_cards::{encode_at_most, CardEncoding};
+use coremax_cnf::{Lit, WcnfFormula};
+use coremax_sat::{Budget, SolveOutcome};
 
-use coremax_cards::{encode_at_most, CardEncoding, CnfSink};
-use coremax_cnf::{Assignment, Lit, WcnfFormula};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SolveOutcome};
+use crate::run::CoreRun;
+use crate::types::{MaxSatSolution, MaxSatSolver};
 
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
-
-/// Loads the working formula into `engine`: hard clauses verbatim, one
-/// blocking variable appended to every soft clause. Returns the
-/// blocking literals.
-fn load_relaxed(engine: &mut IncrementalSolver, wcnf: &WcnfFormula) -> Vec<Lit> {
-    engine.ensure_vars(wcnf.num_vars());
-    for h in wcnf.hard_clauses() {
-        engine.add_clause(h.lits().iter().copied());
-    }
-    let mut blockers = Vec::with_capacity(wcnf.num_soft());
-    for soft in wcnf.soft_clauses() {
-        let b = Lit::positive(engine.new_var());
-        let mut c = soft.clause.lits().to_vec();
-        c.push(b);
-        engine.add_clause(c);
-        blockers.push(b);
-    }
-    blockers
-}
-
-fn model_cost(wcnf: &WcnfFormula, model: &Assignment) -> usize {
-    // All hard clauses are satisfied by construction; count actually
-    // falsified soft clauses rather than raised blockers.
-    wcnf.soft_clauses()
+/// Starts a run on the working formula: the hard clauses, and one
+/// blocking variable appended to every soft clause as a hard clause.
+/// Returns the run and the blocking literals. A model's cost counts the
+/// soft clauses it falsifies, not the blockers it raises.
+fn relaxed_run<'a>(wcnf: &'a WcnfFormula, budget: &Budget) -> (CoreRun<'a>, Vec<Lit>) {
+    let mut run = CoreRun::new(wcnf, budget, None);
+    let blockers = wcnf
+        .soft_clauses()
         .iter()
-        .filter(|s| !s.clause.is_satisfied_by(model))
-        .count()
+        .map(|soft| {
+            let b = Lit::positive(run.engine.new_var());
+            run.engine
+                .add_clause(soft.clause.lits().iter().copied().chain([b]));
+            b
+        })
+        .collect();
+    (run, blockers)
 }
 
 /// Model-improving linear search ("SAT–UNSAT"): find any model, then
@@ -67,7 +57,6 @@ fn model_cost(wcnf: &WcnfFormula, model: &Assignment) -> usize {
 pub struct LinearSearchSat {
     encoding: CardEncoding,
     budget: Budget,
-    engine_mode: EngineMode,
 }
 
 impl Default for LinearSearchSat {
@@ -80,11 +69,7 @@ impl LinearSearchSat {
     /// Linear search with the sorting-network encoding.
     #[must_use]
     pub fn new() -> Self {
-        LinearSearchSat {
-            encoding: CardEncoding::SortingNetwork,
-            budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
-        }
+        LinearSearchSat::with_encoding(CardEncoding::SortingNetwork)
     }
 
     /// Linear search with an explicit bound encoding.
@@ -93,16 +78,7 @@ impl LinearSearchSat {
         LinearSearchSat {
             encoding,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
         }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
     }
 }
 
@@ -120,86 +96,29 @@ impl MaxSatSolver for LinearSearchSat {
             wcnf.is_unweighted(),
             "linear-sat handles unweighted (partial) MaxSAT"
         );
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-
         // One engine for the whole descent. The bound only ever
         // tightens (`Σ b ≤ cost − 1` with strictly decreasing cost), so
         // each encoding strictly implies the previous and all bound
-        // clauses can be added permanently — no gating needed.
-        let mut engine = IncrementalSolver::with_mode(self.engine_mode);
-        engine.set_budget(child_budget.clone());
-        let blockers = load_relaxed(&mut engine, wcnf);
-
-        let mut best: Option<(Assignment, usize)> = None;
+        // clauses can be added permanently — no gating needed. Linear
+        // descent proves no lower bound until the final UNSAT.
+        let (mut run, blockers) = relaxed_run(wcnf, &self.budget);
         loop {
-            stats.sat_calls += 1;
-            match engine.solve(&[]) {
+            match run.solve(&[]) {
                 SolveOutcome::Sat => {
-                    stats.sat_iterations += 1;
-                    let m = engine.model().expect("model after SAT").clone();
-                    let cost = model_cost(wcnf, &m);
-                    best = Some((m, cost));
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Incumbent { cost: cost as u64 });
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: 0,
-                            ub: Some(cost as u64),
-                        });
-                    }
+                    run.offer(run.model());
+                    let cost = run.ub().expect("incumbent after SAT") as usize;
                     if cost == 0 {
-                        break;
+                        return run.optimal();
                     }
-                    let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                    let mut sink = CnfSink::new(engine.num_vars());
-                    encode_at_most(&blockers, cost - 1, self.encoding, &mut sink);
-                    engine.ensure_vars(sink.num_vars());
-                    let clauses = sink.into_clauses();
-                    stats.cardinality_clauses += clauses.len() as u64;
-                    let clauses_added = clauses.len() as u64;
-                    for c in clauses {
-                        engine.add_clause(c);
-                    }
-                    encode_span.finish(&mut stats.phase);
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                            blocking_vars: 0,
-                            clauses: clauses_added,
-                        });
-                    }
+                    let ((), clauses) = run.encode(None, |sink| {
+                        encode_at_most(&blockers, cost - 1, self.encoding, sink)
+                    });
+                    run.relaxed(0, clauses);
                 }
-                SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
-                    break;
-                }
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    stats.wall_time = start.elapsed();
-                    // Linear descent proves no lower bound until the
-                    // final UNSAT, so only the incumbent side of the
-                    // interval is non-trivial here.
-                    return MaxSatSolution {
-                        status: MaxSatStatus::Unknown,
-                        cost: best.as_ref().map(|(_, c)| *c as u64),
-                        model: best.map(|(m, _)| m),
-                        lower_bound: 0,
-                        stats,
-                    };
-                }
+                SolveOutcome::Unsat if run.ub().is_some() => return run.optimal(),
+                SolveOutcome::Unsat => return run.infeasible(),
+                SolveOutcome::Unknown => return run.unknown(),
             }
-        }
-        stats.absorb_sat(&engine.stats());
-        stats.wall_time = start.elapsed();
-        match best {
-            Some((m, cost)) => MaxSatSolution {
-                status: MaxSatStatus::Optimal,
-                cost: Some(cost as u64),
-                model: Some(m),
-                lower_bound: cost as u64,
-                stats,
-            },
-            None => MaxSatSolution::infeasible(stats),
         }
     }
 }
@@ -213,7 +132,6 @@ impl MaxSatSolver for LinearSearchSat {
 pub struct BinarySearchSat {
     encoding: CardEncoding,
     budget: Budget,
-    engine_mode: EngineMode,
 }
 
 impl Default for BinarySearchSat {
@@ -226,11 +144,7 @@ impl BinarySearchSat {
     /// Binary search with the sorting-network encoding.
     #[must_use]
     pub fn new() -> Self {
-        BinarySearchSat {
-            encoding: CardEncoding::SortingNetwork,
-            budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
-        }
+        BinarySearchSat::with_encoding(CardEncoding::SortingNetwork)
     }
 
     /// Binary search with an explicit bound encoding.
@@ -239,16 +153,7 @@ impl BinarySearchSat {
         BinarySearchSat {
             encoding,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
         }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
     }
 }
 
@@ -266,136 +171,47 @@ impl MaxSatSolver for BinarySearchSat {
             wcnf.is_unweighted(),
             "binary-sat handles unweighted (partial) MaxSAT"
         );
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-
         // One engine for the whole search. Unlike the linear descent
         // the probed bound moves in both directions, so each `Σ b ≤
         // mid` encoding carries a gate literal `t` on every clause:
         // assuming `¬t` activates the bound, the unit `t` retires it
-        // for good once the search moves on.
-        let mut engine = IncrementalSolver::with_mode(self.engine_mode);
-        engine.set_budget(child_budget.clone());
-        let blockers = load_relaxed(&mut engine, wcnf);
+        // for good once the search moves on. The lower bound is the
+        // smallest cost not yet excluded, the upper bound the
+        // incumbent's cost.
+        let (mut run, blockers) = relaxed_run(wcnf, &self.budget);
 
         // Feasibility first (no bound at all).
-        stats.sat_calls += 1;
-        let mut best = match engine.solve(&[]) {
-            SolveOutcome::Unsat => {
-                stats.absorb_sat(&engine.stats());
-                stats.wall_time = start.elapsed();
-                return MaxSatSolution::infeasible(stats);
-            }
-            SolveOutcome::Unknown => {
-                stats.absorb_sat(&engine.stats());
-                stats.wall_time = start.elapsed();
-                return MaxSatSolution {
-                    status: MaxSatStatus::Unknown,
-                    cost: None,
-                    model: None,
-                    lower_bound: 0,
-                    stats,
-                };
-            }
-            SolveOutcome::Sat => {
-                stats.sat_iterations += 1;
-                let m = engine.model().expect("model after SAT").clone();
-                let cost = model_cost(wcnf, &m);
-                if coremax_obs::tracing_enabled() {
-                    coremax_obs::emit(coremax_obs::Event::Incumbent { cost: cost as u64 });
-                    coremax_obs::emit(coremax_obs::Event::Bounds {
-                        lb: 0,
-                        ub: Some(cost as u64),
-                    });
-                }
-                (m, cost)
-            }
-        };
+        match run.solve(&[]) {
+            SolveOutcome::Unsat => return run.infeasible(),
+            SolveOutcome::Unknown => return run.unknown(),
+            SolveOutcome::Sat => run.offer(run.model()),
+        }
 
-        let mut lo = 0usize; // smallest cost not yet excluded
-        let mut hi = best.1; // best.1 is attainable
         let mut gate: Option<Lit> = None;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
+        loop {
+            let (lo, hi) = (run.lb(), run.ub().expect("incumbent after SAT"));
+            if lo >= hi {
+                return run.optimal();
+            }
+            let mid = (lo + (hi - lo) / 2) as usize;
             // The previous probe's bound is stale either way (SAT
             // shrank hi below it, UNSAT moved lo above it): retire it
             // and install the gated encoding for `mid`.
             if let Some(t) = gate.take() {
-                engine.add_clause([t]);
+                run.engine.add_clause([t]);
             }
-            let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-            let t = Lit::positive(engine.new_var());
-            let mut sink = CnfSink::new(engine.num_vars());
-            encode_at_most(&blockers, mid, self.encoding, &mut sink);
-            engine.ensure_vars(sink.num_vars());
-            let clauses = sink.into_clauses();
-            stats.cardinality_clauses += clauses.len() as u64;
-            let clauses_added = clauses.len() as u64;
-            for mut c in clauses {
-                c.push(t);
-                engine.add_clause(c);
-            }
+            let t = Lit::positive(run.engine.new_var());
+            let ((), clauses) = run.encode(Some(t), |sink| {
+                encode_at_most(&blockers, mid, self.encoding, sink)
+            });
             gate = Some(t);
-            encode_span.finish(&mut stats.phase);
-            if coremax_obs::tracing_enabled() {
-                coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                    blocking_vars: 0,
-                    clauses: clauses_added,
-                });
-            }
+            run.relaxed(0, clauses);
 
-            stats.sat_calls += 1;
-            match engine.solve(&[!t]) {
-                SolveOutcome::Sat => {
-                    stats.sat_iterations += 1;
-                    let m = engine.model().expect("model after SAT").clone();
-                    let cost = model_cost(wcnf, &m);
-                    debug_assert!(cost <= mid);
-                    hi = cost.min(mid);
-                    best = (m, hi);
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Incumbent { cost: hi as u64 });
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: lo as u64,
-                            ub: Some(hi as u64),
-                        });
-                    }
-                }
-                SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
-                    lo = mid + 1;
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: lo as u64,
-                            ub: Some(hi as u64),
-                        });
-                    }
-                }
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    stats.wall_time = start.elapsed();
-                    // `lo` is the smallest cost not yet excluded: every
-                    // cost below it was refuted, so it is a certified
-                    // lower bound.
-                    return MaxSatSolution {
-                        status: MaxSatStatus::Unknown,
-                        cost: Some(best.1 as u64),
-                        model: Some(best.0),
-                        lower_bound: lo as u64,
-                        stats,
-                    };
-                }
+            match run.solve(&[!t]) {
+                SolveOutcome::Sat => run.offer(run.model()),
+                SolveOutcome::Unsat => run.raise_lb(mid as u64 + 1),
+                SolveOutcome::Unknown => return run.unknown(),
             }
-        }
-        stats.absorb_sat(&engine.stats());
-        stats.wall_time = start.elapsed();
-        MaxSatSolution {
-            status: MaxSatStatus::Optimal,
-            cost: Some(best.1 as u64),
-            model: Some(best.0),
-            lower_bound: best.1 as u64,
-            stats,
         }
     }
 }
@@ -403,6 +219,7 @@ impl MaxSatSolver for BinarySearchSat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MaxSatStatus;
     use coremax_cnf::{dimacs, Var};
     use coremax_sat::dpll_max_satisfiable;
 
@@ -481,14 +298,12 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_mode_agrees_with_persistent() {
+    fn both_searches_reach_example2_optimum() {
         let w = unweighted("p cnf 4 8\n1 0\n-1 -2 0\n2 0\n-1 -3 0\n3 0\n-2 -3 0\n1 -4 0\n-1 4 0\n");
-        for mode in [EngineMode::Persistent, EngineMode::Rebuild] {
-            let rl = LinearSearchSat::new().with_engine_mode(mode).solve(&w);
-            let rb = BinarySearchSat::new().with_engine_mode(mode).solve(&w);
-            assert_eq!(rl.cost, Some(2), "linear under {mode:?}");
-            assert_eq!(rb.cost, Some(2), "binary under {mode:?}");
-        }
+        let rl = LinearSearchSat::new().solve(&w);
+        let rb = BinarySearchSat::new().solve(&w);
+        assert_eq!(rl.cost, Some(2), "linear");
+        assert_eq!(rb.cost, Some(2), "binary");
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //! weight is split, and the loop is Fu & Malik's msu1 exactly:
 //! [`crate::Msu1`] is this loop restricted to unit weights.
 
-use std::time::Instant;
-
-use coremax_cards::{encode_exactly, CardEncoding, CnfSink};
+use coremax_cards::{encode_exactly, CardEncoding};
 use coremax_cnf::{Lit, WcnfFormula, Weight};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SharedContext, SoftId, SolveOutcome};
+use coremax_sat::{Budget, SharedContext, SoftId, SolveOutcome};
 
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
+use crate::run::CoreRun;
+use crate::types::{MaxSatSolution, MaxSatSolver};
 
 /// Weight-aware Fu & Malik (WMSU1): per-core relaxation with weight
 /// splitting. Handles arbitrary weighted partial MaxSAT natively — no
@@ -43,7 +42,6 @@ use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 pub struct Wmsu1 {
     encoding: CardEncoding,
     budget: Budget,
-    engine_mode: EngineMode,
     shared: Option<SharedContext>,
 }
 
@@ -58,12 +56,7 @@ impl Wmsu1 {
     /// original choice; cores are usually small).
     #[must_use]
     pub fn new() -> Self {
-        Wmsu1 {
-            encoding: CardEncoding::Pairwise,
-            budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
-            shared: None,
-        }
+        Wmsu1::with_encoding(CardEncoding::Pairwise)
     }
 
     /// wmsu1 with an alternative exactly-one encoding.
@@ -72,17 +65,8 @@ impl Wmsu1 {
         Wmsu1 {
             encoding,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
             shared: None,
         }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
     }
 }
 
@@ -112,39 +96,12 @@ impl MaxSatSolver for Wmsu1 {
     }
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-
-        let mut cost: Weight = 0;
-
-        let finish = |status: MaxSatStatus,
-                      cost: Option<Weight>,
-                      lower_bound: Weight,
-                      model: Option<coremax_cnf::Assignment>,
-                      mut stats: MaxSatStats| {
-            stats.wall_time = start.elapsed();
-            MaxSatSolution {
-                status,
-                cost,
-                model,
-                lower_bound,
-                stats,
-            }
-        };
-
-        // One engine for the whole run; every working soft clause (the
-        // originals and the residual copies splitting creates) is
-        // enforced through its selector assumption. Extending a clause
-        // with a blocking literal retires the old copy and registers the
-        // extended one under a fresh selector.
-        let mut engine =
-            IncrementalSolver::with_mode_and_shared(self.engine_mode, self.shared.clone());
-        engine.ensure_vars(wcnf.num_vars());
-        engine.set_budget(child_budget.clone());
-        for h in wcnf.hard_clauses() {
-            engine.add_clause_shared(h.lits().iter().copied());
-        }
+        // Every working soft clause (the originals and the residual
+        // copies splitting creates) is enforced through its selector
+        // assumption. Extending a clause with a blocking literal retires
+        // the old copy and registers the extended one under a fresh
+        // selector. Each core charges its w_min to the lower bound.
+        let mut run = CoreRun::new(wcnf, &self.budget, self.shared.clone());
         // Soft clauses gain blocking literals and shed weight over time;
         // splitting appends residual copies.
         let mut soft: Vec<WorkingSoft> = wcnf
@@ -157,63 +114,40 @@ impl MaxSatSolver for Wmsu1 {
             .collect();
         let mut handles: Vec<SoftId> = soft
             .iter()
-            .map(|s| engine.add_soft(s.lits.iter().copied()))
+            .map(|s| run.engine.add_soft(s.lits.iter().copied()))
             .collect();
 
         loop {
-            stats.sat_calls += 1;
-            match engine.solve(&[]) {
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    // Every core charged w_min to `cost` (saturating):
-                    // a certified lower bound on the optimum.
-                    return finish(MaxSatStatus::Unknown, None, cost, None, stats);
-                }
+            match run.solve(&[]) {
+                SolveOutcome::Unknown => return run.unknown(),
                 SolveOutcome::Sat => {
-                    stats.sat_iterations += 1;
-                    let model = engine.model().expect("model after SAT").clone();
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Incumbent { cost });
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: cost,
-                            ub: Some(cost),
-                        });
-                    }
-                    stats.absorb_sat(&engine.stats());
-                    return finish(MaxSatStatus::Optimal, Some(cost), cost, Some(model), stats);
+                    // The model falsifies exactly the charged weight.
+                    run.offer(run.model());
+                    return run.optimal();
                 }
                 SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
                     // Refuted independently of the soft assumptions: the
                     // hard (plus exactly-one) skeleton is contradictory —
                     // selectors are free at the clause level and the
                     // exactly-one constraints are satisfiable on their
                     // own, so the instance has no feasible assignment.
-                    if engine.formula_refuted() {
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
+                    if run.engine.formula_refuted() {
+                        return run.infeasible();
                     }
-                    stats.cores += 1;
-                    let failed = engine.failed_softs();
+                    let failed = run.engine.failed_softs();
                     let in_core: Vec<usize> = failed
                         .iter()
                         .filter_map(|id| handles.iter().position(|h| h == id))
                         .collect();
                     if in_core.is_empty() {
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
+                        return run.infeasible();
                     }
                     let w_min = in_core
                         .iter()
                         .map(|&i| soft[i].weight)
                         .min()
                         .expect("non-empty core");
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::CoreExtracted {
-                            size: in_core.len() as u64,
-                            weight: w_min,
-                        });
-                    }
+                    run.core(in_core.len(), w_min);
                     // Relax the w_min share of every core clause with a
                     // fresh blocking variable; clauses heavier than
                     // w_min keep a residual un-relaxed copy (registered
@@ -225,42 +159,26 @@ impl MaxSatSolver for Wmsu1 {
                                 lits: soft[i].lits.clone(),
                                 weight: soft[i].weight.saturating_sub(w_min),
                             });
-                            let residual = engine.add_soft(soft[i].lits.iter().copied());
+                            let residual = run.engine.add_soft(soft[i].lits.iter().copied());
                             handles.push(residual);
                             soft[i].weight = w_min;
-                            stats.weight_splits += 1;
+                            run.stats.weight_splits += 1;
                         }
-                        let b = Lit::positive(engine.new_var());
+                        let b = Lit::positive(run.engine.new_var());
                         soft[i].lits.push(b);
                         fresh.push(b);
-                        stats.blocking_vars += 1;
-                        engine.retire(handles[i]);
-                        handles[i] = engine.add_soft(soft[i].lits.iter().copied());
+                        run.stats.blocking_vars += 1;
+                        run.engine.retire(handles[i]);
+                        handles[i] = run.engine.add_soft(soft[i].lits.iter().copied());
                     }
-                    let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                    let mut sink = CnfSink::new(engine.num_vars());
-                    encode_exactly(&fresh, 1, self.encoding, &mut sink);
-                    engine.ensure_vars(sink.num_vars());
-                    let new_clauses = sink.into_clauses();
-                    stats.cardinality_clauses += new_clauses.len() as u64;
-                    let clauses_added = new_clauses.len() as u64;
-                    for c in new_clauses {
-                        engine.add_clause(c);
-                    }
-                    encode_span.finish(&mut stats.phase);
-                    cost = cost.saturating_add(w_min);
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                            blocking_vars: fresh.len() as u64,
-                            clauses: clauses_added,
-                        });
-                        coremax_obs::emit(coremax_obs::Event::Bounds { lb: cost, ub: None });
-                    }
+                    let ((), clauses) =
+                        run.encode(None, |sink| encode_exactly(&fresh, 1, self.encoding, sink));
+                    run.relaxed(fresh.len(), clauses);
+                    run.raise_lb(run.lb().saturating_add(w_min));
                 }
             }
-            if child_budget.interrupted() {
-                stats.absorb_sat(&engine.stats());
-                return finish(MaxSatStatus::Unknown, None, cost, None, stats);
+            if run.interrupted() {
+                return run.unknown();
             }
         }
     }
@@ -269,7 +187,7 @@ impl MaxSatSolver for Wmsu1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{verify_solution, BranchBound, Msu1};
+    use crate::{verify_solution, BranchBound, MaxSatStatus, Msu1};
     use coremax_cnf::dimacs;
 
     fn weighted(text: &str) -> WcnfFormula {

@@ -24,17 +24,8 @@
 //! solver's failed assumptions straight back to soft-clause handles —
 //! the unsatisfiable core, with no clause-id bookkeeping.
 //!
-//! # Engine modes
-//!
-//! [`EngineMode::Persistent`] is the real engine. [`EngineMode::Rebuild`]
-//! answers every query identically but deliberately reconstructs a
-//! fresh [`Solver`] from a mirrored clause list on every `solve` call —
-//! the historic per-iteration-`Solver::new()` behaviour. It exists so
-//! benchmarks can measure exactly what persistence buys
-//! ([`SolverStats::solver_rebuilds`] vs
-//! [`SolverStats::incremental_solves`]) and so differential tests can
-//! prove the persistent engine agrees with a from-scratch solver after
-//! any sequence of operations.
+//! The `prop_incremental` tests check the engine against a fresh
+//! [`Solver`] built per call, round by round.
 //!
 //! # Examples
 //!
@@ -68,19 +59,6 @@ use crate::stats::SolverStats;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SoftId(pub usize);
 
-/// How the engine services its solve calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// One long-lived [`Solver`]: learned clauses, activities, phases
-    /// and the clause arena persist across calls.
-    #[default]
-    Persistent,
-    /// A fresh [`Solver`] is built and reloaded from a mirrored clause
-    /// list on every solve call — the pre-incremental behaviour, kept
-    /// for benchmarking and differential testing.
-    Rebuild,
-}
-
 /// Lifecycle of a registered soft clause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SoftState {
@@ -98,8 +76,6 @@ enum SoftState {
 /// soft-clause management. See the [module docs](self) for the model.
 #[derive(Debug)]
 pub struct IncrementalSolver {
-    mode: EngineMode,
-    config: SolverConfig,
     solver: Solver,
     budget: Budget,
     num_vars: usize,
@@ -107,18 +83,6 @@ pub struct IncrementalSolver {
     /// so their variables ascend, which `failed_softs` searches by.
     selectors: Vec<Lit>,
     states: Vec<SoftState>,
-    /// All clauses ever added (with their shared/pure marking), kept
-    /// only in [`EngineMode::Rebuild`] so each solve call can reload a
-    /// fresh solver.
-    mirror: Vec<(Vec<Lit>, bool)>,
-    /// Portfolio clause-exchange context, when sharing is on. Rebuild
-    /// mode stores the import-only restriction and re-attaches a fresh
-    /// endpoint to every reconstructed solver.
-    shared: Option<SharedContext>,
-    /// Stats of solvers already discarded by rebuilds.
-    retired_stats: SolverStats,
-    /// Fresh solvers constructed beyond the first.
-    rebuilds: u64,
     assumption_buf: Vec<Lit>,
 }
 
@@ -129,53 +93,23 @@ impl Default for IncrementalSolver {
 }
 
 impl IncrementalSolver {
-    /// A persistent engine with default solver configuration.
+    /// An engine with default solver configuration.
     #[must_use]
     pub fn new() -> Self {
-        IncrementalSolver::with_mode_and_config(EngineMode::Persistent, SolverConfig::default())
+        IncrementalSolver::with_config(SolverConfig::default())
     }
 
-    /// An engine in the given mode with default solver configuration.
+    /// An engine with an explicit solver configuration.
     #[must_use]
-    pub fn with_mode(mode: EngineMode) -> Self {
-        IncrementalSolver::with_mode_and_config(mode, SolverConfig::default())
-    }
-
-    /// An engine with explicit mode and solver configuration.
-    #[must_use]
-    pub fn with_mode_and_config(mode: EngineMode, config: SolverConfig) -> Self {
+    pub fn with_config(config: SolverConfig) -> Self {
         IncrementalSolver {
-            mode,
-            config: config.clone(),
             solver: Solver::with_config(config),
             budget: Budget::new(),
             num_vars: 0,
             selectors: Vec::new(),
             states: Vec::new(),
-            mirror: Vec::new(),
-            shared: None,
-            retired_stats: SolverStats::default(),
-            rebuilds: 0,
             assumption_buf: Vec::new(),
         }
-    }
-
-    /// An engine with explicit mode, wired into a portfolio clause
-    /// exchange when `shared` is present (drivers thread the context
-    /// they were handed through here).
-    #[must_use]
-    pub fn with_mode_and_shared(mode: EngineMode, shared: Option<SharedContext>) -> Self {
-        let mut engine = IncrementalSolver::with_mode(mode);
-        if let Some(ctx) = shared {
-            engine.set_shared_context(ctx);
-        }
-        engine
-    }
-
-    /// The engine's mode.
-    #[must_use]
-    pub fn mode(&self) -> EngineMode {
-        self.mode
     }
 
     /// Connects the engine to the portfolio clause exchange: learned
@@ -183,22 +117,10 @@ impl IncrementalSolver {
     /// ([`IncrementalSolver::add_clause_shared`]) clauses are exported,
     /// and other workers' clauses are imported at restart boundaries.
     /// Also adopts the context's diversification knobs (branch seed,
-    /// phase, restart policy). In [`EngineMode::Rebuild`] the context is
-    /// restricted to import-only — each rebuild re-derives the same
-    /// clauses, and re-exporting them would flood the rings — and every
-    /// reconstructed solver gets a fresh endpoint.
+    /// phase, restart policy).
     pub fn set_shared_context(&mut self, ctx: SharedContext) {
-        let ctx = match self.mode {
-            EngineMode::Persistent => ctx,
-            EngineMode::Rebuild => ctx.import_only(),
-        };
-        self.config.branch_seed = ctx.solver_config().branch_seed;
-        self.config.default_phase = ctx.solver_config().default_phase;
-        self.config.restart_mode = ctx.solver_config().restart_mode;
-        self.config.restart_base = ctx.solver_config().restart_base;
-        self.solver.apply_diversification(&self.config);
+        self.solver.apply_diversification(&ctx.solver_config());
         self.solver.set_exchange(ctx.endpoint());
-        self.shared = Some(ctx);
     }
 
     /// Sets the budget applied to subsequent solve calls. Callers
@@ -246,23 +168,13 @@ impl IncrementalSolver {
     }
 
     fn add_clause_impl<I: IntoIterator<Item = Lit>>(&mut self, lits: I, shared: bool) {
-        if self.mode == EngineMode::Rebuild {
-            let clause: Vec<Lit> = lits.into_iter().collect();
-            self.load_clause(clause.iter().copied(), shared);
-            self.mirror.push((clause, shared));
-        } else {
-            self.load_clause(lits, shared);
-        }
-        // The solver grows its variables to cover the clause.
-        self.num_vars = self.num_vars.max(self.solver.num_vars());
-    }
-
-    fn load_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I, shared: bool) {
         if shared {
             self.solver.add_clause_shared(lits);
         } else {
             self.solver.add_clause(lits);
         }
+        // The solver grows its variables to cover the clause.
+        self.num_vars = self.num_vars.max(self.solver.num_vars());
     }
 
     /// Registers a soft clause: stores `lits ∨ s` for a fresh selector
@@ -359,20 +271,12 @@ impl IncrementalSolver {
 
     /// Solves under the active softs' assumptions plus
     /// `extra_assumptions` (bound-encoding gates, probe literals, …).
-    ///
-    /// In [`EngineMode::Rebuild`] a fresh solver is constructed and
-    /// reloaded first; answers are identical, only the carried-over
-    /// state differs.
     pub fn solve(&mut self, extra_assumptions: &[Lit]) -> SolveOutcome {
         // Budget-aware backoff: an already-interrupted budget (stop flag
         // raised, deadline passed) makes the whole call a no-op instead
-        // of entering — and paying the setup of — a doomed search. In
-        // rebuild mode this also skips the full solver reconstruction.
+        // of entering — and paying the setup of — a doomed search.
         if self.budget.interrupted() {
             return SolveOutcome::Unknown;
-        }
-        if self.mode == EngineMode::Rebuild {
-            self.rebuild_solver();
         }
         let mut assumptions = std::mem::take(&mut self.assumption_buf);
         assumptions.clear();
@@ -395,31 +299,7 @@ impl IncrementalSolver {
         if self.budget.interrupted() {
             return SolveOutcome::Unknown;
         }
-        if self.mode == EngineMode::Rebuild {
-            self.rebuild_solver();
-        }
         self.solver.solve_with_assumptions(assumptions)
-    }
-
-    fn rebuild_solver(&mut self) {
-        self.retired_stats.absorb(self.solver.stats());
-        self.rebuilds += 1;
-        let mut fresh = Solver::with_config(self.config.clone());
-        fresh.ensure_vars(self.num_vars);
-        fresh.set_budget(self.budget.clone());
-        for (clause, shared) in &self.mirror {
-            if *shared {
-                fresh.add_clause_shared(clause.iter().copied());
-            } else {
-                fresh.add_clause(clause.iter().copied());
-            }
-        }
-        if let Some(ctx) = &self.shared {
-            // Fresh endpoint, cursors at zero: the rebuilt solver
-            // re-imports the full exchange history it just lost.
-            fresh.set_exchange(ctx.endpoint());
-        }
-        self.solver = fresh;
     }
 
     /// The satisfying assignment of the last successful solve.
@@ -467,15 +347,10 @@ impl IncrementalSolver {
         !self.solver.is_ok()
     }
 
-    /// Cumulative statistics: the live solver's counters plus
-    /// everything absorbed from solvers discarded by rebuilds, with
-    /// [`SolverStats::solver_rebuilds`] reporting the rebuild count.
+    /// The engine's cumulative statistics.
     #[must_use]
     pub fn stats(&self) -> SolverStats {
-        let mut stats = self.retired_stats;
-        stats.absorb(self.solver.stats());
-        stats.solver_rebuilds += self.rebuilds;
-        stats
+        *self.solver.stats()
     }
 }
 
@@ -487,38 +362,29 @@ mod tests {
         Lit::new(engine_var, positive)
     }
 
-    /// One engine per mode, driven identically.
-    fn both_modes() -> [IncrementalSolver; 2] {
-        [
-            IncrementalSolver::new(),
-            IncrementalSolver::with_mode(EngineMode::Rebuild),
-        ]
-    }
-
     #[test]
     fn soft_lifecycle_and_cores() {
-        for mut e in both_modes() {
-            let x = e.new_var();
-            e.add_clause([lit(x, true)]);
-            let s0 = e.add_soft([lit(x, false)]);
-            let s1 = e.add_soft([lit(x, true)]);
-            assert_eq!(e.solve(&[]), SolveOutcome::Unsat);
-            assert!(!e.formula_refuted(), "assumption-level core only");
-            assert_eq!(e.failed_softs(), vec![s0]);
-            e.deactivate(s0);
-            assert_eq!(e.solve(&[]), SolveOutcome::Sat);
-            let m = e.model().unwrap();
-            assert_eq!(m.value(x), Some(true));
-            // Re-activating restores the contradiction.
-            e.activate(s0);
-            assert_eq!(e.solve(&[]), SolveOutcome::Unsat);
-            e.deactivate(s0);
-            // Hardening s1 is consistent; retiring s0 removes it.
-            e.harden(s1);
-            e.retire(s0);
-            assert_eq!(e.solve(&[]), SolveOutcome::Sat);
-            assert!(!e.is_active(s1) && !e.formula_refuted());
-        }
+        let mut e = IncrementalSolver::new();
+        let x = e.new_var();
+        e.add_clause([lit(x, true)]);
+        let s0 = e.add_soft([lit(x, false)]);
+        let s1 = e.add_soft([lit(x, true)]);
+        assert_eq!(e.solve(&[]), SolveOutcome::Unsat);
+        assert!(!e.formula_refuted(), "assumption-level core only");
+        assert_eq!(e.failed_softs(), vec![s0]);
+        e.deactivate(s0);
+        assert_eq!(e.solve(&[]), SolveOutcome::Sat);
+        let m = e.model().unwrap();
+        assert_eq!(m.value(x), Some(true));
+        // Re-activating restores the contradiction.
+        e.activate(s0);
+        assert_eq!(e.solve(&[]), SolveOutcome::Unsat);
+        e.deactivate(s0);
+        // Hardening s1 is consistent; retiring s0 removes it.
+        e.harden(s1);
+        e.retire(s0);
+        assert_eq!(e.solve(&[]), SolveOutcome::Sat);
+        assert!(!e.is_active(s1) && !e.formula_refuted());
     }
 
     #[test]
@@ -535,14 +401,13 @@ mod tests {
 
     #[test]
     fn formula_refutation_is_mode_independent() {
-        for mut e in both_modes() {
-            let x = e.new_var();
-            e.add_clause([lit(x, true)]);
-            e.add_clause([lit(x, false)]);
-            let _s = e.add_soft([lit(x, true)]);
-            assert_eq!(e.solve(&[]), SolveOutcome::Unsat);
-            assert!(e.formula_refuted());
-        }
+        let mut e = IncrementalSolver::new();
+        let x = e.new_var();
+        e.add_clause([lit(x, true)]);
+        e.add_clause([lit(x, false)]);
+        let _s = e.add_soft([lit(x, true)]);
+        assert_eq!(e.solve(&[]), SolveOutcome::Unsat);
+        assert!(e.formula_refuted());
     }
 
     /// Pigeonhole with 4 pigeons and 3 holes over fresh variables: the
@@ -574,8 +439,7 @@ mod tests {
         for config in [SolverConfig::default(), forced_gc] {
             // All clauses hard: only a level-0 conflict of the search
             // can refute them, since none is falsified when added.
-            let mut e =
-                IncrementalSolver::with_mode_and_config(EngineMode::Persistent, config.clone());
+            let mut e = IncrementalSolver::with_config(config.clone());
             let (at_least, at_most) = php_4_3(&mut e);
             for c in at_least.iter().chain(&at_most) {
                 e.add_clause(c.iter().copied());
@@ -590,7 +454,7 @@ mod tests {
 
             // At-least-one clauses soft: the softs are the core, and the
             // hard clauses alone stay satisfiable.
-            let mut e = IncrementalSolver::with_mode_and_config(EngineMode::Persistent, config);
+            let mut e = IncrementalSolver::with_config(config);
             let (at_least, at_most) = php_4_3(&mut e);
             for c in &at_most {
                 e.add_clause(c.iter().copied());
@@ -607,51 +471,42 @@ mod tests {
 
     #[test]
     fn extra_assumptions_gate_constraints() {
-        for mut e in both_modes() {
-            let x = e.new_var();
-            let y = e.new_var();
-            e.add_clause([lit(x, true), lit(y, true)]);
-            // Gated constraint ¬x: active while assuming ¬t.
-            let t = Lit::positive(e.new_var());
-            e.add_clause([lit(x, false), t]);
-            assert_eq!(e.solve(&[!t]), SolveOutcome::Sat);
-            assert_eq!(e.model().unwrap().value(y), Some(true));
-            // Add the conflicting gated constraint ¬y under the same gate.
-            e.add_clause([lit(y, false), t]);
-            assert_eq!(e.solve(&[!t]), SolveOutcome::Unsat);
-            assert_eq!(e.failed_assumptions(), &[!t]);
-            assert!(e.failed_softs().is_empty());
-            // Retire the gate: both constraints vanish.
-            e.add_clause([t]);
+        let mut e = IncrementalSolver::new();
+        let x = e.new_var();
+        let y = e.new_var();
+        e.add_clause([lit(x, true), lit(y, true)]);
+        // Gated constraint ¬x: active while assuming ¬t.
+        let t = Lit::positive(e.new_var());
+        e.add_clause([lit(x, false), t]);
+        assert_eq!(e.solve(&[!t]), SolveOutcome::Sat);
+        assert_eq!(e.model().unwrap().value(y), Some(true));
+        // Add the conflicting gated constraint ¬y under the same gate.
+        e.add_clause([lit(y, false), t]);
+        assert_eq!(e.solve(&[!t]), SolveOutcome::Unsat);
+        assert_eq!(e.failed_assumptions(), &[!t]);
+        assert!(e.failed_softs().is_empty());
+        // Retire the gate: both constraints vanish.
+        e.add_clause([t]);
+        assert_eq!(e.solve(&[]), SolveOutcome::Sat);
+    }
+
+    #[test]
+    fn persistent_engine_counts_reuse() {
+        let mut e = IncrementalSolver::new();
+        let x = e.new_var();
+        let y = e.new_var();
+        e.add_clause([lit(x, true), lit(y, true)]);
+        let _ = e.add_soft([lit(x, false)]);
+        for _ in 0..3 {
             assert_eq!(e.solve(&[]), SolveOutcome::Sat);
         }
+        assert_eq!(e.stats().incremental_solves, 2, "calls beyond the first");
     }
 
     #[test]
-    fn rebuild_mode_counts_rebuilds_and_persistent_counts_reuse() {
-        let mut reb = IncrementalSolver::with_mode(EngineMode::Rebuild);
-        let mut per = IncrementalSolver::new();
-        for e in [&mut reb, &mut per] {
-            let x = e.new_var();
-            let y = e.new_var();
-            e.add_clause([lit(x, true), lit(y, true)]);
-            let _ = e.add_soft([lit(x, false)]);
-            for _ in 0..3 {
-                assert_eq!(e.solve(&[]), SolveOutcome::Sat);
-            }
-        }
-        let rs = reb.stats();
-        assert_eq!(rs.solver_rebuilds, 3);
-        assert_eq!(rs.incremental_solves, 0, "fresh solver every call");
-        let ps = per.stats();
-        assert_eq!(ps.solver_rebuilds, 0);
-        assert_eq!(ps.incremental_solves, 2, "calls beyond the first");
-    }
-
-    #[test]
-    fn budget_survives_rebuilds() {
+    fn spent_budget_answers_unknown_on_every_call() {
         use std::time::Duration;
-        let mut e = IncrementalSolver::with_mode(EngineMode::Rebuild);
+        let mut e = IncrementalSolver::new();
         let x = e.new_var();
         e.add_clause([lit(x, true)]);
         e.set_budget(Budget::new().with_timeout(Duration::from_nanos(1)));

@@ -77,7 +77,7 @@ mod stats;
 
 pub use budget::Budget;
 pub use dpll::{dpll_is_satisfiable, dpll_max_satisfiable};
-pub use incremental::{EngineMode, IncrementalSolver, SoftId};
+pub use incremental::{IncrementalSolver, SoftId};
 pub use share::{ClauseExchange, ExchangeEndpoint, ExchangeTotals, SharedContext, SharingConfig};
 pub use solver::{RestartMode, SolveOutcome, Solver, SolverConfig};
 pub use stats::{SolverStats, LBD_HIST_BUCKETS};

@@ -301,7 +301,7 @@ pub struct ExchangeEndpoint {
 
 impl ExchangeEndpoint {
     /// Whether this endpoint exports ([`SharedContext::import_only`]
-    /// and rebuild-mode engines disable it).
+    /// disables it).
     #[must_use]
     pub fn export_enabled(&self) -> bool {
         self.export_enabled

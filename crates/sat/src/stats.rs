@@ -63,10 +63,6 @@ pub struct SolverStats {
     /// incremental solve call, summed over calls: the work carried over
     /// instead of being re-derived.
     pub clauses_retained: u64,
-    /// Times a fresh solver was built and reloaded from scratch where a
-    /// persistent engine could have been reused (counted by the
-    /// rebuilding engine mode; always 0 for a bare solver).
-    pub solver_rebuilds: u64,
     /// Aggressive database reductions triggered by the clause-arena
     /// memory watermark ([`crate::SolverConfig::arena_watermark_words`]):
     /// memory pressure handled by shedding learned clauses instead of
@@ -123,7 +119,6 @@ impl SolverStats {
         self.tot_literals += other.tot_literals;
         self.incremental_solves += other.incremental_solves;
         self.clauses_retained += other.clauses_retained;
-        self.solver_rebuilds += other.solver_rebuilds;
         self.watermark_reductions += other.watermark_reductions;
         self.clauses_exported += other.clauses_exported;
         self.clauses_imported += other.clauses_imported;
@@ -143,7 +138,7 @@ impl SolverStats {
              \"peak_learned\": {}, \"glue_clauses\": {}, \"lbd_hist\": [{}, {}, {}, {}], \
              \"gc_runs\": {}, \"gc_bytes_reclaimed\": {}, \"scratch_reallocs\": {}, \
              \"max_literals\": {}, \"tot_literals\": {}, \"incremental_solves\": {}, \
-             \"clauses_retained\": {}, \"solver_rebuilds\": {}, \"watermark_reductions\": {}, \
+             \"clauses_retained\": {}, \"watermark_reductions\": {}, \
              \"clauses_exported\": {}, \"clauses_imported\": {}, \"import_duplicates\": {}, \
              \"phase_times\": ",
             self.decisions,
@@ -168,7 +163,6 @@ impl SolverStats {
             self.tot_literals,
             self.incremental_solves,
             self.clauses_retained,
-            self.solver_rebuilds,
             self.watermark_reductions,
             self.clauses_exported,
             self.clauses_imported,
@@ -186,7 +180,7 @@ impl fmt::Display for SolverStats {
             "decisions={} propagations={} bin_props={} conflicts={} \
              restarts={} (luby={} glucose={}) learned={} deleted={} peak_learned={} \
              glue={} lbd_hist=[{},{},{},{}] gc_runs={} gc_bytes={} scratch_reallocs={} \
-             inc_solves={} clauses_retained={} rebuilds={} watermark_reductions={} \
+             inc_solves={} clauses_retained={} watermark_reductions={} \
              exported={} imported={} import_dups={}",
             self.decisions,
             self.propagations,
@@ -208,7 +202,6 @@ impl fmt::Display for SolverStats {
             self.scratch_reallocs,
             self.incremental_solves,
             self.clauses_retained,
-            self.solver_rebuilds,
             self.watermark_reductions,
             self.clauses_exported,
             self.clauses_imported,
@@ -247,7 +240,6 @@ mod tests {
         assert!(text.contains("gc_runs=0"));
         assert!(text.contains("inc_solves=0"));
         assert!(text.contains("clauses_retained=0"));
-        assert!(text.contains("rebuilds=0"));
     }
 
     #[test]

@@ -6,8 +6,7 @@
 
 use coremax_cnf::{CnfFormula, Lit, Var};
 use coremax_sat::{
-    dpll_is_satisfiable, EngineMode, IncrementalSolver, RestartMode, SolveOutcome, Solver,
-    SolverConfig,
+    dpll_is_satisfiable, IncrementalSolver, RestartMode, SoftId, SolveOutcome, Solver, SolverConfig,
 };
 use proptest::prelude::*;
 
@@ -73,6 +72,91 @@ fn oracle(clauses: &[Vec<i32>], assumptions: &[Lit]) -> bool {
         f.add_clause([a]);
     }
     dpll_is_satisfiable(&f)
+}
+
+/// The engine's soft-clause interface answered from scratch: every
+/// clause is kept, and each solve builds a fresh [`Solver`] and solves
+/// under the active softs' `¬s` plus the extra assumptions.
+struct FreshPeer {
+    config: SolverConfig,
+    num_vars: usize,
+    /// Each soft's stored clause `ω ∨ s`, in registration order.
+    clauses: Vec<Vec<Lit>>,
+    /// Each soft's selector `s` and whether it is active.
+    softs: Vec<(Lit, bool)>,
+    failed: Vec<Lit>,
+}
+
+impl FreshPeer {
+    fn new(config: SolverConfig, num_vars: usize) -> Self {
+        FreshPeer {
+            config,
+            num_vars,
+            clauses: Vec::new(),
+            softs: Vec::new(),
+            failed: Vec::new(),
+        }
+    }
+
+    fn add_soft(&mut self, lits: impl IntoIterator<Item = Lit>) -> SoftId {
+        let sel = Lit::positive(Var::new(self.num_vars as u32));
+        self.num_vars += 1;
+        self.clauses.push(lits.into_iter().chain([sel]).collect());
+        self.softs.push((sel, true));
+        SoftId(self.softs.len() - 1)
+    }
+
+    fn solve(&mut self, extra: &[Lit]) -> SolveOutcome {
+        let mut solver = Solver::with_config(self.config.clone());
+        solver.ensure_vars(self.num_vars);
+        for c in &self.clauses {
+            solver.add_clause(c.iter().copied());
+        }
+        let mut assumptions: Vec<Lit> = self
+            .softs
+            .iter()
+            .filter(|&&(_, active)| active)
+            .map(|&(sel, _)| !sel)
+            .collect();
+        assumptions.extend_from_slice(extra);
+        let outcome = solver.solve_with_assumptions(&assumptions);
+        self.failed = solver.failed_assumptions().to_vec();
+        outcome
+    }
+
+    fn failed_softs(&self) -> Vec<SoftId> {
+        (0..self.softs.len())
+            .filter(|&i| self.failed.contains(&!self.softs[i].0))
+            .map(SoftId)
+            .collect()
+    }
+
+    fn deactivate(&mut self, id: SoftId) {
+        self.softs[id.0].1 = false;
+    }
+}
+
+/// Checks an UNSAT answer's core against the oracle: the failed softs'
+/// clauses plus the failed extra assumptions must be unsatisfiable.
+fn check_core(
+    handle_clause: &[Vec<i32>],
+    failed: &[SoftId],
+    failed_assumptions: &[Lit],
+    assumptions: &[Lit],
+) {
+    let failed_clauses: Vec<Vec<i32>> = failed
+        .iter()
+        .map(|&id| handle_clause[id.0].clone())
+        .collect();
+    let extra: Vec<Lit> = failed_assumptions
+        .iter()
+        .copied()
+        .filter(|a| assumptions.contains(a))
+        .collect();
+    prop_assert!(
+        !oracle(&failed_clauses, &extra),
+        "soft core was satisfiable"
+    );
 }
 
 fn check_rounds(rounds: Vec<Round>, config: SolverConfig) {
@@ -165,57 +249,36 @@ proptest! {
     #[test]
     fn engine_modes_agree_on_soft_lifecycles(rounds in arb_rounds()) {
         // Same rounds driven through the selector-managed soft-clause
-        // engine: the persistent and rebuild-per-call modes must report
-        // identical statuses, and on UNSAT both cores must be sound.
-        // Each round's batch becomes soft clauses; each round solves,
-        // then deactivates the failed softs (a miniature core-guided
-        // driver).
-        let mut engines = [
-            IncrementalSolver::with_mode_and_config(EngineMode::Persistent, stress_config()),
-            IncrementalSolver::with_mode_and_config(EngineMode::Rebuild, stress_config()),
-        ];
-        for e in &mut engines {
-            e.ensure_vars(MAX_VARS as usize);
-        }
-        let mut all_clauses: Vec<Vec<i32>> = Vec::new();
+        // engine and its fresh-solver peer: both must report identical
+        // statuses, and on UNSAT both cores must be sound. Each round's
+        // batch becomes soft clauses; each round solves, then
+        // deactivates the failed softs (a miniature core-guided driver).
+        let mut engine = IncrementalSolver::with_config(stress_config());
+        engine.ensure_vars(MAX_VARS as usize);
+        let mut peer = FreshPeer::new(stress_config(), MAX_VARS as usize);
         let mut handle_clause: Vec<Vec<i32>> = Vec::new();
 
         for (batch, raw_assumptions) in rounds {
             let assumptions = dedup_assumptions(&raw_assumptions);
             for c in &batch {
-                all_clauses.push(c.clone());
                 handle_clause.push(c.clone());
-                for e in &mut engines {
-                    let id = e.add_soft(c.iter().map(|&d| Lit::from_dimacs(d).unwrap()));
-                    prop_assert_eq!(id.0, handle_clause.len() - 1);
-                }
+                let lits = || c.iter().map(|&d| Lit::from_dimacs(d).unwrap());
+                let id = engine.add_soft(lits());
+                prop_assert_eq!(id.0, handle_clause.len() - 1);
+                prop_assert_eq!(peer.add_soft(lits()), id);
             }
-            let [ref mut p, ref mut r] = engines;
-            let po = p.solve(&assumptions);
-            let ro = r.solve(&assumptions);
-            prop_assert_eq!(po, ro, "engine modes disagree");
-            if po == SolveOutcome::Unsat && !p.formula_refuted() {
-                for e in &mut engines {
-                    // The failed softs plus the formula-level failed
-                    // assumptions must form a genuinely UNSAT subset.
-                    let failed = e.failed_softs();
-                    let failed_clauses: Vec<Vec<i32>> = failed
-                        .iter()
-                        .map(|&id| handle_clause[id.0].clone())
-                        .collect();
-                    let extra: Vec<Lit> = e
-                        .failed_assumptions()
-                        .iter()
-                        .copied()
-                        .filter(|a| assumptions.contains(a))
-                        .collect();
-                    prop_assert!(
-                        !oracle(&failed_clauses, &extra),
-                        "soft core was satisfiable"
-                    );
-                    for &id in &failed {
-                        e.deactivate(id);
-                    }
+            let outcome = engine.solve(&assumptions);
+            prop_assert_eq!(outcome, peer.solve(&assumptions), "engine and fresh peer disagree");
+            if outcome == SolveOutcome::Unsat && !engine.formula_refuted() {
+                let failed = engine.failed_softs();
+                check_core(&handle_clause, &failed, engine.failed_assumptions(), &assumptions);
+                for &id in &failed {
+                    engine.deactivate(id);
+                }
+                let failed = peer.failed_softs();
+                check_core(&handle_clause, &failed, &peer.failed, &assumptions);
+                for &id in &failed {
+                    peer.deactivate(id);
                 }
             }
         }
