@@ -23,7 +23,6 @@ fn bench_encoding_construction(c: &mut Criterion) {
             CardEncoding::SortingNetwork,
             CardEncoding::SequentialCounter,
             CardEncoding::Totalizer,
-            CardEncoding::AdderNetwork,
         ] {
             group.bench_with_input(
                 BenchmarkId::new(encoding.name(), n),
@@ -50,7 +49,6 @@ fn bench_msu4_per_encoding(c: &mut Criterion) {
         CardEncoding::SortingNetwork,
         CardEncoding::SequentialCounter,
         CardEncoding::Totalizer,
-        CardEncoding::AdderNetwork,
     ] {
         group.bench_with_input(BenchmarkId::new("php4", encoding.name()), &wcnf, |b, w| {
             b.iter(|| {

@@ -1,6 +1,7 @@
 //! Criterion bench: head-to-head runtimes of the whole algorithm family
 //! on one representative of each instance family — the microbenchmark
-//! companion to the table1/scatter binaries.
+//! companion to the paper's tables and figures, which `coremax-solve`
+//! batch runs reproduce (see the README).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

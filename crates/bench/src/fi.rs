@@ -16,9 +16,8 @@
 //!    `lower_bound ≤ optimum ≤ incumbent_cost`.
 //!
 //! The checks are driven by the proptest harness in
-//! `tests/prop_fault_injection.rs` with the exhaustive oracle deciding
-//! the ground truth on small instances; the helpers live in the
-//! library so bench binaries (e.g. `anytime_baseline`) reuse them.
+//! `tests/prop_fault_injection.rs`, with the exhaustive oracle deciding
+//! the ground truth on small instances.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adder;
 mod bdd;
 mod pairwise;
 mod sequential;
@@ -95,20 +94,16 @@ pub enum CardEncoding {
     Totalizer,
     /// Naive binomial encoding; exponential, for tests and tiny n only.
     Pairwise,
-    /// Binary adder network + lexicographic comparison (Eén–Sörensson
-    /// §5.3) — smallest encoding, weakest propagation.
-    AdderNetwork,
 }
 
 impl CardEncoding {
     /// All supported encodings, for sweep-style benchmarks.
-    pub const ALL: [CardEncoding; 6] = [
+    pub const ALL: [CardEncoding; 5] = [
         CardEncoding::Bdd,
         CardEncoding::SortingNetwork,
         CardEncoding::SequentialCounter,
         CardEncoding::Totalizer,
         CardEncoding::Pairwise,
-        CardEncoding::AdderNetwork,
     ];
 
     /// A short stable name (used by the bench harness output).
@@ -120,7 +115,6 @@ impl CardEncoding {
             CardEncoding::SequentialCounter => "seqcounter",
             CardEncoding::Totalizer => "totalizer",
             CardEncoding::Pairwise => "pairwise",
-            CardEncoding::AdderNetwork => "adder",
         }
     }
 }
@@ -151,7 +145,6 @@ pub fn encode_at_most(lits: &[Lit], k: usize, encoding: CardEncoding, sink: &mut
         CardEncoding::SequentialCounter => sequential::at_most(lits, k, sink),
         CardEncoding::Totalizer => totalizer::at_most(lits, k, sink),
         CardEncoding::Pairwise => pairwise::at_most(lits, k, sink),
-        CardEncoding::AdderNetwork => adder::at_most(lits, k, sink),
     }
 }
 

@@ -1239,6 +1239,65 @@ mod tests {
     }
 
     #[test]
+    fn preprocessed_runs_agree_and_verify() {
+        // The debug family is partial MaxSAT: the simplifier has hard
+        // clauses to chew on there.
+        let instances: Vec<_> = full_suite(&SuiteConfig::default())
+            .into_iter()
+            .filter(|i| i.family.name() == "debug")
+            .take(2)
+            .collect();
+        assert!(!instances.is_empty());
+        for instance in &instances {
+            let [plain, pre] = [false, true].map(|preprocess| {
+                let options = Options {
+                    preprocess,
+                    ..Options::default()
+                };
+                run(&options, &instance.wcnf).unwrap()
+            });
+            assert_eq!(plain.cost, pre.cost, "{}: optimum changed", instance.name);
+            assert!(
+                coremax::verify_solution(&instance.wcnf, &pre),
+                "{}",
+                instance.name
+            );
+            assert!(pre.stats.simp.vars_in > 0, "simp counters populated");
+        }
+    }
+
+    #[test]
+    fn weighted_lineup_agrees_on_the_weighted_suite() {
+        // Three light-total instances, which every member of the CI
+        // weighted step's lineup solves in milliseconds.
+        let instances: Vec<_> = weighted_suite(&SuiteConfig::default())
+            .into_iter()
+            .filter(|i| i.wcnf.total_soft_weight() <= 100_000)
+            .take(3)
+            .collect();
+        assert!(!instances.is_empty());
+        for instance in &instances {
+            let costs =
+                ["wmsu1", "strat-msu3", "strat-msu4", "oll", "strat-oll"].map(|algorithm| {
+                    let options = Options {
+                        algorithm: algorithm.into(),
+                        preprocess: false,
+                        ..Options::default()
+                    };
+                    let s = run(&options, &instance.wcnf).unwrap();
+                    assert_eq!(s.status, coremax::MaxSatStatus::Optimal, "{algorithm}");
+                    assert!(coremax::verify_solution(&instance.wcnf, &s), "{algorithm}");
+                    s.cost
+                });
+            assert!(
+                costs.windows(2).all(|w| w[0] == w[1]),
+                "{}: {costs:?}",
+                instance.name
+            );
+        }
+    }
+
+    #[test]
     fn end_to_end_solve_and_format() {
         let wcnf = parse_problem("p cnf 1 2\n1 0\n-1 0\n").unwrap();
         let options = Options {

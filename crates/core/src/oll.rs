@@ -204,13 +204,16 @@ impl MaxSatSolver for Oll {
                     // Weight-aware hardening: with a certified interval
                     // [lb, ub], falsifying any working soft of residual
                     // weight > ub − lb costs more than the incumbent —
-                    // make it permanently hard.
+                    // make it permanently hard. In `SoftId` order: the
+                    // map's iteration order differs per run, and the
+                    // order the units reach the engine steers its search.
                     let gap = ub.saturating_sub(lb);
-                    let to_harden: Vec<SoftId> = working
+                    let mut to_harden: Vec<SoftId> = working
                         .iter()
                         .filter(|(_, meta)| meta.weight > gap)
                         .map(|(&id, _)| id)
                         .collect();
+                    to_harden.sort_unstable();
                     for id in to_harden {
                         let meta = working.remove(&id).expect("listed above");
                         run.engine.harden(id);

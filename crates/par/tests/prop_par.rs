@@ -20,10 +20,13 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use coremax::{verify_solution, MaxSatSolver, MaxSatStatus, Msu3, Stratified};
-use coremax_cnf::{Assignment, WcnfFormula, Weight};
-use coremax_instances::{random_weighted_wcnf, WeightDist, WeightedConfig};
+use coremax_cnf::{Assignment, CnfFormula, Lit, Var, WcnfFormula, Weight};
+use coremax_instances::{
+    equiv_instance, pigeonhole, random_unsat_3cnf, random_weighted_wcnf, WeightDist, WeightedConfig,
+};
 use coremax_par::{solve_batch, BatchOptions, Portfolio};
 use coremax_sat::{Budget, SharingConfig};
 use proptest::prelude::*;
@@ -373,4 +376,84 @@ fn pre_raised_flag_stops_portfolio_before_any_work() {
     let outcome = portfolio.solve(&w);
     assert_eq!(outcome.solution.status, MaxSatStatus::Optimal);
     assert!(verify_solution(&w, &outcome.solution));
+}
+
+/// Every clause of `cnf` as a hard clause, plus soft units on its first
+/// three variables: most learned clauses are hard-implied, so a sharing
+/// race has clauses to exchange.
+fn hardened(cnf: &CnfFormula) -> WcnfFormula {
+    let mut w = WcnfFormula::new();
+    for _ in 0..cnf.num_vars() {
+        w.new_var();
+    }
+    for c in cnf.clauses() {
+        w.add_hard(c.iter().copied());
+    }
+    for i in 0..3.min(cnf.num_vars()) {
+        w.add_soft([Lit::positive(Var::new(i as u32))], 1);
+    }
+    w
+}
+
+/// Hard implication chain `x1 → x2 → … → xn` with soft endpoints
+/// (optimum 1): easy for every member, so the exchange stays quiet.
+fn chain(n: usize) -> WcnfFormula {
+    let mut w = WcnfFormula::new();
+    for _ in 0..n {
+        w.new_var();
+    }
+    for i in 0..n - 1 {
+        w.add_hard([
+            Lit::negative(Var::new(i as u32)),
+            Lit::positive(Var::new(i as u32 + 1)),
+        ]);
+    }
+    w.add_soft([Lit::positive(Var::new(0))], 1);
+    w.add_soft([Lit::negative(Var::new(n as u32 - 1))], 1);
+    w
+}
+
+/// Sharing on structured instances, beyond the oracle's reach: hard
+/// pigeonhole and random-UNSAT refutations (real exchange traffic), a
+/// hard chain (almost none) and an all-soft miter (none: nothing is
+/// hard-implied). Every race at jobs 1, 2, 4 and 8, with sharing off
+/// and on, must return a verified solution, and all exact verdicts on
+/// an instance must agree. A budget abort is checked only for
+/// verification: which race aborts first on a loaded host is timing.
+#[test]
+fn sharing_races_agree_on_structured_instances() {
+    let mut instances: Vec<(String, WcnfFormula)> = (5..=7)
+        .map(|holes| (format!("php-hard-{holes}"), hardened(&pigeonhole(holes))))
+        .collect();
+    for (vars, seed) in [(24, 42), (28, 43)] {
+        instances.push((
+            format!("rand3-hard-{vars}"),
+            hardened(&random_unsat_3cnf(vars, seed)),
+        ));
+    }
+    instances.push(("chain-partial-64".into(), chain(64)));
+    instances.push((
+        "equiv-soft-1-6".into(),
+        WcnfFormula::from_cnf_all_soft(&equiv_instance(1, 6)),
+    ));
+    for (name, w) in &instances {
+        let mut key = None;
+        for jobs in [1, 2, 4, 8] {
+            for sharing in [None, Some(SharingConfig::default())] {
+                let mut portfolio = Portfolio::new(jobs);
+                if let Some(config) = sharing {
+                    portfolio = portfolio.with_sharing(config);
+                }
+                portfolio.set_budget(Budget::new().with_timeout(Duration::from_secs(20)));
+                let solution = portfolio.solve(w).solution;
+                let run = format!("{name} jobs={jobs} sharing={}", sharing.is_some());
+                assert!(verify_solution(w, &solution), "{run}: failed verification");
+                if solution.status == MaxSatStatus::Unknown {
+                    continue;
+                }
+                let verdict = (solution.status, solution.cost);
+                assert_eq!(*key.get_or_insert(verdict), verdict, "{run}: disagreement");
+            }
+        }
+    }
 }
