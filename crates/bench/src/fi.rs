@@ -3,9 +3,10 @@
 //! Graceful degradation is a *proven* property here, not a hoped-for
 //! one: this module arms budget-level faults (stop flags raised from a
 //! concurrent thread at a randomized instant, already-expired and
-//! near-expired deadlines, conflict and propagation caps) against any
-//! [`MaxSatSolver`] and checks the returned solution against the
-//! soundness invariants every budget-exhausted solve must satisfy:
+//! near-expired deadlines, whole-solve conflict and propagation caps)
+//! against any [`MaxSatSolver`] and checks the returned solution
+//! against the soundness invariants every budget-exhausted solve must
+//! satisfy:
 //!
 //! 1. never a wrong exact verdict — `Optimal` must name the true
 //!    optimum and `Infeasible` must only appear on truly infeasible
@@ -41,10 +42,13 @@ pub enum Fault {
     StopAfter(Duration),
     /// Wall-clock deadline this far in the future (possibly zero).
     Deadline(Duration),
-    /// Per-SAT-call conflict cap.
+    /// Conflict cap on the whole solve: every SAT call of the run (and
+    /// every portfolio member) charges one pool, and the run stops once
+    /// it is spent.
     ConflictCap(u64),
-    /// Per-SAT-call propagation cap — fires inside the propagation
-    /// loop, the innermost injection point available.
+    /// Propagation cap on the whole solve, metered like
+    /// [`Fault::ConflictCap`]; it fires inside the propagation loop, the
+    /// innermost injection point available.
     PropagationCap(u64),
 }
 
@@ -60,8 +64,11 @@ impl FaultThread {
     }
 }
 
-/// Arms `fault` as a [`Budget`]. For [`Fault::StopAfter`] the returned
-/// handle must be joined once the solve returns.
+/// Arms `fault` as a [`Budget`]. The caps are armed as shared caps
+/// ([`Budget::with_shared_caps`]): a per-call cap would not reach a
+/// driver's SAT calls, because [`Budget::child`] drops it. For
+/// [`Fault::StopAfter`] the returned handle must be joined once the
+/// solve returns.
 #[must_use]
 pub fn armed_budget(fault: &Fault) -> (Budget, Option<FaultThread>) {
     match fault {
@@ -83,8 +90,8 @@ pub fn armed_budget(fault: &Fault) -> (Budget, Option<FaultThread>) {
             )
         }
         Fault::Deadline(timeout) => (Budget::new().with_timeout(*timeout), None),
-        Fault::ConflictCap(cap) => (Budget::new().with_max_conflicts(*cap), None),
-        Fault::PropagationCap(cap) => (Budget::new().with_max_propagations(*cap), None),
+        Fault::ConflictCap(cap) => (Budget::new().with_shared_caps(Some(*cap), None), None),
+        Fault::PropagationCap(cap) => (Budget::new().with_shared_caps(None, Some(*cap)), None),
     }
 }
 

@@ -5,7 +5,7 @@
 //! randomized points — a pre-raised stop flag, a stop flag raised from
 //! a concurrent thread mid-run (lands mid-preprocessing, mid-GC,
 //! mid-search, or inside portfolio workers), already-expired and
-//! near-expired deadlines, and per-call conflict/propagation caps.
+//! near-expired deadlines, and whole-solve conflict/propagation caps.
 //! Every outcome must satisfy the anytime-soundness invariants checked
 //! by [`coremax_bench::fi::check_anytime_sound`] against the exhaustive
 //! oracle: never a wrong `Optimal`/`Infeasible`, incumbents certify
@@ -207,22 +207,53 @@ fn pre_raised_stop_flag_is_deterministic() {
     }
 }
 
-/// Cancellation landing around an in-place totalizer bound raise. The
-/// at-most-2-of-4 instance forces the OLL driver through at least one
-/// `increase_bound` extension on the unfaulted path (every core has ≥ 3
-/// members, and the optimum exceeds what the bound-1 outputs allow).
-/// Sweeping the per-call conflict and propagation caps lands the stop
-/// at every budget poll point — before the first core, between a core
-/// and its extension, and right after the raised output becomes an
-/// assumption — and each truncated run must still return a certified
-/// interval, never a wrong verdict.
-#[test]
-fn cancellation_mid_totalizer_extension_keeps_the_interval_certified() {
-    let w = coremax_cnf::dimacs::parse_wcnf(
+/// The at-most-2-of-4 instance: every core has at least 3 members, and
+/// the optimum (2) exceeds what the bound-1 totalizer outputs allow.
+fn at_most_two_of_four() -> WcnfFormula {
+    coremax_cnf::dimacs::parse_wcnf(
         "p wcnf 4 8 9\n9 -1 -2 -3 0\n9 -1 -2 -4 0\n9 -1 -3 -4 0\n9 -2 -3 -4 0\n\
          1 1 0\n1 2 0\n1 3 0\n1 4 0\n",
     )
-    .expect("instance parses");
+    .expect("instance parses")
+}
+
+/// Both cap classes reach every driver: armed at 0, each stops every
+/// member of the lineup before it can prove the optimum, with a
+/// certified interval. `maxsatz-bb` is the exception: its
+/// branch-and-bound makes no SAT call to charge the pool, and it polls
+/// only stop flags and the deadline.
+#[test]
+fn work_caps_at_zero_stop_every_sat_driver() {
+    let w = at_most_two_of_four();
+    let optimum = exhaustive_optimum(&w);
+    for fault in [Fault::ConflictCap(0), Fault::PropagationCap(0)] {
+        for (label, mut solver) in lineup() {
+            let (budget, _) = armed_budget(&fault);
+            solver.set_budget(budget);
+            let s = solver.solve(&w);
+            check_anytime_sound(&w, &s, optimum)
+                .unwrap_or_else(|violation| panic!("{label} under {fault:?}: {violation}"));
+            if label != "maxsatz-bb" {
+                assert_eq!(s.status, MaxSatStatus::Unknown, "{label} under {fault:?}");
+            }
+        }
+    }
+}
+
+/// Cancellation landing around an in-place totalizer bound raise. The
+/// at-most-2-of-4 instance forces the OLL driver through at least one
+/// `increase_bound` extension on the unfaulted path. Sweeping the
+/// whole-solve conflict and propagation caps lands the stop at every
+/// budget poll point — before the first core, between a core and its
+/// extension, and right after the raised output becomes an assumption —
+/// and each truncated run must still return a certified interval, never
+/// a wrong verdict. Each cap class must stop some run and let some run
+/// finish, or the sweep would not reach those points. The unfaulted run
+/// takes 3 conflicts and 50 propagations, so the propagation cap steps
+/// by 4 to span it in the same 25 points.
+#[test]
+fn cancellation_mid_totalizer_extension_keeps_the_interval_certified() {
+    let w = at_most_two_of_four();
     let optimum = exhaustive_optimum(&w);
     assert_eq!(optimum, Some(2));
     // Unfaulted control: this instance really drives the extension path.
@@ -232,17 +263,26 @@ fn cancellation_mid_totalizer_extension_keeps_the_interval_certified() {
         control.stats.totalizer_extensions >= 1,
         "instance must force a totalizer extension"
     );
+    // Per cap class: (stopped early, finished exactly).
+    let mut seen = [(false, false); 2];
     for cap in 0..=24u64 {
-        for fault in [Fault::ConflictCap(cap), Fault::PropagationCap(cap)] {
-            let (budget, thread) = armed_budget(&fault);
+        for (class, fault) in [Fault::ConflictCap(cap), Fault::PropagationCap(4 * cap)]
+            .into_iter()
+            .enumerate()
+        {
+            let (budget, _) = armed_budget(&fault);
             let mut solver = Oll::new();
             solver.set_budget(budget);
             let s = solver.solve(&w);
-            if let Some(t) = thread {
-                t.join();
-            }
             check_anytime_sound(&w, &s, optimum)
                 .unwrap_or_else(|violation| panic!("oll under {fault:?}: {violation}"));
+            seen[class].0 |= s.status == MaxSatStatus::Unknown;
+            seen[class].1 |= s.status == MaxSatStatus::Optimal;
         }
     }
+    assert_eq!(
+        seen,
+        [(true, true); 2],
+        "(stopped, finished) under the conflict and the propagation caps"
+    );
 }

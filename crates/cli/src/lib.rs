@@ -1195,7 +1195,7 @@ mod tests {
         let modern = parse_problem("c no header\nh 1 0\n3 -1 0\n").unwrap();
         assert_eq!(modern.num_hard(), 1);
         assert_eq!(modern.num_soft(), 1);
-        assert_eq!(modern.soft_clauses()[0].weight, 3);
+        assert_eq!(modern.soft(0).weight, 3);
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! Clause container.
+//! Clause view.
 
 use std::fmt;
 use std::ops::Deref;
 
 use crate::{Assignment, Lit};
 
-/// A disjunction of literals.
+/// A disjunction of literals, borrowed from the
+/// [`ClauseStore`](crate::ClauseStore) of the formula that holds it.
 ///
-/// A `Clause` is an immutable, ordered sequence of literals. Duplicate
-/// literals and tautologies are permitted at this level; normalisation
-/// (sorting, deduplication, tautology detection) is available via
-/// [`Clause::normalized`], and solvers typically normalise on ingest.
+/// A `Clause` is a copyable view of a literal slice: it derefs to
+/// `[Lit]` and adds evaluation under an assignment. Duplicate literals
+/// and tautologies are permitted at this level; solvers normalise on
+/// ingest.
 ///
 /// # Examples
 ///
@@ -18,91 +19,28 @@ use crate::{Assignment, Lit};
 /// use coremax_cnf::{Clause, Lit, Var};
 /// let a = Lit::positive(Var::new(0));
 /// let b = Lit::negative(Var::new(1));
-/// let c = Clause::from_lits([a, b]);
+/// let lits = [a, b];
+/// let c = Clause::new(&lits);
 /// assert_eq!(c.len(), 2);
-/// assert!(c.contains(a));
+/// assert!(c.contains(&a));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Clause {
-    lits: Box<[Lit]>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct Clause<'a> {
+    lits: &'a [Lit],
 }
 
-impl Clause {
-    /// Creates a clause from an iterator of literals.
+impl<'a> Clause<'a> {
+    /// The clause whose literals are `lits`.
     #[must_use]
-    pub fn from_lits<I: IntoIterator<Item = Lit>>(lits: I) -> Self {
-        Clause {
-            lits: lits.into_iter().collect(),
-        }
-    }
-
-    /// The empty clause (always false).
-    #[must_use]
-    pub fn empty() -> Self {
-        Clause { lits: Box::new([]) }
+    pub fn new(lits: &'a [Lit]) -> Self {
+        Clause { lits }
     }
 
     /// Returns the literals of the clause.
     #[inline]
     #[must_use]
-    pub fn lits(&self) -> &[Lit] {
-        &self.lits
-    }
-
-    /// Returns the number of literals.
-    #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lits.len()
-    }
-
-    /// Returns `true` if the clause has no literals (i.e. is unsatisfiable).
-    #[inline]
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lits.is_empty()
-    }
-
-    /// Returns `true` if the clause contains exactly one literal.
-    #[inline]
-    #[must_use]
-    pub fn is_unit(&self) -> bool {
-        self.lits.len() == 1
-    }
-
-    /// Returns `true` if `lit` occurs in the clause.
-    #[must_use]
-    pub fn contains(&self, lit: Lit) -> bool {
-        self.lits.contains(&lit)
-    }
-
-    /// Returns `true` if the clause contains both a literal and its
-    /// negation (and is therefore trivially satisfied).
-    #[must_use]
-    pub fn is_tautology(&self) -> bool {
-        // Clauses are short in practice; the quadratic scan only triggers
-        // on ingest paths that have not normalised yet.
-        for (i, &l) in self.lits.iter().enumerate() {
-            if self.lits[i + 1..].contains(&!l) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Returns a normalised copy: literals sorted and deduplicated.
-    /// Returns `None` if the clause is a tautology.
-    #[must_use]
-    pub fn normalized(&self) -> Option<Clause> {
-        let mut lits: Vec<Lit> = self.lits.to_vec();
-        lits.sort_unstable();
-        lits.dedup();
-        for w in lits.windows(2) {
-            if w[0].var() == w[1].var() {
-                return None; // x and ¬x are adjacent after sorting
-            }
-        }
-        Some(Clause { lits: lits.into() })
+    pub fn lits(self) -> &'a [Lit] {
+        self.lits
     }
 
     /// Evaluates the clause under a (possibly partial) assignment.
@@ -110,7 +48,7 @@ impl Clause {
     /// Returns `Some(true)` if some literal is true, `Some(false)` if all
     /// literals are assigned and false, and `None` otherwise (undecided).
     #[must_use]
-    pub fn eval(&self, assignment: &Assignment) -> Option<bool> {
+    pub fn eval(self, assignment: &Assignment) -> Option<bool> {
         let mut undecided = false;
         for &l in self.lits.iter() {
             match assignment.lit_value(l) {
@@ -130,31 +68,20 @@ impl Clause {
     ///
     /// Unassigned variables count as not satisfying.
     #[must_use]
-    pub fn is_satisfied_by(&self, assignment: &Assignment) -> bool {
+    pub fn is_satisfied_by(self, assignment: &Assignment) -> bool {
         self.eval(assignment) == Some(true)
-    }
-
-    /// Iterates over the literals.
-    pub fn iter(&self) -> std::slice::Iter<'_, Lit> {
-        self.lits.iter()
     }
 }
 
-impl Deref for Clause {
+impl Deref for Clause<'_> {
     type Target = [Lit];
 
     fn deref(&self) -> &[Lit] {
-        &self.lits
+        self.lits
     }
 }
 
-impl FromIterator<Lit> for Clause {
-    fn from_iter<I: IntoIterator<Item = Lit>>(iter: I) -> Self {
-        Clause::from_lits(iter)
-    }
-}
-
-impl<'a> IntoIterator for &'a Clause {
+impl<'a> IntoIterator for Clause<'a> {
     type Item = &'a Lit;
     type IntoIter = std::slice::Iter<'a, Lit>;
 
@@ -163,13 +90,7 @@ impl<'a> IntoIterator for &'a Clause {
     }
 }
 
-impl From<Vec<Lit>> for Clause {
-    fn from(lits: Vec<Lit>) -> Self {
-        Clause { lits: lits.into() }
-    }
-}
-
-impl fmt::Display for Clause {
+impl fmt::Display for Clause<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.lits.is_empty() {
             return write!(f, "⊥");
@@ -196,48 +117,36 @@ mod tests {
 
     #[test]
     fn basic_accessors() {
-        let c = Clause::from_lits([lit(1), lit(-2), lit(3)]);
+        let lits = [lit(1), lit(-2), lit(3)];
+        let c = Clause::new(&lits);
         assert_eq!(c.len(), 3);
         assert!(!c.is_empty());
-        assert!(!c.is_unit());
-        assert!(c.contains(lit(-2)));
-        assert!(!c.contains(lit(2)));
+        assert!(c.contains(&lit(-2)));
+        assert!(!c.contains(&lit(2)));
+        assert_eq!(c.lits(), lits);
     }
 
     #[test]
     fn empty_and_unit() {
-        assert!(Clause::empty().is_empty());
-        assert!(Clause::from_lits([lit(5)]).is_unit());
-        assert_eq!(Clause::default(), Clause::empty());
-    }
-
-    #[test]
-    fn tautology_detection() {
-        assert!(Clause::from_lits([lit(1), lit(-1)]).is_tautology());
-        assert!(Clause::from_lits([lit(2), lit(1), lit(-2)]).is_tautology());
-        assert!(!Clause::from_lits([lit(1), lit(2)]).is_tautology());
-        assert!(!Clause::empty().is_tautology());
-    }
-
-    #[test]
-    fn normalization_sorts_and_dedups() {
-        let c = Clause::from_lits([lit(3), lit(1), lit(3), lit(-2)]);
-        let n = c.normalized().unwrap();
-        assert_eq!(n.lits(), &[lit(1), lit(-2), lit(3)]);
-    }
-
-    #[test]
-    fn normalization_rejects_tautology() {
-        assert!(Clause::from_lits([lit(1), lit(-1)]).normalized().is_none());
+        assert!(Clause::default().is_empty());
+        assert_eq!(Clause::default(), Clause::new(&[]));
+        let five = [lit(5)];
+        let unit = Clause::new(&five);
+        assert_eq!(unit.len(), 1);
+        let mut a = Assignment::for_vars(5);
+        a.assign(Var::new(4), true);
+        assert_eq!(unit.eval(&a), Some(true));
     }
 
     #[test]
     fn eval_partial_and_total() {
-        let c = Clause::from_lits([lit(1), lit(2)]);
+        let lits = [lit(1), lit(2)];
+        let c = Clause::new(&lits);
         let mut a = Assignment::for_vars(2);
         assert_eq!(c.eval(&a), None);
         a.assign(Var::new(0), false);
         assert_eq!(c.eval(&a), None);
+        assert!(!c.is_satisfied_by(&a), "undecided is not satisfied");
         a.assign(Var::new(1), false);
         assert_eq!(c.eval(&a), Some(false));
         a.assign(Var::new(1), true);
@@ -248,21 +157,15 @@ mod tests {
     #[test]
     fn empty_clause_is_false() {
         let a = Assignment::for_vars(0);
-        assert_eq!(Clause::empty().eval(&a), Some(false));
+        assert_eq!(Clause::default().eval(&a), Some(false));
+        assert!(!Clause::default().is_satisfied_by(&a));
     }
 
     #[test]
     fn display() {
-        let c = Clause::from_lits([lit(1), lit(-2)]);
+        let lits = [lit(1), lit(-2)];
+        let c = Clause::new(&lits);
         assert_eq!(c.to_string(), "(x1 ∨ ¬x2)");
-        assert_eq!(Clause::empty().to_string(), "⊥");
-    }
-
-    #[test]
-    fn collect_from_iterator() {
-        let c: Clause = [lit(1), lit(2)].into_iter().collect();
-        assert_eq!(c.len(), 2);
-        let total: i32 = c.iter().map(|l| l.to_dimacs()).sum();
-        assert_eq!(total, 3);
+        assert_eq!(Clause::default().to_string(), "⊥");
     }
 }

@@ -12,9 +12,10 @@
 //!   (positive integer) weight.
 //!
 //! One byte-level scanner reads all three dialects. It walks the text
-//! once, parses each integer in place, gathers a clause's literals in
-//! one reused buffer and stores each clause in one allocation of its
-//! exact size. The first token decides the dialect: `p` opens a header
+//! once, parses each integer in place and writes each literal straight
+//! into the formula's [`ClauseStore`], sized from the header's clause
+//! count where that names the store; no clause is an allocation of its
+//! own. The first token decides the dialect: `p` opens a header
 //! whose format token (`cnf` or `wcnf`) names it, and anything else
 //! starts new-format WCNF. [`parse_maxsat`] takes all three dialects,
 //! [`parse_wcnf`] the two WCNF ones and [`parse_cnf`] only CNF.
@@ -39,8 +40,9 @@
 //!   carrying the token's text. This is the syntax `str::parse` gives.
 //! - **Variables**: a literal above the header's variable count is
 //!   [`VariableOutOfRange`](ParseDimacsErrorKind::VariableOutOfRange). A
-//!   header may declare at most 2^31 − 1 variables, and nothing is sized
-//!   from a header's counts.
+//!   header may declare at most 2^31 − 1 variables. Nothing is sized
+//!   from a header's variable count, and the clause count is trusted
+//!   only up to what the text can hold.
 //!
 //! # Examples
 //!
@@ -58,7 +60,8 @@
 use std::fmt::Write as _;
 
 use crate::error::{ParseDimacsError, ParseDimacsErrorKind};
-use crate::{CnfFormula, Lit, Var, WcnfFormula, Weight, HARD_WEIGHT};
+use crate::formula::grown_range;
+use crate::{ClauseStore, CnfFormula, Lit, Var, WcnfFormula, Weight, HARD_WEIGHT};
 
 /// Parses DIMACS CNF text into a [`CnfFormula`].
 ///
@@ -77,9 +80,7 @@ pub fn parse_cnf(text: &str) -> Result<CnfFormula, ParseDimacsError> {
         Start::Headerless(_) => return Err(reader.error(ParseDimacsErrorKind::BadHeader)),
     };
     let mut formula = CnfFormula::with_vars(header.num_vars);
-    reader.cnf_body(&header, |lits| {
-        formula.add_clause(lits.iter().copied());
-    })?;
+    reader.cnf_body(&header, &mut formula.clauses)?;
     Ok(formula)
 }
 
@@ -149,9 +150,8 @@ pub fn parse_maxsat(text: &str) -> Result<WcnfFormula, ParseDimacsError> {
     match reader.start()? {
         Start::Header(header) if header.format == Format::Cnf => {
             let mut formula = WcnfFormula::with_vars(header.num_vars);
-            reader.cnf_body(&header, |lits| {
-                formula.add_soft(lits.iter().copied(), 1);
-            })?;
+            reader.cnf_body(&header, &mut formula.soft)?;
+            formula.weights = vec![1; formula.soft.len()];
             Ok(formula)
         }
         Start::Header(header) => reader.wcnf_body(&header),
@@ -172,8 +172,8 @@ pub fn write_cnf(formula: &CnfFormula) -> String {
         formula.num_vars(),
         formula.num_clauses()
     );
-    for clause in formula.iter() {
-        for &lit in clause.lits() {
+    for clause in formula.clauses() {
+        for &lit in clause {
             let _ = write!(out, "{} ", lit.to_dimacs());
         }
         let _ = writeln!(out, "0");
@@ -196,14 +196,14 @@ pub fn write_wcnf(formula: &WcnfFormula) -> String {
     );
     for clause in formula.hard_clauses() {
         let _ = write!(out, "{top} ");
-        for &lit in clause.lits() {
+        for &lit in clause {
             let _ = write!(out, "{} ", lit.to_dimacs());
         }
         let _ = writeln!(out, "0");
     }
     for soft in formula.soft_clauses() {
         let _ = write!(out, "{} ", soft.weight);
-        for &lit in soft.clause.lits() {
+        for &lit in soft.clause {
             let _ = write!(out, "{} ", lit.to_dimacs());
         }
         let _ = writeln!(out, "0");
@@ -232,14 +232,14 @@ pub fn write_wcnf_new(formula: &WcnfFormula) -> String {
     let mut out = String::new();
     for clause in formula.hard_clauses() {
         out.push('h');
-        for &lit in clause.lits() {
+        for &lit in clause {
             let _ = write!(out, " {}", lit.to_dimacs());
         }
         out.push_str(" 0\n");
     }
     for soft in formula.soft_clauses() {
         let _ = write!(out, "{}", soft.weight);
-        for &lit in soft.clause.lits() {
+        for &lit in soft.clause {
             let _ = write!(out, " {}", lit.to_dimacs());
         }
         out.push_str(" 0\n");
@@ -268,6 +268,13 @@ impl Header {
     fn wrong_format(&self) -> ParseDimacsError {
         ParseDimacsError::new(self.line, ParseDimacsErrorKind::BadHeader)
     }
+
+    /// The declared clause count, trusted up to the most clauses `text`
+    /// can hold (every clause takes at least two bytes), so that sizing
+    /// a store from a hostile count costs nothing.
+    fn clause_capacity(&self, text: &str) -> usize {
+        self.num_clauses.min(text.len() / 2)
+    }
 }
 
 /// How a text opens: with a `p` header, or as new-format WCNF whose
@@ -280,7 +287,8 @@ enum Start<'a> {
 /// The scanner under every dialect. It hands out tokens as slices of the
 /// text, skipping comment and blank lines, and counts lines as
 /// `str::lines` does. Tokens parse with `str::parse`, except the common
-/// literals that `quick_literal` reads.
+/// literals that `quick_literal` reads. Literals go straight into the
+/// clause store the body names.
 ///
 /// Lines are read as `str::trim` and `str::split_ascii_whitespace` read
 /// them, but byte by byte. The two differ only on whitespace that `trim`
@@ -298,8 +306,6 @@ struct Reader<'a> {
     stop: usize,
     /// The cursor's line, counted from 1 (0 in an empty text).
     line: usize,
-    /// The literals of the clause read last.
-    lits: Vec<Lit>,
 }
 
 impl<'a> Reader<'a> {
@@ -309,7 +315,6 @@ impl<'a> Reader<'a> {
             pos: 0,
             stop: text.len(),
             line: 0,
-            lits: Vec::new(),
         };
         if !text.is_empty() {
             reader.line = 1;
@@ -375,21 +380,20 @@ impl<'a> Reader<'a> {
             .map_err(|_| self.error(ParseDimacsErrorKind::BadWeight(tok.to_string())))
     }
 
-    /// Reads `p cnf` clauses up to the end of the text, handing each to
-    /// `add`.
+    /// Reads `p cnf` clauses up to the end of the text into `store`.
     fn cnf_body(
         &mut self,
         header: &Header,
-        mut add: impl FnMut(&[Lit]),
+        store: &mut ClauseStore,
     ) -> Result<(), ParseDimacsError> {
+        store.reserve(header.clause_capacity(self.text), 0);
         let mut seen = 0usize;
         while let Some(first) = self.next_token() {
-            self.read_lits(Some(first), header.num_vars)?;
+            self.read_lits(Some(first), header.num_vars, store)?;
             if seen == header.num_clauses {
                 return Err(self.error(ParseDimacsErrorKind::TooManyClauses));
             }
             seen += 1;
-            add(&self.lits);
         }
         Ok(())
     }
@@ -397,27 +401,40 @@ impl<'a> Reader<'a> {
     /// Reads classic `p wcnf` clauses up to the end of the text.
     fn wcnf_body(&mut self, header: &Header) -> Result<WcnfFormula, ParseDimacsError> {
         let mut formula = WcnfFormula::with_vars(header.num_vars);
+        // Without a `top` every clause is soft; with one, the split
+        // between the two stores is unknown until the clauses are read.
+        if header.top.is_none() {
+            let capacity = header.clause_capacity(self.text);
+            formula.soft.reserve(capacity, 0);
+            formula.weights.reserve(capacity);
+        }
         let mut seen = 0usize;
         while let Some(first) = self.next_token() {
             let weight = self.weight(first)?;
             if weight == 0 {
                 return Err(self.error(ParseDimacsErrorKind::BadWeight(first.to_string())));
             }
-            self.read_lits(None, header.num_vars)?;
+            let hard = Some(weight) == header.top;
+            let store = if hard {
+                &mut formula.hard
+            } else {
+                &mut formula.soft
+            };
+            self.read_lits(None, header.num_vars, store)?;
             if seen == header.num_clauses {
                 return Err(self.error(ParseDimacsErrorKind::TooManyClauses));
             }
             seen += 1;
-            if Some(weight) == header.top {
-                formula.add_hard(self.lits.iter().copied());
-            } else if weight == HARD_WEIGHT {
+            if hard {
+                continue;
+            }
+            if weight == HARD_WEIGHT {
                 // The hard-weight sentinel cannot be stored as a soft
                 // weight; a classic file using it without declaring it
                 // as `top` is malformed.
                 return Err(self.error(ParseDimacsErrorKind::BadWeight(weight.to_string())));
-            } else {
-                formula.add_soft(self.lits.iter().copied(), weight);
             }
+            formula.weights.push(weight);
         }
         Ok(formula)
     }
@@ -440,25 +457,32 @@ impl<'a> Reader<'a> {
             };
             // No declared variable count: literals are bounded only by
             // the representable range, and the formula grows on demand.
-            self.read_lits(None, MAX_VARS)?;
             match weight {
-                None => formula.add_hard(self.lits.iter().copied()),
-                Some(w) => formula.add_soft(self.lits.iter().copied(), w),
+                None => self.read_lits(None, MAX_VARS, &mut formula.hard)?,
+                Some(w) => {
+                    self.read_lits(None, MAX_VARS, &mut formula.soft)?;
+                    formula.weights.push(w);
+                }
             }
             next = self.next_token();
         }
+        formula.num_vars = formula
+            .hard
+            .iter()
+            .chain(&formula.soft)
+            .fold(0, |n, c| grown_range(n, &c));
         Ok(formula)
     }
 
-    /// Reads literals up to the clause's terminating `0` into
-    /// `self.lits`. `first` is the clause's first literal token when the
-    /// caller has already taken it.
+    /// Reads literals up to the clause's terminating `0` into `store` as
+    /// its next clause. `first` is the clause's first literal token when
+    /// the caller has already taken it.
     fn read_lits(
         &mut self,
         first: Option<&'a str>,
         num_vars: usize,
+        store: &mut ClauseStore,
     ) -> Result<(), ParseDimacsError> {
-        self.lits.clear();
         let mut next = first;
         loop {
             let value = match next.take() {
@@ -474,6 +498,7 @@ impl<'a> Reader<'a> {
                 },
             };
             if value == 0 {
+                store.close_clause();
                 return Ok(());
             }
             let var = value.unsigned_abs();
@@ -481,7 +506,7 @@ impl<'a> Reader<'a> {
                 return Err(self.error(ParseDimacsErrorKind::VariableOutOfRange(value)));
             }
             // `num_vars <= MAX_VARS`, so the index is representable.
-            self.lits.push(Lit::new(Var::new(var - 1), value > 0));
+            store.push_lit(Lit::new(Var::new(var - 1), value > 0));
         }
     }
 
@@ -741,7 +766,7 @@ mod tests {
         let w = parse_wcnf("p wcnf 2 3 10\n10 1 0\n3 -1 0\n1 2 0\n").unwrap();
         assert_eq!(w.num_hard(), 1);
         assert_eq!(w.num_soft(), 2);
-        assert_eq!(w.soft_clauses()[0].weight, 3);
+        assert_eq!(w.soft(0).weight, 3);
     }
 
     #[test]
@@ -788,8 +813,8 @@ mod tests {
         let w = parse_wcnf("p wcnf 1 2 9\n5 0\n9 1 0\n").unwrap();
         assert_eq!(w.num_soft(), 1);
         assert_eq!(w.num_hard(), 1);
-        assert!(w.soft_clauses()[0].clause.is_empty());
-        assert_eq!(w.soft_clauses()[0].weight, 5);
+        assert!(w.soft(0).clause.is_empty());
+        assert_eq!(w.soft(0).weight, 5);
     }
 
     #[test]
@@ -824,7 +849,7 @@ mod tests {
         let w = parse_wcnf("p wcnf 1 3 1000\n1000 1 0\n999 -1 0\n1 1 0\n").unwrap();
         assert_eq!(w.num_hard(), 1);
         assert_eq!(w.num_soft(), 2);
-        assert_eq!(w.soft_clauses()[0].weight, 999);
+        assert_eq!(w.soft(0).weight, 999);
     }
 
     #[test]
@@ -834,7 +859,7 @@ mod tests {
         let w = parse_wcnf("p wcnf 1 2 10\n11 1 0\n10 -1 0\n").unwrap();
         assert_eq!(w.num_hard(), 1);
         assert_eq!(w.num_soft(), 1);
-        assert_eq!(w.soft_clauses()[0].weight, 11);
+        assert_eq!(w.soft(0).weight, 11);
     }
 
     #[test]
@@ -844,7 +869,7 @@ mod tests {
         assert_eq!(f.num_clauses(), 2);
         let w = parse_wcnf("c crlf\r\np wcnf 2 2 9\r\n9 1 0\r\n4 -2 0\r\n").unwrap();
         assert_eq!(w.num_hard(), 1);
-        assert_eq!(w.soft_clauses()[0].weight, 4);
+        assert_eq!(w.soft(0).weight, 4);
     }
 
     #[test]
@@ -860,9 +885,9 @@ mod tests {
         assert_eq!(w.num_hard(), 2);
         assert_eq!(w.num_soft(), 2);
         assert_eq!(w.num_vars(), 2);
-        assert_eq!(w.soft_clauses()[0].weight, 3);
-        assert_eq!(w.soft_clauses()[1].weight, 1);
-        assert_eq!(w.hard_clauses()[0].lits()[1].to_dimacs(), 2);
+        assert_eq!(w.soft(0).weight, 3);
+        assert_eq!(w.soft(1).weight, 1);
+        assert_eq!(w.hard(0).lits()[1].to_dimacs(), 2);
     }
 
     #[test]
@@ -875,19 +900,19 @@ mod tests {
     fn new_format_multiline_and_crlf() {
         let w = parse_wcnf("h 1 2\r\n3 0\r\n5 -1\r\n-2 0\r\n").unwrap();
         assert_eq!(w.num_hard(), 1);
-        assert_eq!(w.hard_clauses()[0].len(), 3);
+        assert_eq!(w.hard(0).len(), 3);
         assert_eq!(w.num_soft(), 1);
-        assert_eq!(w.soft_clauses()[0].clause.len(), 2);
+        assert_eq!(w.soft(0).clause.len(), 2);
     }
 
     #[test]
     fn new_format_empty_clauses() {
         let w = parse_wcnf("h 0\n4 0\n").unwrap();
         assert_eq!(w.num_hard(), 1);
-        assert!(w.hard_clauses()[0].is_empty());
+        assert!(w.hard(0).is_empty());
         assert_eq!(w.num_soft(), 1);
-        assert!(w.soft_clauses()[0].clause.is_empty());
-        assert_eq!(w.soft_clauses()[0].weight, 4);
+        assert!(w.soft(0).clause.is_empty());
+        assert_eq!(w.soft(0).weight, 4);
     }
 
     #[test]
@@ -910,8 +935,8 @@ mod tests {
     fn new_format_agrees_with_classic() {
         let classic = parse_wcnf("p wcnf 3 3 10\n10 1 2 0\n5 -1 0\n1 3 0\n").unwrap();
         let modern = parse_wcnf("h 1 2 0\n5 -1 0\n1 3 0\n").unwrap();
-        assert_eq!(classic.hard_clauses(), modern.hard_clauses());
-        assert_eq!(classic.soft_clauses(), modern.soft_clauses());
+        assert!(classic.hard_clauses().eq(modern.hard_clauses()));
+        assert!(classic.soft_clauses().eq(modern.soft_clauses()));
     }
 
     #[test]
@@ -972,11 +997,11 @@ mod tests {
         let mut w = WcnfFormula::new();
         w.add_soft([Lit::from_dimacs(1).unwrap()], crate::HARD_WEIGHT - 1);
         let via_new = parse_wcnf(&write_wcnf_new(&w)).unwrap();
-        assert_eq!(via_new.soft_clauses()[0].weight, crate::HARD_WEIGHT - 1);
+        assert_eq!(via_new.soft(0).weight, crate::HARD_WEIGHT - 1);
         // The classic writer saturates its top at u64::MAX, which still
         // exceeds no soft weight ambiguity: weight != top stays soft.
         let via_classic = parse_wcnf(&write_wcnf(&w)).unwrap();
-        assert_eq!(via_classic.soft_clauses()[0].weight, crate::HARD_WEIGHT - 1);
+        assert_eq!(via_classic.soft(0).weight, crate::HARD_WEIGHT - 1);
         assert_eq!(via_classic.num_hard(), 0);
     }
 

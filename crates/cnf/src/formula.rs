@@ -2,9 +2,10 @@
 
 use std::fmt;
 
-use crate::{Assignment, Clause, Lit, Var};
+use crate::{Assignment, Clause, ClauseStore, Clauses, Lit, Var};
 
-/// A CNF formula: a conjunction of [`Clause`]s over a dense variable range.
+/// A CNF formula: a conjunction of [`Clause`]s over a dense variable
+/// range, held in one [`ClauseStore`].
 ///
 /// The formula tracks the number of variables explicitly so that
 /// variables may exist without occurring in any clause (useful for
@@ -21,11 +22,12 @@ use crate::{Assignment, Clause, Lit, Var};
 /// cnf.add_clause([Lit::negative(x)]);
 /// assert_eq!(cnf.num_vars(), 2);
 /// assert_eq!(cnf.num_clauses(), 2);
+/// assert_eq!(cnf.clause(1).lits(), [Lit::negative(x)]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CnfFormula {
     num_vars: usize,
-    clauses: Vec<Clause>,
+    pub(crate) clauses: ClauseStore,
 }
 
 impl CnfFormula {
@@ -40,7 +42,7 @@ impl CnfFormula {
     pub fn with_vars(num_vars: usize) -> Self {
         CnfFormula {
             num_vars,
-            clauses: Vec::new(),
+            clauses: ClauseStore::new(),
         }
     }
 
@@ -87,28 +89,25 @@ impl CnfFormula {
     where
         I: IntoIterator<Item = Lit>,
     {
-        let clause = Clause::from_lits(lits);
-        for &l in clause.lits() {
-            self.ensure_var(l.var());
-        }
-        self.clauses.push(clause);
+        self.num_vars = grown_range(self.num_vars, self.clauses.push(lits));
         self.clauses.len() - 1
     }
 
     /// Returns the clause at `index`.
     #[must_use]
-    pub fn clause(&self, index: usize) -> &Clause {
-        &self.clauses[index]
-    }
-
-    /// All clauses.
-    #[must_use]
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
+    pub fn clause(&self, index: usize) -> Clause<'_> {
+        self.clauses.get(index)
     }
 
     /// Iterates over the clauses.
-    pub fn iter(&self) -> std::slice::Iter<'_, Clause> {
+    #[must_use]
+    pub fn clauses(&self) -> Clauses<'_> {
+        self.clauses.iter()
+    }
+
+    /// Iterates over the clauses (the same as [`CnfFormula::clauses`]).
+    #[must_use]
+    pub fn iter(&self) -> Clauses<'_> {
         self.clauses.iter()
     }
 
@@ -150,26 +149,25 @@ impl CnfFormula {
     }
 }
 
-impl FromIterator<Clause> for CnfFormula {
-    fn from_iter<I: IntoIterator<Item = Clause>>(iter: I) -> Self {
+/// The variable range `num_vars` grown to cover `lits`.
+pub(crate) fn grown_range(num_vars: usize, lits: &[Lit]) -> usize {
+    lits.iter()
+        .map(|l| l.var().index() + 1)
+        .fold(num_vars, usize::max)
+}
+
+impl<'a> FromIterator<Clause<'a>> for CnfFormula {
+    fn from_iter<I: IntoIterator<Item = Clause<'a>>>(iter: I) -> Self {
         let mut f = CnfFormula::new();
-        for c in iter {
-            for &l in c.lits() {
-                f.ensure_var(l.var());
-            }
-            f.clauses.push(c);
-        }
+        f.extend(iter);
         f
     }
 }
 
-impl Extend<Clause> for CnfFormula {
-    fn extend<I: IntoIterator<Item = Clause>>(&mut self, iter: I) {
+impl<'a> Extend<Clause<'a>> for CnfFormula {
+    fn extend<I: IntoIterator<Item = Clause<'a>>>(&mut self, iter: I) {
         for c in iter {
-            for &l in c.lits() {
-                self.ensure_var(l.var());
-            }
-            self.clauses.push(c);
+            self.add_clause(c.iter().copied());
         }
     }
 }
@@ -259,13 +257,27 @@ mod tests {
 
     #[test]
     fn from_and_extend() {
-        let c1 = Clause::from_lits([lit(1)]);
-        let c2 = Clause::from_lits([lit(-2), lit(3)]);
-        let mut f: CnfFormula = [c1].into_iter().collect();
+        let (c1, c2) = ([lit(1)], [lit(-2), lit(3)]);
+        let mut f: CnfFormula = [Clause::new(&c1)].into_iter().collect();
         assert_eq!(f.num_vars(), 1);
-        f.extend([c2]);
+        f.extend([Clause::new(&c2)]);
         assert_eq!(f.num_vars(), 3);
         assert_eq!(f.num_clauses(), 2);
+        // A formula's own clauses copy into another.
+        let g: CnfFormula = f.clauses().collect();
+        assert_eq!(f, g);
+    }
+
+    #[test]
+    fn clauses_come_back_in_insertion_order() {
+        let mut f = CnfFormula::new();
+        f.add_clause([lit(1)]);
+        f.add_clause([]);
+        f.add_clause([lit(-2), lit(3)]);
+        assert_eq!(f.num_vars(), 3);
+        let all: Vec<&[Lit]> = f.clauses().map(Clause::lits).collect();
+        assert_eq!(all, [&[lit(1)][..], &[], &[lit(-2), lit(3)]]);
+        assert_eq!(f.clause(2).lits(), [lit(-2), lit(3)]);
     }
 
     #[test]
@@ -273,6 +285,7 @@ mod tests {
         let mut f = CnfFormula::new();
         f.add_clause([lit(1)]);
         f.add_clause([lit(-2)]);
-        assert_eq!(f.to_string(), "(x1) ∧ (¬x2)");
+        f.add_clause([]);
+        assert_eq!(f.to_string(), "(x1) ∧ (¬x2) ∧ ⊥");
     }
 }

@@ -1,15 +1,28 @@
 //! CNF and weighted CNF formula types for the `coremax` MaxSAT suite.
 //!
 //! This crate is the foundation of the workspace: it defines the
-//! propositional vocabulary ([`Var`], [`Lit`]), clause and formula
-//! containers ([`Clause`], [`CnfFormula`], [`WcnfFormula`]), truth
-//! assignments ([`Assignment`]), and DIMACS text I/O ([`dimacs`]).
+//! propositional vocabulary ([`Var`], [`Lit`]), the formula types
+//! ([`CnfFormula`], [`WcnfFormula`]) and the clause store behind them
+//! ([`ClauseStore`], handing out [`Clause`] views), truth assignments
+//! ([`Assignment`]), and DIMACS text I/O ([`dimacs`]).
 //!
 //! The representation follows the conventions of modern CDCL solvers
 //! (MiniSAT lineage): variables are dense non-negative integers, and a
 //! literal is a variable paired with a sign, packed into a single `u32`
 //! so that `lit.index()` can be used directly as an array index for
 //! watch lists and saved phases.
+//!
+//! # One clause store from bytes to engine
+//!
+//! A formula keeps its clauses back to back in one literal arena with
+//! one end offset per clause: a [`CnfFormula`] in one [`ClauseStore`], a
+//! [`WcnfFormula`] its hard clauses in one and its soft clauses, beside
+//! their weights, in another. No clause is an allocation of its own.
+//! The DIMACS reader writes each literal straight into the store, the
+//! simplifier (`coremax_simp`) reads clauses as slices and writes its
+//! output into fresh stores, and the engine
+//! (`coremax_sat::IncrementalSolver::add_softs`) loads a formula's soft
+//! clauses as one batch.
 //!
 //! # Examples
 //!
@@ -43,6 +56,7 @@ mod error;
 mod formula;
 mod lit;
 pub mod simp;
+mod store;
 mod wcnf;
 
 pub use assignment::Assignment;
@@ -50,4 +64,5 @@ pub use clause::Clause;
 pub use error::{ParseDimacsError, ParseDimacsErrorKind};
 pub use formula::CnfFormula;
 pub use lit::{Lit, Var};
-pub use wcnf::{SoftClause, WcnfFormula, Weight, WeightStratum, HARD_WEIGHT};
+pub use store::{ClauseStore, Clauses};
+pub use wcnf::{SoftClause, SoftClauses, WcnfFormula, Weight, WeightStratum, HARD_WEIGHT};

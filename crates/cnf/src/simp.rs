@@ -61,7 +61,7 @@ impl VarMap {
     #[must_use]
     pub fn from_kept(keep: &[bool]) -> Self {
         let mut old_to_new = Vec::with_capacity(keep.len());
-        let mut new_to_old = Vec::new();
+        let mut new_to_old = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
         for (old, &kept) in keep.iter().enumerate() {
             if kept {
                 old_to_new.push(Some(Var::new(new_to_old.len() as u32)));

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use crate::{Assignment, Clause, CnfFormula, Lit, Var};
+use crate::formula::grown_range;
+use crate::{Assignment, Clause, ClauseStore, Clauses, CnfFormula, Lit, Var};
 
 /// Clause weight for weighted (partial) MaxSAT.
 pub type Weight = u64;
@@ -10,14 +11,39 @@ pub type Weight = u64;
 /// Weight sentinel used by WCNF "top": clauses with this weight are hard.
 pub const HARD_WEIGHT: Weight = Weight::MAX;
 
-/// A soft clause: a clause together with a positive weight.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SoftClause {
+/// A soft clause as a [`WcnfFormula`] hands it out: the clause, a view
+/// of the formula's soft-clause store, together with its weight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SoftClause<'a> {
     /// The clause itself.
-    pub clause: Clause,
+    pub clause: Clause<'a>,
     /// Cost of falsifying the clause (must be ≥ 1).
     pub weight: Weight,
 }
+
+/// Iterator over the soft clauses of a [`WcnfFormula`].
+#[derive(Debug, Clone)]
+pub struct SoftClauses<'a> {
+    clauses: Clauses<'a>,
+    weights: std::slice::Iter<'a, Weight>,
+}
+
+impl<'a> Iterator for SoftClauses<'a> {
+    type Item = SoftClause<'a>;
+
+    fn next(&mut self) -> Option<SoftClause<'a>> {
+        Some(SoftClause {
+            clause: self.clauses.next()?,
+            weight: *self.weights.next()?,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.clauses.size_hint()
+    }
+}
+
+impl ExactSizeIterator for SoftClauses<'_> {}
 
 /// One weight stratum of a [`WcnfFormula`]: the weight shared by a
 /// group of soft clauses together with their indices into
@@ -41,6 +67,10 @@ impl WeightStratum {
 /// A weighted partial CNF formula: hard clauses that must be satisfied
 /// plus soft clauses with falsification costs.
 ///
+/// The hard clauses live in one [`ClauseStore`] and the soft clauses in
+/// another, beside their weights, so clause order within each kind is
+/// insertion order and no clause is an allocation of its own.
+///
 /// Plain (unweighted) MaxSAT is the special case "no hard clauses, all
 /// weights 1"; partial MaxSAT allows hard clauses; weighted variants
 /// carry arbitrary weights. All four standard MaxSAT flavours are
@@ -59,9 +89,11 @@ impl WeightStratum {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WcnfFormula {
-    num_vars: usize,
-    hard: Vec<Clause>,
-    soft: Vec<SoftClause>,
+    pub(crate) num_vars: usize,
+    pub(crate) hard: ClauseStore,
+    pub(crate) soft: ClauseStore,
+    /// The weight of each soft clause, by its index in `soft`.
+    pub(crate) weights: Vec<Weight>,
 }
 
 impl WcnfFormula {
@@ -80,18 +112,47 @@ impl WcnfFormula {
         }
     }
 
+    /// Assembles a formula from its clause stores: the hard clauses, the
+    /// soft clauses and the weight of each soft clause, in order. The
+    /// variable range is `num_vars`, grown to cover every literal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` and `soft` differ in length, or a weight is 0
+    /// or [`HARD_WEIGHT`], as [`WcnfFormula::add_soft`] does.
+    #[must_use]
+    pub fn from_stores(
+        num_vars: usize,
+        hard: ClauseStore,
+        soft: ClauseStore,
+        weights: Vec<Weight>,
+    ) -> Self {
+        assert_eq!(weights.len(), soft.len(), "one weight per soft clause");
+        for &w in &weights {
+            check_soft_weight(w);
+        }
+        let num_vars = hard
+            .iter()
+            .chain(&soft)
+            .fold(num_vars, |n, c| grown_range(n, c.lits()));
+        WcnfFormula {
+            num_vars,
+            hard,
+            soft,
+            weights,
+        }
+    }
+
     /// Builds a plain MaxSAT instance: every clause of `cnf` becomes a
     /// soft clause of weight 1; there are no hard clauses.
     #[must_use]
     pub fn from_cnf_all_soft(cnf: &CnfFormula) -> Self {
-        let mut w = WcnfFormula::with_vars(cnf.num_vars());
-        for c in cnf.iter() {
-            w.soft.push(SoftClause {
-                clause: c.clone(),
-                weight: 1,
-            });
+        WcnfFormula {
+            num_vars: cnf.num_vars(),
+            hard: ClauseStore::new(),
+            soft: cnf.clauses.clone(),
+            weights: vec![1; cnf.num_clauses()],
         }
-        w
     }
 
     /// Allocates and returns a fresh variable.
@@ -116,11 +177,7 @@ impl WcnfFormula {
 
     /// Adds a hard clause.
     pub fn add_hard<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        let clause = Clause::from_lits(lits);
-        for &l in clause.lits() {
-            self.ensure_var(l.var());
-        }
-        self.hard.push(clause);
+        self.num_vars = grown_range(self.num_vars, self.hard.push(lits));
     }
 
     /// Adds a soft clause with the given weight.
@@ -130,16 +187,9 @@ impl WcnfFormula {
     /// Panics if `weight == 0` or `weight == HARD_WEIGHT` (use
     /// [`WcnfFormula::add_hard`] for hard clauses).
     pub fn add_soft<I: IntoIterator<Item = Lit>>(&mut self, lits: I, weight: Weight) {
-        assert!(weight > 0, "soft clause weight must be positive");
-        assert!(
-            weight != HARD_WEIGHT,
-            "HARD_WEIGHT is reserved; use add_hard"
-        );
-        let clause = Clause::from_lits(lits);
-        for &l in clause.lits() {
-            self.ensure_var(l.var());
-        }
-        self.soft.push(SoftClause { clause, weight });
+        check_soft_weight(weight);
+        self.num_vars = grown_range(self.num_vars, self.soft.push(lits));
+        self.weights.push(weight);
     }
 
     /// Number of hard clauses.
@@ -160,16 +210,42 @@ impl WcnfFormula {
         self.hard.len() + self.soft.len()
     }
 
-    /// The hard clauses.
+    /// Iterates over the hard clauses.
     #[must_use]
-    pub fn hard_clauses(&self) -> &[Clause] {
-        &self.hard
+    pub fn hard_clauses(&self) -> Clauses<'_> {
+        self.hard.iter()
     }
 
-    /// The soft clauses.
+    /// Iterates over the soft clauses with their weights.
     #[must_use]
-    pub fn soft_clauses(&self) -> &[SoftClause] {
-        &self.soft
+    pub fn soft_clauses(&self) -> SoftClauses<'_> {
+        SoftClauses {
+            clauses: self.soft.iter(),
+            weights: self.weights.iter(),
+        }
+    }
+
+    /// The hard clause at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.num_hard()`.
+    #[must_use]
+    pub fn hard(&self, index: usize) -> Clause<'_> {
+        self.hard.get(index)
+    }
+
+    /// The soft clause at `index`, with its weight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.num_soft()`.
+    #[must_use]
+    pub fn soft(&self, index: usize) -> SoftClause<'_> {
+        SoftClause {
+            clause: self.soft.get(index),
+            weight: self.weights[index],
+        }
     }
 
     /// Sum of all soft weights (the cost of falsifying everything),
@@ -178,9 +254,9 @@ impl WcnfFormula {
     /// conservative bound, never to a silently smaller total.
     #[must_use]
     pub fn total_soft_weight(&self) -> Weight {
-        self.soft
+        self.weights
             .iter()
-            .fold(0, |acc: Weight, s| acc.saturating_add(s.weight))
+            .fold(0, |acc: Weight, &w| acc.saturating_add(w))
     }
 
     /// Sum of all soft weights, or `None` if the total overflows
@@ -189,16 +265,16 @@ impl WcnfFormula {
     /// *reject* rather than cap.
     #[must_use]
     pub fn checked_total_soft_weight(&self) -> Option<Weight> {
-        self.soft
+        self.weights
             .iter()
-            .try_fold(0, |acc: Weight, s| acc.checked_add(s.weight))
+            .try_fold(0, |acc: Weight, &w| acc.checked_add(w))
     }
 
     /// The distinct soft-clause weights in strictly decreasing order —
     /// the stratum boundaries weight-aware solvers iterate over.
     #[must_use]
     pub fn distinct_soft_weights(&self) -> Vec<Weight> {
-        let mut weights: Vec<Weight> = self.soft.iter().map(|s| s.weight).collect();
+        let mut weights = self.weights.clone();
         weights.sort_unstable_by(|a, b| b.cmp(a));
         weights.dedup();
         weights
@@ -208,7 +284,7 @@ impl WcnfFormula {
     /// clauses.
     #[must_use]
     pub fn max_soft_weight(&self) -> Option<Weight> {
-        self.soft.iter().map(|s| s.weight).max()
+        self.weights.iter().copied().max()
     }
 
     /// Partitions the soft clauses into weight strata, heaviest first.
@@ -236,10 +312,10 @@ impl WcnfFormula {
         // Single sort + adjacent grouping: weight_strata runs on every
         // stratified solve, so avoid a per-distinct-weight scan.
         let mut by_weight: Vec<(Weight, usize)> = self
-            .soft
+            .weights
             .iter()
             .enumerate()
-            .map(|(i, s)| (s.weight, i))
+            .map(|(i, &w)| (w, i))
             .collect();
         by_weight.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut strata: Vec<WeightStratum> = Vec::new();
@@ -258,7 +334,7 @@ impl WcnfFormula {
     /// Returns `true` if all soft clauses have weight 1.
     #[must_use]
     pub fn is_unweighted(&self) -> bool {
-        self.soft.iter().all(|s| s.weight == 1)
+        self.weights.iter().all(|&w| w == 1)
     }
 
     /// Returns `true` if there are no hard clauses.
@@ -279,8 +355,7 @@ impl WcnfFormula {
             }
         }
         Some(
-            self.soft
-                .iter()
+            self.soft_clauses()
                 .filter(|s| !s.clause.is_satisfied_by(assignment))
                 .fold(0, |acc: Weight, s| acc.saturating_add(s.weight)),
         )
@@ -298,7 +373,7 @@ impl WcnfFormula {
         Some(
             self.soft
                 .iter()
-                .filter(|s| s.clause.is_satisfied_by(assignment))
+                .filter(|s| s.is_satisfied_by(assignment))
                 .count(),
         )
     }
@@ -310,14 +385,24 @@ impl WcnfFormula {
     #[must_use]
     pub fn to_cnf(&self) -> CnfFormula {
         let mut f = CnfFormula::with_vars(self.num_vars);
-        for c in &self.hard {
-            f.add_clause(c.lits().iter().copied());
-        }
-        for s in &self.soft {
-            f.add_clause(s.clause.lits().iter().copied());
+        f.clauses.reserve(
+            self.num_clauses(),
+            self.hard.num_lits() + self.soft.num_lits(),
+        );
+        for c in self.hard.iter().chain(&self.soft) {
+            f.clauses.push(c.iter().copied());
         }
         f
     }
+}
+
+/// Panics unless `weight` can weigh a soft clause.
+fn check_soft_weight(weight: Weight) {
+    assert!(weight > 0, "soft clause weight must be positive");
+    assert!(
+        weight != HARD_WEIGHT,
+        "HARD_WEIGHT is reserved; use add_hard"
+    );
 }
 
 impl fmt::Display for WcnfFormula {
@@ -467,6 +552,25 @@ mod tests {
         let a = Assignment::from_bools(&[false]);
         assert_eq!(w.cost(&a), Some(8));
         assert_eq!(w.weight_strata().len(), 2);
+    }
+
+    #[test]
+    fn assembled_from_stores_like_built_clause_by_clause() {
+        let mut built = WcnfFormula::with_vars(1);
+        built.add_hard([lit(1), lit(2)]);
+        built.add_soft([lit(-3)], 4);
+        let (mut hard, mut soft) = (ClauseStore::new(), ClauseStore::new());
+        hard.push([lit(1), lit(2)]);
+        soft.push([lit(-3)]);
+        assert_eq!(WcnfFormula::from_stores(1, hard, soft, vec![4]), built);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight must be positive")]
+    fn assembled_soft_weights_are_checked() {
+        let mut soft = ClauseStore::new();
+        soft.push([lit(1)]);
+        let _ = WcnfFormula::from_stores(1, ClauseStore::new(), soft, vec![0]);
     }
 
     #[test]

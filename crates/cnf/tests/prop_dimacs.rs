@@ -49,10 +49,10 @@ proptest! {
         let parsed = dimacs::parse_wcnf(&text).expect("own output must parse");
         prop_assert_eq!(w.num_hard(), parsed.num_hard());
         prop_assert_eq!(w.num_soft(), parsed.num_soft());
-        for (a, b) in w.soft_clauses().iter().zip(parsed.soft_clauses()) {
+        for (a, b) in w.soft_clauses().zip(parsed.soft_clauses()) {
             prop_assert_eq!(a, b);
         }
-        for (a, b) in w.hard_clauses().iter().zip(parsed.hard_clauses()) {
+        for (a, b) in w.hard_clauses().zip(parsed.hard_clauses()) {
             prop_assert_eq!(a, b);
         }
     }
@@ -71,12 +71,12 @@ proptest! {
         }
         let text = dimacs::write_wcnf_new(&w);
         let parsed = dimacs::parse_wcnf(&text).expect("own output must parse");
-        prop_assert_eq!(w.hard_clauses(), parsed.hard_clauses());
-        prop_assert_eq!(w.soft_clauses(), parsed.soft_clauses());
+        prop_assert!(w.hard_clauses().eq(parsed.hard_clauses()));
+        prop_assert!(w.soft_clauses().eq(parsed.soft_clauses()));
         // Cross-dialect agreement: both writers describe one formula.
         let via_classic = dimacs::parse_wcnf(&dimacs::write_wcnf(&w)).expect("classic");
-        prop_assert_eq!(via_classic.hard_clauses(), parsed.hard_clauses());
-        prop_assert_eq!(via_classic.soft_clauses(), parsed.soft_clauses());
+        prop_assert!(via_classic.hard_clauses().eq(parsed.hard_clauses()));
+        prop_assert!(via_classic.soft_clauses().eq(parsed.soft_clauses()));
         prop_assert_eq!(via_classic.total_soft_weight(), parsed.total_soft_weight());
     }
 

@@ -326,7 +326,7 @@ proptest! {
         prop_assert_eq!(dimacs::parse_cnf(&text).unwrap(), f.clone());
         let w = dimacs::parse_maxsat(&text).unwrap();
         prop_assert_eq!(w.num_hard(), 0);
-        prop_assert!(w.soft_clauses().iter().all(|s| s.weight == 1));
+        prop_assert!(w.soft_clauses().all(|s| s.weight == 1));
         prop_assert_eq!(w, WcnfFormula::from_cnf_all_soft(&f));
     }
 
@@ -354,7 +354,8 @@ proptest! {
 fn huge_header_counts_over_short_bodies() {
     // Headers can declare 2^31 - 1 variables and u64::MAX clauses in a
     // few bytes, and a headerless literal can name the two-billionth
-    // variable; the reader sizes nothing from them.
+    // variable; the reader sizes nothing from them beyond what the
+    // text can hold.
     for text in [
         "h 1 2000000000 0\n",
         "p cnf 2147483647 18446744073709551615\n1 -2147483647 0\n",
@@ -367,10 +368,7 @@ fn huge_header_counts_over_short_bodies() {
     }
     let w = dimacs::parse_maxsat("p cnf 2147483647 18446744073709551615\n-2147483647 0\n").unwrap();
     assert_eq!(w.num_vars(), 2_147_483_647);
-    assert_eq!(
-        w.soft_clauses()[0].clause.lits()[0].to_dimacs(),
-        -2_147_483_647
-    );
+    assert_eq!(w.soft(0).clause.lits()[0].to_dimacs(), -2_147_483_647);
     let w = dimacs::parse_maxsat("h 1 2000000000 0\n").unwrap();
     assert_eq!((w.num_vars(), w.num_hard()), (2_000_000_000, 1));
 }

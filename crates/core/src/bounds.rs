@@ -3,7 +3,7 @@
 //! formula.
 
 use coremax_cnf::{CnfFormula, Lit};
-use coremax_sat::{Budget, IncrementalSolver, SolveOutcome};
+use coremax_sat::{Budget, IncrementalSolver, SoftId, SolveOutcome};
 
 /// The result of a disjoint-core analysis (Proposition 1).
 #[derive(Debug, Clone)]
@@ -53,9 +53,9 @@ pub fn disjoint_core_analysis(formula: &CnfFormula, budget: &Budget) -> Disjoint
     let mut engine = IncrementalSolver::new();
     engine.ensure_vars(formula.num_vars());
     engine.set_budget(child_budget.clone());
-    let handles: Vec<_> = formula
-        .iter()
-        .map(|c| engine.add_soft(c.lits().iter().copied()))
+    let handles: Vec<_> = engine
+        .add_softs(formula.iter().map(|c| c.lits().iter().copied()))
+        .map(SoftId)
         .collect();
 
     loop {

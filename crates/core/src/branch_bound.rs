@@ -397,8 +397,8 @@ fn up_inconsistency(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dpll::dpll_max_satisfiable;
     use coremax_cnf::dimacs;
-    use coremax_sat::dpll_max_satisfiable;
 
     fn unweighted(text: &str) -> WcnfFormula {
         WcnfFormula::from_cnf_all_soft(&dimacs::parse_cnf(text).unwrap())

@@ -45,9 +45,12 @@ pub fn minimize_core(formula: &CnfFormula, core: &[usize], budget: &Budget) -> V
     let mut engine = IncrementalSolver::new();
     engine.ensure_vars(formula.num_vars());
     engine.set_budget(child_budget.clone());
-    let mut handles: Vec<SoftId> = kept
-        .iter()
-        .map(|&idx| engine.add_soft(formula.clause(idx).lits().iter().copied()))
+    let mut handles: Vec<SoftId> = engine
+        .add_softs(
+            kept.iter()
+                .map(|&idx| formula.clause(idx).lits().iter().copied()),
+        )
+        .map(SoftId)
         .collect();
 
     let mut probe = 0usize;
@@ -94,8 +97,8 @@ pub fn minimize_core(formula: &CnfFormula, core: &[usize], budget: &Budget) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dpll::dpll_is_satisfiable;
     use coremax_cnf::dimacs;
-    use coremax_sat::dpll_is_satisfiable;
 
     #[test]
     fn shrinks_to_a_single_contradiction() {

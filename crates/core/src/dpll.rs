@@ -1,18 +1,18 @@
-//! A tiny reference DPLL solver and exhaustive MaxSAT oracle.
+//! A tiny reference DPLL solver and exhaustive MaxSAT oracle for this
+//! crate's unit tests.
 //!
 //! These are deliberately simple (and slow) implementations used to
-//! cross-validate the CDCL solver and the MaxSAT algorithms on small
-//! formulas in tests and property checks. They are part of the public
-//! API because downstream test suites (and the paper's B&B baseline
-//! tests) reuse them.
+//! cross-validate the MaxSAT algorithms on small formulas. They are
+//! test-only: the engine's own tests check it against exhaustive
+//! enumeration (`crates/sat/tests/oracle`), and the repository-level
+//! agreement test uses `coremax_bench::fi::exhaustive_optimum`.
 
 use coremax_cnf::{Assignment, CnfFormula, Var};
 
 /// Decides satisfiability of `formula` by plain DPLL (unit propagation +
 /// chronological backtracking, first-unassigned-variable branching).
 ///
-/// Intended for formulas with up to a few dozen variables; use
-/// [`crate::Solver`] for anything serious.
+/// Intended for formulas with up to a few dozen variables.
 #[must_use]
 pub fn dpll_is_satisfiable(formula: &CnfFormula) -> bool {
     let mut assignment = Assignment::for_vars(formula.num_vars());

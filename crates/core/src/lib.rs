@@ -66,6 +66,8 @@
 mod bounds;
 mod branch_bound;
 mod core_min;
+#[cfg(test)]
+mod dpll;
 mod linear_core;
 mod msu1;
 mod msu4;

@@ -53,9 +53,7 @@ impl LinearCore {
         // no clause is ever re-added. The lower bound is the search's
         // current `k`.
         let mut run = CoreRun::new(wcnf, &self.budget, self.shared.clone());
-        for s in wcnf.soft_clauses() {
-            run.engine.add_soft(s.clause.lits().iter().copied());
-        }
+        run.add_softs();
         let num_soft = wcnf.num_soft();
 
         let mut vb: Vec<Lit> = Vec::new(); // selectors of blocked clauses
@@ -280,9 +278,9 @@ impl MaxSatSolver for Msu2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dpll::dpll_max_satisfiable;
     use crate::MaxSatStatus;
     use coremax_cnf::dimacs;
-    use coremax_sat::dpll_max_satisfiable;
 
     fn unweighted(text: &str) -> WcnfFormula {
         WcnfFormula::from_cnf_all_soft(&dimacs::parse_cnf(text).unwrap())

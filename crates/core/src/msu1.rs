@@ -83,9 +83,9 @@ impl MaxSatSolver for Msu1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dpll::dpll_max_satisfiable;
     use crate::MaxSatStatus;
     use coremax_cnf::{dimacs, Lit};
-    use coremax_sat::dpll_max_satisfiable;
 
     fn unweighted(text: &str) -> WcnfFormula {
         WcnfFormula::from_cnf_all_soft(&dimacs::parse_cnf(text).unwrap())

@@ -181,13 +181,9 @@ impl MaxSatSolver for Msu4 {
         // blocking variable — at most one per clause, by construction).
         // Each soft's assumption literal, to map a core back to its
         // softs in O(|core|) and in the order the engine reports it.
-        let soft_of: HashMap<Lit, SoftId> = wcnf
-            .soft_clauses()
-            .iter()
-            .map(|s| {
-                let id = run.engine.add_soft(s.clause.lits().iter().copied());
-                (run.engine.assumption(id), id)
-            })
+        let soft_of: HashMap<Lit, SoftId> = run
+            .add_softs()
+            .map(|i| (run.engine.assumption(SoftId(i)), SoftId(i)))
             .collect();
         // All blocking literals, in introduction order (the paper's VB).
         let mut vb: Vec<Lit> = Vec::new();
@@ -401,9 +397,9 @@ fn minimize_failed_assumptions(run: &mut CoreRun) -> Vec<Lit> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dpll::dpll_max_satisfiable;
     use crate::MaxSatStatus;
     use coremax_cnf::dimacs;
-    use coremax_sat::dpll_max_satisfiable;
 
     fn unweighted(text: &str) -> WcnfFormula {
         WcnfFormula::from_cnf_all_soft(&dimacs::parse_cnf(text).unwrap())

@@ -96,9 +96,7 @@ impl MaxSatSolver for Msu4Incremental {
             "msu4-inc handles unweighted (partial) MaxSAT; got weighted soft clauses"
         );
         let mut run = CoreRun::new(wcnf, &self.budget, self.shared.clone());
-        for s in wcnf.soft_clauses() {
-            run.engine.add_soft(s.clause.lits().iter().copied());
-        }
+        run.add_softs();
         // ub is the incumbent's cost, or every soft clause before the
         // first model.
         let num_soft = wcnf.num_soft() as Weight;
@@ -177,9 +175,9 @@ impl MaxSatSolver for Msu4Incremental {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dpll::dpll_max_satisfiable;
     use crate::{MaxSatStatus, Msu4};
     use coremax_cnf::dimacs;
-    use coremax_sat::dpll_max_satisfiable;
 
     fn unweighted(text: &str) -> WcnfFormula {
         WcnfFormula::from_cnf_all_soft(&dimacs::parse_cnf(text).unwrap())

@@ -134,8 +134,8 @@ impl MaxSatSolver for Oll {
         // heaviest-distinct-weight first.
         let mut working: HashMap<SoftId, Working> = HashMap::new();
         let mut pending: Vec<(SoftId, Weight)> = Vec::new();
-        for s in wcnf.soft_clauses() {
-            let id = run.engine.add_soft(s.clause.lits().iter().copied());
+        for (i, s) in run.add_softs().zip(wcnf.soft_clauses()) {
+            let id = SoftId(i);
             run.engine.deactivate(id);
             pending.push((id, s.weight));
         }

@@ -103,8 +103,8 @@ impl MaxSatSolver for PboBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dpll::dpll_max_satisfiable;
     use coremax_cnf::{dimacs, Lit};
-    use coremax_sat::dpll_max_satisfiable;
 
     fn unweighted(text: &str) -> WcnfFormula {
         WcnfFormula::from_cnf_all_soft(&dimacs::parse_cnf(text).unwrap())

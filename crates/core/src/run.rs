@@ -11,6 +11,7 @@
 //! through [`CoreRun::optimal`], [`CoreRun::infeasible`] or
 //! [`CoreRun::unknown`], so every driver reports the same way.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use coremax_cards::CnfSink;
@@ -64,6 +65,15 @@ impl<'a> CoreRun<'a> {
             lb: 0,
             incumbent: None,
         }
+    }
+
+    /// Registers every soft clause of the formula with the engine in one
+    /// batch, in formula order, each active under a fresh selector.
+    /// Returns the range of their `SoftId` indices.
+    pub(crate) fn add_softs(&mut self) -> Range<usize> {
+        let wcnf = self.wcnf;
+        self.engine
+            .add_softs(wcnf.soft_clauses().map(|s| s.clause.lits().iter().copied()))
     }
 
     /// Solves under the active softs plus `assumptions`, counting the
@@ -170,15 +180,11 @@ impl<'a> CoreRun<'a> {
     /// The weight of the softs `model` falsifies.
     fn cost(&self, model: &Assignment) -> Weight {
         debug_assert!(
-            self.wcnf
-                .hard_clauses()
-                .iter()
-                .all(|h| h.is_satisfied_by(model)),
+            self.wcnf.hard_clauses().all(|h| h.is_satisfied_by(model)),
             "a model of the working formula satisfies the hard clauses"
         );
         self.wcnf
             .soft_clauses()
-            .iter()
             .filter(|s| !s.clause.is_satisfied_by(model))
             .fold(0, |acc: Weight, s| acc.saturating_add(s.weight))
     }

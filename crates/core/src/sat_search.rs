@@ -10,7 +10,7 @@
 //! only in how the bound on `Σ b` moves.
 
 use coremax_cards::{encode_at_most, CardEncoding};
-use coremax_cnf::{Lit, WcnfFormula};
+use coremax_cnf::{Lit, Var, WcnfFormula};
 use coremax_sat::{Budget, SolveOutcome};
 
 use crate::run::CoreRun;
@@ -22,11 +22,14 @@ use crate::types::{MaxSatSolution, MaxSatSolver};
 /// soft clauses it falsifies, not the blockers it raises.
 fn relaxed_run<'a>(wcnf: &'a WcnfFormula, budget: &Budget) -> (CoreRun<'a>, Vec<Lit>) {
     let mut run = CoreRun::new(wcnf, budget, None);
+    // One blocker per soft, numbered in soft order, grown in one step.
+    let first = run.engine.num_vars();
+    run.engine.ensure_vars(first + wcnf.num_soft());
     let blockers = wcnf
         .soft_clauses()
-        .iter()
-        .map(|soft| {
-            let b = Lit::positive(run.engine.new_var());
+        .zip(first..)
+        .map(|(soft, v)| {
+            let b = Lit::positive(Var::new(v as u32));
             run.engine
                 .add_clause(soft.clause.lits().iter().copied().chain([b]));
             b
@@ -219,9 +222,9 @@ impl MaxSatSolver for BinarySearchSat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dpll::dpll_max_satisfiable;
     use crate::MaxSatStatus;
     use coremax_cnf::{dimacs, Var};
-    use coremax_sat::dpll_max_satisfiable;
 
     fn unweighted(text: &str) -> WcnfFormula {
         WcnfFormula::from_cnf_all_soft(&dimacs::parse_cnf(text).unwrap())

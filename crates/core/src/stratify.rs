@@ -33,7 +33,7 @@
 use std::time::Instant;
 
 use coremax_cards::{encode_at_most, CardEncoding, CnfSink};
-use coremax_cnf::{Lit, Var, WcnfFormula, Weight};
+use coremax_cnf::{ClauseStore, Lit, Var, WcnfFormula, Weight};
 use coremax_pbo::{encode_pb, PbConstraint, PbOp, PbTerm};
 use coremax_sat::{Budget, SharedContext};
 
@@ -199,11 +199,10 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
         }
 
         // Hard clauses accumulate stratum freezes as stages complete.
-        let mut hard: Vec<Vec<Lit>> = wcnf
-            .hard_clauses()
-            .iter()
-            .map(|c| c.lits().to_vec())
-            .collect();
+        let mut hard = ClauseStore::new();
+        for c in wcnf.hard_clauses() {
+            hard.push(c.iter().copied());
+        }
         let mut num_vars = wcnf.num_vars();
         let mut total_cost: Weight = 0;
         let mut model = None;
@@ -259,8 +258,7 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
                 sub.add_hard(h.iter().copied());
             }
             for &(j, w) in &group.clauses {
-                let lits = wcnf.soft_clauses()[j].clause.lits();
-                sub.add_soft(lits.iter().copied(), w / g);
+                sub.add_soft(wcnf.soft(j).clause.iter().copied(), w / g);
             }
 
             // Delegate. A weight-incapable inner solver only ever sees
@@ -315,7 +313,7 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
             if k_units == 0 {
                 // Hardening: the stage proved every clause satisfiable.
                 for &(j, _) in &group.clauses {
-                    hard.push(wcnf.soft_clauses()[j].clause.lits().to_vec());
+                    hard.push(wcnf.soft(j).clause.iter().copied());
                     stats.hardened += 1;
                 }
             } else {
@@ -323,9 +321,7 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
                 for &(j, w) in &group.clauses {
                     let b = Lit::positive(Var::new(num_vars as u32));
                     num_vars += 1;
-                    let mut relaxed = wcnf.soft_clauses()[j].clause.lits().to_vec();
-                    relaxed.push(b);
-                    hard.push(relaxed);
+                    hard.push(wcnf.soft(j).clause.iter().copied().chain([b]));
                     selectors.push((b, w / g));
                     stats.blocking_vars += 1;
                 }
@@ -347,7 +343,9 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
                 num_vars = sink.num_vars();
                 let freeze = sink.into_clauses();
                 stats.cardinality_clauses += freeze.len() as u64;
-                hard.extend(freeze);
+                for c in freeze {
+                    hard.push(c);
+                }
             }
             if stage_budget.interrupted() {
                 let (cost, best) = incumbent(None, &model);

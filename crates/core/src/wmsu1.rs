@@ -106,16 +106,12 @@ impl MaxSatSolver for Wmsu1 {
         // splitting appends residual copies.
         let mut soft: Vec<WorkingSoft> = wcnf
             .soft_clauses()
-            .iter()
             .map(|s| WorkingSoft {
                 lits: s.clause.lits().to_vec(),
                 weight: s.weight,
             })
             .collect();
-        let mut handles: Vec<SoftId> = soft
-            .iter()
-            .map(|s| run.engine.add_soft(s.lits.iter().copied()))
-            .collect();
+        let mut handles: Vec<SoftId> = run.add_softs().map(SoftId).collect();
 
         loop {
             match run.solve(&[]) {

@@ -70,7 +70,7 @@ proptest! {
         for h in w.hard_clauses() {
             shuffled.add_hard(h.lits().iter().copied());
         }
-        let mut softs: Vec<_> = w.soft_clauses().to_vec();
+        let mut softs: Vec<_> = w.soft_clauses().collect();
         // Deterministic Fisher-Yates from the seed.
         let mut state = seed | 1;
         for i in (1..softs.len()).rev() {

@@ -256,7 +256,6 @@ mod tests {
         });
         assert!(pow2
             .soft_clauses()
-            .iter()
             .all(|s| s.weight.is_power_of_two() && s.weight <= 32));
 
         let skew = random_weighted_wcnf(&WeightedConfig {
@@ -268,25 +267,17 @@ mod tests {
             num_soft: 16,
             ..WeightedConfig::default()
         });
-        let heavies = skew
-            .soft_clauses()
-            .iter()
-            .filter(|s| s.weight == 500)
-            .count();
+        let heavies = skew.soft_clauses().filter(|s| s.weight == 500).count();
         assert_eq!(heavies, 4);
         assert!(skew
             .soft_clauses()
-            .iter()
             .all(|s| s.weight == 500 || s.weight <= 3));
 
         let uni = random_weighted_wcnf(&WeightedConfig {
             dist: WeightDist::Uniform { lo: 2, hi: 5 },
             ..WeightedConfig::default()
         });
-        assert!(uni
-            .soft_clauses()
-            .iter()
-            .all(|s| (2..=5).contains(&s.weight)));
+        assert!(uni.soft_clauses().all(|s| (2..=5).contains(&s.weight)));
     }
 
     #[test]

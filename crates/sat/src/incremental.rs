@@ -47,6 +47,8 @@
 //! assert!(engine.is_active(s1));
 //! ```
 
+use std::ops::Range;
+
 use coremax_cnf::{Assignment, Lit, Var};
 
 use crate::budget::Budget;
@@ -179,14 +181,41 @@ impl IncrementalSolver {
 
     /// Registers a soft clause: stores `lits ∨ s` for a fresh selector
     /// `s` and returns its handle. The clause starts *active* (enforced
-    /// via the assumption `¬s` on every solve).
+    /// via the assumption `¬s` on every solve). This is
+    /// [`IncrementalSolver::add_softs`] of one clause.
     pub fn add_soft<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> SoftId {
-        let sel = Lit::positive(self.new_var());
-        let id = SoftId(self.selectors.len());
-        self.selectors.push(sel);
-        self.states.push(SoftState::Active);
-        self.add_clause(lits.into_iter().chain(std::iter::once(sel)));
-        id
+        SoftId(self.add_softs([lits]).start)
+    }
+
+    /// Registers a batch of soft clauses, each as [`add_soft`] does, and
+    /// returns the range of their handles' indices, in batch order
+    /// (`SoftId(i)` for each `i`). The selectors are the next
+    /// variables, one per clause in batch order, and every per-variable
+    /// array of the engine grows once for the whole batch. Literals on
+    /// variables past the selectors are created on demand, after them.
+    ///
+    /// [`add_soft`]: IncrementalSolver::add_soft
+    pub fn add_softs<I>(&mut self, softs: I) -> Range<usize>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: IntoIterator<Item = Lit>,
+    {
+        let softs = softs.into_iter();
+        let first_id = self.selectors.len();
+        let first_var = self.num_vars;
+        let count = softs.len();
+        self.ensure_vars(first_var + count);
+        self.selectors.reserve(count);
+        self.states.reserve(count);
+        for (i, lits) in softs.enumerate() {
+            let sel = Lit::positive(Var::new((first_var + i) as u32));
+            self.selectors.push(sel);
+            self.states.push(SoftState::Active);
+            self.add_clause(lits.into_iter().chain(std::iter::once(sel)));
+        }
+        debug_assert_eq!(self.selectors.len(), first_id + count, "exact batch length");
+        first_id..first_id + count
     }
 
     /// The positive selector literal of a soft clause (`s` in `ω ∨ s`).
@@ -385,6 +414,34 @@ mod tests {
         e.retire(s0);
         assert_eq!(e.solve(&[]), SolveOutcome::Sat);
         assert!(!e.is_active(s1) && !e.formula_refuted());
+    }
+
+    #[test]
+    fn a_batch_registers_like_one_soft_at_a_time() {
+        let clauses: Vec<Vec<Lit>> = (0..5)
+            .map(|i| {
+                vec![
+                    lit(Var::new(i % 3), i % 2 == 0),
+                    lit(Var::new(2 - i % 3), true),
+                ]
+            })
+            .collect();
+        let mut one = IncrementalSolver::new();
+        one.ensure_vars(3);
+        let ids: Vec<SoftId> = clauses.iter().map(|c| one.add_soft(c.clone())).collect();
+        let mut batch = IncrementalSolver::new();
+        batch.ensure_vars(3);
+        let range = batch.add_softs(clauses.iter().map(|c| c.iter().copied()));
+        assert_eq!(range.clone().map(SoftId).collect::<Vec<_>>(), ids);
+        assert_eq!(batch.num_vars(), one.num_vars());
+        for &id in &ids {
+            assert_eq!(batch.selector(id), one.selector(id));
+        }
+        assert_eq!(batch.solve(&[]), one.solve(&[]));
+        assert_eq!(batch.stats().propagations, one.stats().propagations);
+        // The next batch continues the numbering.
+        assert_eq!(batch.add_softs([[lit(Var::new(0), true)]]), 5..6);
+        assert_eq!(batch.selector(SoftId(5)).var(), Var::new(8));
     }
 
     #[test]

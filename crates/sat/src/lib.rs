@@ -67,7 +67,6 @@
 
 mod budget;
 mod clause_db;
-mod dpll;
 mod heap;
 mod incremental;
 mod luby;
@@ -76,7 +75,6 @@ mod solver;
 mod stats;
 
 pub use budget::Budget;
-pub use dpll::{dpll_is_satisfiable, dpll_max_satisfiable};
 pub use incremental::{IncrementalSolver, SoftId};
 pub use share::{ClauseExchange, ExchangeEndpoint, ExchangeTotals, SharedContext, SharingConfig};
 pub use solver::{RestartMode, SolveOutcome, Solver, SolverConfig};

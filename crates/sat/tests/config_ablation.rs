@@ -1,9 +1,12 @@
 //! Robustness of the CDCL solver across configuration extremes: every
-//! configuration must stay sound (agree with the reference DPLL) even
-//! when heuristics are handicapped.
+//! configuration must stay sound (agree with the exhaustive reference in
+//! `oracle`, once a DPLL, hence the test names) even when heuristics are
+//! handicapped.
+
+mod oracle;
 
 use coremax_cnf::{CnfFormula, Lit, Var};
-use coremax_sat::{dpll_is_satisfiable, RestartMode, SolveOutcome, Solver, SolverConfig};
+use coremax_sat::{RestartMode, SolveOutcome, Solver, SolverConfig};
 
 fn random_cnf(seed: &mut u64, num_vars: usize, num_clauses: usize) -> CnfFormula {
     let mut next = move || {
@@ -117,7 +120,7 @@ fn all_configs_agree_with_dpll() {
     let mut seed = 0x853C49E6748FEA9Bu64;
     for round in 0..30 {
         let f = random_cnf(&mut seed, 7, 10 + round % 18);
-        let expected = dpll_is_satisfiable(&f);
+        let expected = oracle::is_satisfiable(&f);
         for (name, config) in configs() {
             let mut solver = Solver::with_config(config);
             solver.add_formula(&f);
@@ -140,7 +143,7 @@ fn all_configs_extract_sound_cores() {
             let mut solver = Solver::with_config(config);
             if let Some(core) = selector_core(&mut solver, &f) {
                 assert!(
-                    !dpll_is_satisfiable(&core),
+                    !oracle::is_satisfiable(&core),
                     "config {name} produced a satisfiable core"
                 );
             }

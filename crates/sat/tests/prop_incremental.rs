@@ -4,10 +4,10 @@
 //! learned clauses, saved phases, and arena compactions may change the
 //! *search*, never the *answer*.
 
+mod oracle;
+
 use coremax_cnf::{CnfFormula, Lit, Var};
-use coremax_sat::{
-    dpll_is_satisfiable, IncrementalSolver, RestartMode, SoftId, SolveOutcome, Solver, SolverConfig,
-};
+use coremax_sat::{IncrementalSolver, RestartMode, SoftId, SolveOutcome, Solver, SolverConfig};
 use proptest::prelude::*;
 
 /// Case count, overridable via `PROPTEST_CASES` (the CI incremental
@@ -61,7 +61,7 @@ fn dedup_assumptions(raw: &[(u32, bool)]) -> Vec<Lit> {
     out
 }
 
-/// Reference answer for "formula so far ∧ assumptions" via the DPLL
+/// Reference answer for "formula so far ∧ assumptions" via the exhaustive
 /// oracle: each assumption becomes a unit clause.
 fn oracle(clauses: &[Vec<i32>], assumptions: &[Lit]) -> bool {
     let mut f = CnfFormula::with_vars(MAX_VARS as usize);
@@ -71,7 +71,7 @@ fn oracle(clauses: &[Vec<i32>], assumptions: &[Lit]) -> bool {
     for &a in assumptions {
         f.add_clause([a]);
     }
-    dpll_is_satisfiable(&f)
+    oracle::is_satisfiable(&f)
 }
 
 /// The engine's soft-clause interface answered from scratch: every

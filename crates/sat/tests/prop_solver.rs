@@ -1,9 +1,12 @@
-//! Property tests: the CDCL solver agrees with the reference DPLL on
-//! random small formulas, models satisfy every clause, and
+//! Property tests: the CDCL solver agrees with the reference (exhaustive
+//! enumeration in `oracle`; the `dpll` in test names is the reference's
+//! old name) on random small formulas, models satisfy every clause, and
 //! failed-assumption cores are themselves unsatisfiable.
 
+mod oracle;
+
 use coremax_cnf::{CnfFormula, Lit};
-use coremax_sat::{dpll_is_satisfiable, RestartMode, SolveOutcome, Solver, SolverConfig};
+use coremax_sat::{RestartMode, SolveOutcome, Solver, SolverConfig};
 use proptest::prelude::*;
 
 /// Case count, overridable via `PROPTEST_CASES` (the CI incremental
@@ -74,7 +77,7 @@ proptest! {
 
     #[test]
     fn cdcl_agrees_with_dpll(f in arb_cnf(8, 30)) {
-        let expected = dpll_is_satisfiable(&f);
+        let expected = oracle::is_satisfiable(&f);
         let mut s = Solver::new();
         s.add_formula(&f);
         let outcome = s.solve();
@@ -103,16 +106,16 @@ proptest! {
         let mut s = Solver::new();
         if let Some(core) = selector_core(&mut s, &f) {
             prop_assert!(core.num_clauses() > 0);
-            // The core alone must be UNSAT (checked by the reference DPLL).
-            prop_assert!(!dpll_is_satisfiable(&core), "core was satisfiable");
+            // The core alone must be UNSAT (checked by the reference).
+            prop_assert!(!oracle::is_satisfiable(&core), "core was satisfiable");
         } else {
-            prop_assert!(dpll_is_satisfiable(&f));
+            prop_assert!(oracle::is_satisfiable(&f));
         }
     }
 
     #[test]
     fn solving_under_assumptions_consistent(f in arb_cnf(6, 20), polarity in any::<bool>()) {
-        // φ ∧ a is SAT iff DPLL says φ with the unit a added is SAT.
+        // φ ∧ a is SAT iff the reference says φ with the unit a added is SAT.
         let a = Lit::new(coremax_cnf::Var::new(0), polarity);
         let mut s = Solver::new();
         s.add_formula(&f);
@@ -121,7 +124,7 @@ proptest! {
         let mut g = f.clone();
         g.ensure_var(coremax_cnf::Var::new(0));
         g.add_clause([a]);
-        let expected = dpll_is_satisfiable(&g);
+        let expected = oracle::is_satisfiable(&g);
         match outcome {
             SolveOutcome::Sat => prop_assert!(expected),
             SolveOutcome::Unsat => prop_assert!(!expected),
@@ -132,9 +135,9 @@ proptest! {
     #[test]
     fn stressed_cdcl_agrees_with_dpll(f in arb_cnf(8, 35)) {
         // The optimized engine (binary watches, LBD reduction, forced
-        // arena GC, glucose restarts) must agree with the reference DPLL
+        // arena GC, glucose restarts) must agree with the reference
         // and keep its models valid.
-        let expected = dpll_is_satisfiable(&f);
+        let expected = oracle::is_satisfiable(&f);
         let mut s = Solver::with_config(stress_config());
         s.add_formula(&f);
         match s.solve() {
@@ -157,9 +160,9 @@ proptest! {
         let mut s = Solver::with_config(stress_config());
         if let Some(core) = selector_core(&mut s, &f) {
             prop_assert!(core.num_clauses() > 0);
-            prop_assert!(!dpll_is_satisfiable(&core), "core was satisfiable after GC");
+            prop_assert!(!oracle::is_satisfiable(&core), "core was satisfiable after GC");
         } else {
-            prop_assert!(dpll_is_satisfiable(&f));
+            prop_assert!(oracle::is_satisfiable(&f));
         }
     }
 
@@ -174,6 +177,6 @@ proptest! {
             let o = incremental.solve();
             all_sat = o == SolveOutcome::Sat;
         }
-        prop_assert_eq!(all_sat, dpll_is_satisfiable(&f));
+        prop_assert_eq!(all_sat, oracle::is_satisfiable(&f));
     }
 }

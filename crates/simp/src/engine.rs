@@ -6,9 +6,14 @@
 //! variables on entry and are rewritten once at the end (facts applied,
 //! hard-subsumed ones dropped), which keeps every transformation
 //! cost-preserving — see the crate docs for the argument per technique.
+//!
+//! The input is read clause by clause as slices of the formula's clause
+//! stores, through one scratch buffer: a hard clause takes a vector of
+//! its own only if it enters the database (units become facts), and the
+//! rewritten soft clauses and the output formula go into clause stores.
 
 use coremax_cnf::simp::{Reconstructor, SimpResult, VarMap};
-use coremax_cnf::{Lit, Var, WcnfFormula, Weight};
+use coremax_cnf::{ClauseStore, Lit, Var, WcnfFormula, Weight};
 use coremax_sat::{Budget, Solver};
 
 use crate::{SimpConfig, SimpStats};
@@ -95,6 +100,8 @@ pub(crate) struct Engine<'a> {
     queue: Vec<Lit>,
     qhead: usize,
     recon: Reconstructor,
+    /// The clause being normalised by `add_clause` or the soft pass.
+    scratch: Vec<Lit>,
     stats: SimpStats,
     infeasible: bool,
     /// Cooperative cancellation: polled between passes and inside the
@@ -117,9 +124,11 @@ impl<'a> Engine<'a> {
             occ: vec![Vec::new(); 2 * n],
             frozen: vec![false; n],
             value: vec![VALUE_UNDEF; n],
-            queue: Vec::new(),
+            // Every fact fixes a variable, so at most `n` are queued.
+            queue: Vec::with_capacity(n),
             qhead: 0,
             recon: Reconstructor::new(),
+            scratch: Vec::new(),
             stats: SimpStats {
                 vars_in: n as u64,
                 hard_in: wcnf.num_hard() as u64,
@@ -140,7 +149,7 @@ impl<'a> Engine<'a> {
             }
         }
         for c in wcnf.hard_clauses() {
-            engine.add_clause(c.lits().to_vec());
+            engine.add_clause(&c);
             if engine.infeasible {
                 break;
             }
@@ -179,39 +188,46 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Normalises and stores a hard clause: sort, dedup, drop
-    /// tautologies, apply current facts; units become facts instead of
-    /// clauses, the empty clause refutes the instance.
-    fn add_clause(&mut self, mut lits: Vec<Lit>) {
-        lits.sort_unstable();
-        lits.dedup();
-        if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
-            return; // tautology
-        }
-        let mut satisfied = false;
-        lits.retain(|&l| match self.lit_value(l) {
+    /// Normalises `lits` into `self.scratch`: sorted, deduplicated and
+    /// with the current facts applied. Returns `false` if the clause is a
+    /// tautology or satisfied by a fact.
+    fn normalize(&mut self, lits: &[Lit]) -> bool {
+        let mut out = std::mem::take(&mut self.scratch);
+        out.clear();
+        out.extend_from_slice(lits);
+        out.sort_unstable();
+        out.dedup();
+        let mut live = !out.windows(2).any(|w| w[0].var() == w[1].var());
+        out.retain(|&l| match self.lit_value(l) {
             VALUE_TRUE => {
-                satisfied = true;
+                live = false;
                 false
             }
             VALUE_FALSE => false,
             _ => true,
         });
-        if satisfied {
+        self.scratch = out;
+        live
+    }
+
+    /// Normalises and stores a hard clause: sort, dedup, drop
+    /// tautologies, apply current facts; units become facts instead of
+    /// clauses, the empty clause refutes the instance.
+    fn add_clause(&mut self, lits: &[Lit]) {
+        if !self.normalize(lits) {
             return;
         }
-        match lits.len() {
+        match self.scratch.len() {
             0 => self.infeasible = true,
-            1 => self.enqueue_fact(lits[0]),
+            1 => self.enqueue_fact(self.scratch[0]),
             _ => {
                 let idx = self.clauses.len() as u32;
-                for &l in &lits {
+                for &l in &self.scratch {
                     self.occ[l.index()].push(idx);
                 }
-                let sig = signature(&lits);
                 self.clauses.push(SClause {
-                    lits,
-                    sig,
+                    lits: self.scratch.clone(),
+                    sig: signature(&self.scratch),
                     dead: false,
                 });
             }
@@ -456,7 +472,7 @@ impl<'a> Engine<'a> {
                 self.clauses[ci].dead = true;
             }
             for r in resolvents {
-                self.add_clause(r);
+                self.add_clause(&r);
                 if self.infeasible {
                     return;
                 }
@@ -574,30 +590,19 @@ impl<'a> Engine<'a> {
             };
         }
         let mut cost_offset: Weight = 0;
-        let mut soft_out: Vec<(Vec<Lit>, Weight)> = Vec::with_capacity(wcnf.num_soft());
+        // The surviving soft clauses over the original variables, with
+        // their weights.
+        let mut soft_out = ClauseStore::new();
+        soft_out.reserve(wcnf.num_soft(), 0);
+        let mut soft_weights: Vec<Weight> = Vec::with_capacity(wcnf.num_soft());
         'soft: for s in wcnf.soft_clauses() {
-            let mut lits = s.clause.lits().to_vec();
-            lits.sort_unstable();
-            lits.dedup();
-            if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
-                // Tautological soft clause: satisfied by every
-                // assignment, cost-free.
+            if !self.normalize(&s.clause) {
+                // Tautological or satisfied by a fact: satisfied by
+                // every feasible assignment, cost-free.
                 self.stats.soft_dropped += 1;
                 continue;
             }
-            let mut satisfied = false;
-            lits.retain(|&l| match self.lit_value(l) {
-                VALUE_TRUE => {
-                    satisfied = true;
-                    false
-                }
-                VALUE_FALSE => false,
-                _ => true,
-            });
-            if satisfied {
-                self.stats.soft_dropped += 1;
-                continue;
-            }
+            let lits = &self.scratch;
             if lits.is_empty() {
                 // Emptied by hard facts: falsified in every feasible
                 // model. Its weight is a constant the caller re-adds.
@@ -608,14 +613,14 @@ impl<'a> Engine<'a> {
             // A live hard clause D ⊆ S means every feasible model
             // satisfies S: the soft clause can never cost anything.
             if self.cfg.subsumption {
-                let s_sig = signature(&lits);
-                for &l in &lits {
+                let s_sig = signature(lits);
+                for &l in lits {
                     for &dj in &self.occ[l.index()] {
                         let d = &self.clauses[dj as usize];
                         if !d.dead
                             && d.sig & !s_sig == 0
                             && d.lits.len() <= lits.len()
-                            && is_subset(&d.lits, &lits)
+                            && is_subset(&d.lits, lits)
                         {
                             self.stats.soft_dropped += 1;
                             continue 'soft;
@@ -623,7 +628,8 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            soft_out.push((lits, s.weight));
+            soft_out.push(lits.iter().copied());
+            soft_weights.push(s.weight);
         }
         // Compact the variable space to the survivors. Frozen variables
         // survive unconditionally (unless fixed by a fact): callers
@@ -636,8 +642,8 @@ impl<'a> Engine<'a> {
                 keep[l.var().index()] = true;
             }
         }
-        for (lits, _) in &soft_out {
-            for &l in lits {
+        for c in &soft_out {
+            for &l in c {
                 keep[l.var().index()] = true;
             }
         }
@@ -647,21 +653,19 @@ impl<'a> Engine<'a> {
             }
         }
         let var_map = VarMap::from_kept(&keep);
-        let mut formula = WcnfFormula::with_vars(var_map.num_new_vars());
-        for clause in self.clauses.iter().filter(|c| !c.dead) {
-            formula.add_hard(
-                clause
-                    .lits
-                    .iter()
-                    .map(|&l| var_map.map_lit(l).expect("kept var")),
-            );
+        let map = |l: Lit| var_map.map_lit(l).expect("kept var");
+        let live = self.clauses.iter().filter(|c| !c.dead);
+        let mut hard = ClauseStore::new();
+        hard.reserve(
+            live.clone().count(),
+            live.clone().map(|c| c.lits.len()).sum(),
+        );
+        for clause in live {
+            hard.push(clause.lits.iter().map(|&l| map(l)));
         }
-        for (lits, weight) in &soft_out {
-            formula.add_soft(
-                lits.iter().map(|&l| var_map.map_lit(l).expect("kept var")),
-                *weight,
-            );
-        }
+        soft_out.map_lits(map);
+        let formula =
+            WcnfFormula::from_stores(var_map.num_new_vars(), hard, soft_out, soft_weights);
         self.stats.hard_out = formula.num_hard() as u64;
         self.stats.soft_out = formula.num_soft() as u64;
         self.stats.vars_out = formula.num_vars() as u64;

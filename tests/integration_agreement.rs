@@ -6,8 +6,8 @@ use coremax::{
     BinarySearchSat, BranchBound, LinearSearchSat, MaxSatSolver, Msu1, Msu2, Msu3, Msu4,
     PboBaseline,
 };
+use coremax_bench::fi::exhaustive_optimum;
 use coremax_cnf::{CnfFormula, Lit, Var, WcnfFormula};
-use coremax_sat::dpll_max_satisfiable;
 
 fn all_solvers() -> Vec<Box<dyn MaxSatSolver>> {
     vec![
@@ -49,8 +49,8 @@ fn all_solvers_agree_with_oracle_on_random_unweighted() {
     let mut seed = 0x1234_5678_9ABC_DEF0u64;
     for round in 0..12 {
         let f = random_cnf(&mut seed, 5, 8 + round % 7);
-        let oracle = (f.num_clauses() - dpll_max_satisfiable(&f)) as u64;
         let w = WcnfFormula::from_cnf_all_soft(&f);
+        let oracle = exhaustive_optimum(&w).expect("no hard clauses");
         for mut solver in all_solvers() {
             let s = solver.solve(&w);
             assert_eq!(
