@@ -29,8 +29,8 @@ pub(crate) fn at_most(lits: &[Lit], k: usize, sink: &mut CnfSink) {
     let root = build(lits, k, 0, 0, &mut memo, sink);
     match root {
         NodeRef::True => {}
-        NodeRef::False => sink.add_clause(Vec::new()),
-        NodeRef::Node(l) => sink.add_clause(vec![l]),
+        NodeRef::False => sink.add_clause([]),
+        NodeRef::Node(l) => sink.add_clause([l]),
     }
 }
 
@@ -76,33 +76,33 @@ fn encode_ite(c: Lit, a: NodeRef, b: NodeRef, sink: &mut CnfSink) -> NodeRef {
         (True, Node(bl)) => {
             // t ⇔ c ∨ b
             let t = Lit::positive(sink.fresh_var());
-            sink.add_clause(vec![!c, t]);
-            sink.add_clause(vec![!bl, t]);
-            sink.add_clause(vec![c, bl, !t]);
+            sink.add_clause([!c, t]);
+            sink.add_clause([!bl, t]);
+            sink.add_clause([c, bl, !t]);
             Node(t)
         }
         (False, Node(bl)) => {
             // t ⇔ ¬c ∧ b
             let t = Lit::positive(sink.fresh_var());
-            sink.add_clause(vec![!t, !c]);
-            sink.add_clause(vec![!t, bl]);
-            sink.add_clause(vec![c, !bl, t]);
+            sink.add_clause([!t, !c]);
+            sink.add_clause([!t, bl]);
+            sink.add_clause([c, !bl, t]);
             Node(t)
         }
         (Node(al), True) => {
             // t ⇔ ¬c ∨ a
             let t = Lit::positive(sink.fresh_var());
-            sink.add_clause(vec![c, t]);
-            sink.add_clause(vec![!al, t]);
-            sink.add_clause(vec![!c, al, !t]);
+            sink.add_clause([c, t]);
+            sink.add_clause([!al, t]);
+            sink.add_clause([!c, al, !t]);
             Node(t)
         }
         (Node(al), False) => {
             // t ⇔ c ∧ a
             let t = Lit::positive(sink.fresh_var());
-            sink.add_clause(vec![!t, c]);
-            sink.add_clause(vec![!t, al]);
-            sink.add_clause(vec![!c, !al, t]);
+            sink.add_clause([!t, c]);
+            sink.add_clause([!t, al]);
+            sink.add_clause([!c, !al, t]);
             Node(t)
         }
         (Node(al), Node(bl)) => {
@@ -111,14 +111,14 @@ fn encode_ite(c: Lit, a: NodeRef, b: NodeRef, sink: &mut CnfSink) -> NodeRef {
             }
             let t = Lit::positive(sink.fresh_var());
             // c → (t ⇔ a)
-            sink.add_clause(vec![!c, !al, t]);
-            sink.add_clause(vec![!c, al, !t]);
+            sink.add_clause([!c, !al, t]);
+            sink.add_clause([!c, al, !t]);
             // ¬c → (t ⇔ b)
-            sink.add_clause(vec![c, !bl, t]);
-            sink.add_clause(vec![c, bl, !t]);
+            sink.add_clause([c, !bl, t]);
+            sink.add_clause([c, bl, !t]);
             // Redundant but propagation-strengthening ("both branches"):
-            sink.add_clause(vec![!al, !bl, t]);
-            sink.add_clause(vec![al, bl, !t]);
+            sink.add_clause([!al, !bl, t]);
+            sink.add_clause([al, bl, !t]);
             Node(t)
         }
     }
@@ -161,7 +161,7 @@ mod tests {
         let lits = input_lits(3);
         let mut sink = CnfSink::new(3);
         at_most(&lits, 1, &mut sink);
-        let last = sink.clauses().last().unwrap();
+        let last = sink.clauses().iter().last().unwrap();
         assert_eq!(last.len(), 1, "root unit clause expected");
     }
 }

@@ -135,7 +135,7 @@ pub fn encode_at_most(lits: &[Lit], k: usize, encoding: CardEncoding, sink: &mut
     }
     if k == 0 {
         for &l in lits {
-            sink.add_clause(vec![!l]);
+            sink.add_clause([!l]);
         }
         return;
     }
@@ -157,13 +157,13 @@ pub fn encode_at_least(lits: &[Lit], k: usize, encoding: CardEncoding, sink: &mu
         return;
     }
     if k > lits.len() {
-        sink.add_clause(Vec::new());
+        sink.add_clause([]);
         return;
     }
     if k == 1 {
         // Σ lits ≥ 1 is just the clause itself — the form msu4 adds for
         // every freshly blocked core (Algorithm 1, line 19).
-        sink.add_clause(lits.to_vec());
+        sink.add_clause(lits.iter().copied());
         return;
     }
     let negated: Vec<Lit> = lits.iter().map(|&l| !l).collect();
@@ -236,7 +236,7 @@ mod tests {
         let mut sink = CnfSink::new(3);
         encode_at_least(&lits, 1, CardEncoding::Bdd, &mut sink);
         assert_eq!(sink.num_clauses(), 1);
-        assert_eq!(sink.clauses()[0], lits);
+        assert_eq!(sink.clauses().get(0).lits(), lits);
     }
 
     #[test]
@@ -289,7 +289,7 @@ mod tests {
         encode_at_most(&lits, 0, CardEncoding::SortingNetwork, &mut sink);
         assert_eq!(sink.num_clauses(), 3); // three forcing units
         encode_at_least(&lits, 4, CardEncoding::Totalizer, &mut sink);
-        assert!(sink.clauses().last().unwrap().is_empty());
+        assert!(sink.clauses().iter().last().unwrap().is_empty());
     }
 
     #[test]

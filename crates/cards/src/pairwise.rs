@@ -13,7 +13,7 @@ pub(crate) fn at_most(lits: &[Lit], k: usize, sink: &mut CnfSink) {
     debug_assert!(k >= 1 && k < lits.len());
     let mut subset: Vec<usize> = (0..=k).collect();
     loop {
-        sink.add_clause(subset.iter().map(|&i| !lits[i]).collect());
+        sink.add_clause(subset.iter().map(|&i| !lits[i]));
         if !next_combination(&mut subset, lits.len()) {
             return;
         }

@@ -14,39 +14,39 @@ pub(crate) fn at_most(lits: &[Lit], k: usize, sink: &mut CnfSink) {
     let n = lits.len();
     debug_assert!(k >= 1 && k < n);
 
-    // s[i][j]: register variable, i in 0..n-1 (no registers needed for
-    // the last literal), j in 0..k.
-    let mut s: Vec<Vec<Var>> = Vec::with_capacity(n - 1);
-    for _ in 0..n - 1 {
-        s.push((0..k).map(|_| sink.fresh_var()).collect());
+    // s(i,j): register variable, i in 0..n-1 (no registers needed for
+    // the last literal), j in 0..k, allocated row by row.
+    let first = sink.num_vars();
+    for _ in 0..(n - 1) * k {
+        sink.fresh_var();
     }
-    let reg = |s: &[Vec<Var>], i: usize, j: usize| Lit::positive(s[i][j]);
+    let reg = |i: usize, j: usize| Lit::positive(Var::new((first + i * k + j) as u32));
 
     // x0 → s(0,0)
-    sink.add_clause(vec![!lits[0], reg(&s, 0, 0)]);
+    sink.add_clause([!lits[0], reg(0, 0)]);
     // ¬s(0,j) for j ≥ 1 (a prefix of length one cannot reach count 2).
     for j in 1..k {
-        sink.add_clause(vec![!reg(&s, 0, j)]);
+        sink.add_clause([!reg(0, j)]);
     }
     // Indexing is clearer than iterators here: every clause couples
     // position i with its predecessor register row i - 1.
     #[allow(clippy::needless_range_loop)]
     for i in 1..n - 1 {
         // xi → s(i,0)
-        sink.add_clause(vec![!lits[i], reg(&s, i, 0)]);
+        sink.add_clause([!lits[i], reg(i, 0)]);
         // s(i−1,0) → s(i,0)
-        sink.add_clause(vec![!reg(&s, i - 1, 0), reg(&s, i, 0)]);
+        sink.add_clause([!reg(i - 1, 0), reg(i, 0)]);
         for j in 1..k {
             // xi ∧ s(i−1,j−1) → s(i,j)
-            sink.add_clause(vec![!lits[i], !reg(&s, i - 1, j - 1), reg(&s, i, j)]);
+            sink.add_clause([!lits[i], !reg(i - 1, j - 1), reg(i, j)]);
             // s(i−1,j) → s(i,j)
-            sink.add_clause(vec![!reg(&s, i - 1, j), reg(&s, i, j)]);
+            sink.add_clause([!reg(i - 1, j), reg(i, j)]);
         }
         // xi ∧ s(i−1,k−1) → overflow forbidden
-        sink.add_clause(vec![!lits[i], !reg(&s, i - 1, k - 1)]);
+        sink.add_clause([!lits[i], !reg(i - 1, k - 1)]);
     }
     // Last literal: overflow check only.
-    sink.add_clause(vec![!lits[n - 1], !reg(&s, n - 2, k - 1)]);
+    sink.add_clause([!lits[n - 1], !reg(n - 2, k - 1)]);
 }
 
 #[cfg(test)]

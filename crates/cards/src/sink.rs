@@ -1,23 +1,29 @@
 //! Clause sink with fresh-variable allocation for encoders.
 
-use coremax_cnf::{Lit, Var};
+use coremax_cnf::{ClauseStore, Lit, Var};
 
 /// Receives the clauses produced by an encoding and allocates auxiliary
 /// variables above a caller-supplied watermark.
+///
+/// The clauses go into one [`ClauseStore`], so an encoding of any size
+/// makes a few growing allocations instead of one per clause.
 ///
 /// # Examples
 ///
 /// ```
 /// use coremax_cards::CnfSink;
+/// use coremax_cnf::Lit;
 /// let mut sink = CnfSink::new(10); // vars 0..10 belong to the problem
 /// let aux = sink.fresh_var();
 /// assert_eq!(aux.index(), 10);
 /// assert_eq!(sink.num_vars(), 11);
+/// sink.add_clause([Lit::negative(aux)]);
+/// assert_eq!(sink.clauses().get(0).lits(), [Lit::negative(aux)]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CnfSink {
     next_var: usize,
-    clauses: Vec<Vec<Lit>>,
+    clauses: ClauseStore,
 }
 
 impl CnfSink {
@@ -26,7 +32,7 @@ impl CnfSink {
     pub fn new(first_free_var: usize) -> Self {
         CnfSink {
             next_var: first_free_var,
-            clauses: Vec::new(),
+            clauses: ClauseStore::new(),
         }
     }
 
@@ -38,7 +44,7 @@ impl CnfSink {
     }
 
     /// Appends a clause.
-    pub fn add_clause(&mut self, lits: Vec<Lit>) {
+    pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
         self.clauses.push(lits);
     }
 
@@ -56,13 +62,13 @@ impl CnfSink {
 
     /// The emitted clauses.
     #[must_use]
-    pub fn clauses(&self) -> &[Vec<Lit>] {
+    pub fn clauses(&self) -> &ClauseStore {
         &self.clauses
     }
 
     /// Consumes the sink, returning the clauses.
     #[must_use]
-    pub fn into_clauses(self) -> Vec<Vec<Lit>> {
+    pub fn into_clauses(self) -> ClauseStore {
         self.clauses
     }
 }
@@ -83,8 +89,8 @@ mod tests {
     fn clauses_accumulate() {
         let mut s = CnfSink::new(0);
         let v = s.fresh_var();
-        s.add_clause(vec![Lit::positive(v)]);
-        s.add_clause(vec![Lit::negative(v)]);
+        s.add_clause([Lit::positive(v)]);
+        s.add_clause([Lit::negative(v)]);
         assert_eq!(s.num_clauses(), 2);
         assert_eq!(s.into_clauses().len(), 2);
     }

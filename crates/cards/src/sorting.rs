@@ -25,7 +25,7 @@ use crate::CnfSink;
 pub(crate) fn at_most(lits: &[Lit], k: usize, sink: &mut CnfSink) {
     debug_assert!(k >= 1 && k < lits.len());
     let out = sorted_prefix(lits, k + 1, sink);
-    sink.add_clause(vec![!out[k]]);
+    sink.add_clause([!out[k]]);
 }
 
 /// The first `k` outputs of the odd-even sorting network over `lits`,
@@ -47,7 +47,7 @@ pub(crate) fn at_most(lits: &[Lit], k: usize, sink: &mut CnfSink) {
 /// let out = sorted_prefix(&lits, 3, &mut sink);
 /// assert_eq!(out.len(), 3);
 /// // Σ lits ≤ 2 is the unit ¬out[2]; Σ lits ≤ 0 is ¬out[0].
-/// sink.add_clause(vec![!out[2]]);
+/// sink.add_clause([!out[2]]);
 /// ```
 pub fn sorted_prefix(lits: &[Lit], k: usize, sink: &mut CnfSink) -> Vec<Lit> {
     if lits.len() <= 1 || k == 0 {
@@ -105,16 +105,16 @@ fn merge(a: &[Lit], b: &[Lit], k: usize, sink: &mut CnfSink) -> Vec<Lit> {
 /// `[hi, lo]`.
 fn comparator(a: Lit, b: Lit, with_lo: bool, sink: &mut CnfSink) -> Vec<Lit> {
     let hi = Lit::positive(sink.fresh_var());
-    sink.add_clause(vec![!a, hi]);
-    sink.add_clause(vec![!b, hi]);
-    sink.add_clause(vec![a, b, !hi]);
+    sink.add_clause([!a, hi]);
+    sink.add_clause([!b, hi]);
+    sink.add_clause([a, b, !hi]);
     if !with_lo {
         return vec![hi];
     }
     let lo = Lit::positive(sink.fresh_var());
-    sink.add_clause(vec![!a, !b, lo]);
-    sink.add_clause(vec![a, !lo]);
-    sink.add_clause(vec![b, !lo]);
+    sink.add_clause([!a, !b, lo]);
+    sink.add_clause([a, !lo]);
+    sink.add_clause([b, !lo]);
     vec![hi, lo]
 }
 

@@ -16,7 +16,7 @@ pub(crate) fn at_most(lits: &[Lit], k: usize, sink: &mut CnfSink) {
     debug_assert!(k >= 1 && k < lits.len());
     let outputs = build_totalizer(lits, sink);
     // Forbid the (k+1)-th output: at most k inputs may be true.
-    sink.add_clause(vec![!outputs[k]]);
+    sink.add_clause([!outputs[k]]);
 }
 
 /// Builds the unary counting tree and returns the root's output
@@ -43,30 +43,24 @@ fn merge(a: &[Lit], b: &[Lit], sink: &mut CnfSink) -> Vec<Lit> {
             }
             // Sum direction: i trues on the left and j on the right imply
             // out_{i+j}.
-            {
-                let mut clause = Vec::with_capacity(3);
-                if i > 0 {
-                    clause.push(!a[i - 1]);
-                }
-                if j > 0 {
-                    clause.push(!b[j - 1]);
-                }
-                clause.push(out[i + j - 1]);
-                sink.add_clause(clause);
-            }
+            sink.add_clause(
+                (i > 0)
+                    .then(|| !a[i - 1])
+                    .into_iter()
+                    .chain((j > 0).then(|| !b[j - 1]))
+                    .chain([out[i + j - 1]]),
+            );
             // Converse direction: out_{i+j} implies i trues on the left or
             // j+1 on the right / etc. Encoded as:
             // ¬a_{i+1} ∧ ¬b_{j+1} → ¬out_{i+j+1}.
             if i + j < n {
-                let mut clause = Vec::with_capacity(3);
-                if i < a.len() {
-                    clause.push(a[i]);
-                }
-                if j < b.len() {
-                    clause.push(b[j]);
-                }
-                clause.push(!out[i + j]);
-                sink.add_clause(clause);
+                sink.add_clause(
+                    a.get(i)
+                        .copied()
+                        .into_iter()
+                        .chain(b.get(j).copied())
+                        .chain([!out[i + j]]),
+                );
             }
         }
     }
@@ -217,6 +211,7 @@ impl IncrementalTotalizer {
             let old_mat = old_bound.map_or(0, |b| size.min(b + 1));
             // Extend this node's outputs first: merge clauses below
             // reference them.
+            self.nodes[idx].outs.reserve(new_mat - old_mat);
             for _ in old_mat..new_mat {
                 let fresh = Lit::positive(sink.fresh_var());
                 self.nodes[idx].outs.push(fresh);
@@ -224,38 +219,37 @@ impl IncrementalTotalizer {
             if new_mat == old_mat {
                 continue;
             }
-            let (a_mat, b_mat) = (self.nodes[left].outs.len(), self.nodes[right].outs.len());
-            for i in 0..=a_mat {
-                for j in 0..=b_mat {
+            let nodes = &self.nodes;
+            let (a, b, outs) = (&nodes[left].outs, &nodes[right].outs, &nodes[idx].outs);
+            for i in 0..=a.len() {
+                for j in 0..=b.len() {
                     // Sum direction: i trues left ∧ j trues right →
                     // out_{i+j}; consequent index i+j-1 must be new.
                     if i + j >= 1 {
                         let t = i + j - 1;
                         if t >= old_mat && t < new_mat {
-                            let mut clause = Vec::with_capacity(3);
-                            if i > 0 {
-                                clause.push(!self.nodes[left].outs[i - 1]);
-                            }
-                            if j > 0 {
-                                clause.push(!self.nodes[right].outs[j - 1]);
-                            }
-                            clause.push(self.nodes[idx].outs[t]);
-                            sink.add_clause(clause);
+                            sink.add_clause(
+                                (i > 0)
+                                    .then(|| !a[i - 1])
+                                    .into_iter()
+                                    .chain((j > 0).then(|| !b[j - 1]))
+                                    .chain([outs[t]]),
+                            );
                         }
                     }
                     // Converse direction: ¬a_{i+1} ∧ ¬b_{j+1} →
                     // ¬out_{i+j+1}; consequent index i+j must be new.
+                    // Within the window, `a.get(i)` misses only an
+                    // output past the child's size (likewise `b`).
                     let t = i + j;
                     if t < size && t >= old_mat && t < new_mat {
-                        let mut clause = Vec::with_capacity(3);
-                        if i < self.nodes[left].size {
-                            clause.push(self.nodes[left].outs[i]);
-                        }
-                        if j < self.nodes[right].size {
-                            clause.push(self.nodes[right].outs[j]);
-                        }
-                        clause.push(!self.nodes[idx].outs[t]);
-                        sink.add_clause(clause);
+                        sink.add_clause(
+                            a.get(i)
+                                .copied()
+                                .into_iter()
+                                .chain(b.get(j).copied())
+                                .chain([!outs[t]]),
+                        );
                     }
                 }
             }
@@ -307,7 +301,7 @@ mod tests {
     /// `k` bits set.
     fn assert_at_most_semantics(n: usize, k: usize, tot: &IncrementalTotalizer, sink: &CnfSink) {
         let mut gated = sink.clone();
-        gated.add_clause(vec![!tot.output(k).expect("bound output materialised")]);
+        gated.add_clause([!tot.output(k).expect("bound output materialised")]);
         let mut solver = solver_for_sink(&gated);
         for bits in 0u32..(1 << n) {
             let expect = bits.count_ones() as usize <= k;

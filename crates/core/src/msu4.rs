@@ -1,7 +1,5 @@
 //! The msu4 algorithm — Algorithm 1 of the paper.
 
-use std::collections::HashMap;
-
 use coremax_cards::{encode_at_most, sorted_prefix, CardEncoding};
 use coremax_cnf::{Assignment, Lit, WcnfFormula, Weight};
 use coremax_sat::{Budget, SharedContext, SoftId, SolveOutcome};
@@ -179,12 +177,8 @@ impl MaxSatSolver for Msu4 {
         // selector assumption is still active, and blocking it merely
         // deactivates the assumption (the selector is the paper's
         // blocking variable — at most one per clause, by construction).
-        // Each soft's assumption literal, to map a core back to its
-        // softs in O(|core|) and in the order the engine reports it.
-        let soft_of: HashMap<Lit, SoftId> = run
-            .add_softs()
-            .map(|i| (run.engine.assumption(SoftId(i)), SoftId(i)))
-            .collect();
+        // The engine maps a core's assumptions back to their softs.
+        run.add_softs();
         // All blocking literals, in introduction order (the paper's VB).
         let mut vb: Vec<Lit> = Vec::new();
         // The *current* Σ_vb b ≤ ub−1 bound. Superseded bounds are
@@ -222,7 +216,7 @@ impl MaxSatSolver for Msu4 {
                     // outputs its input), so filter on activity.
                     let new_blocked: Vec<SoftId> = core
                         .iter()
-                        .filter_map(|a| soft_of.get(a).copied())
+                        .filter_map(|&a| run.engine.soft_of(a))
                         .filter(|&id| run.engine.is_active(id))
                         .collect();
                     if new_blocked.is_empty() {

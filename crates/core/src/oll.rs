@@ -37,8 +37,6 @@
 //! returns `[lb, incumbent]`. A final model whose cost is not the
 //! charged `lb` is reported as that interval too, never as optimal.
 
-use std::collections::{HashMap, HashSet};
-
 use coremax_cards::IncrementalTotalizer;
 use coremax_cnf::{Lit, WcnfFormula, Weight};
 use coremax_sat::{Budget, SharedContext, SoftId, SolveOutcome};
@@ -109,6 +107,17 @@ struct Working {
     origin: Origin,
 }
 
+/// What stands on one materialised totalizer output.
+#[derive(Debug, Clone, Copy)]
+enum OnOutput {
+    /// No soft yet.
+    Nothing,
+    /// The latest soft on the output; one no longer working was relaxed.
+    Soft(SoftId),
+    /// The output was hardened: false for good.
+    Hardened,
+}
+
 impl MaxSatSolver for Oll {
     fn name(&self) -> &'static str {
         "oll"
@@ -131,9 +140,11 @@ impl MaxSatSolver for Oll {
 
         // Every original soft is registered up front but starts
         // deactivated; the stratified schedule below activates them
-        // heaviest-distinct-weight first.
-        let mut working: HashMap<SoftId, Working> = HashMap::new();
-        let mut pending: Vec<(SoftId, Weight)> = Vec::new();
+        // heaviest-distinct-weight first. `working` is indexed by
+        // `SoftId`, so each soft is a slot, and `None` is a soft that
+        // is not working: pending, relaxed or hardened.
+        let mut working: Vec<Option<Working>> = vec![None; wcnf.num_soft()];
+        let mut pending: Vec<(SoftId, Weight)> = Vec::with_capacity(wcnf.num_soft());
         for (i, s) in run.add_softs().zip(wcnf.soft_clauses()) {
             let id = SoftId(i);
             run.engine.deactivate(id);
@@ -143,7 +154,7 @@ impl MaxSatSolver for Oll {
         // Opens the next stratum: activates every pending soft at the
         // heaviest remaining weight.
         let open_stratum = |pending: &mut Vec<(SoftId, Weight)>,
-                            working: &mut HashMap<SoftId, Working>,
+                            working: &mut [Option<Working>],
                             run: &mut CoreRun| {
             let Some(threshold) = pending.iter().map(|&(_, w)| w).max() else {
                 return;
@@ -151,13 +162,10 @@ impl MaxSatSolver for Oll {
             pending.retain(|&(id, w)| {
                 if w >= threshold {
                     run.engine.activate(id);
-                    working.insert(
-                        id,
-                        Working {
-                            weight: w,
-                            origin: Origin::Original,
-                        },
-                    );
+                    working[id.0] = Some(Working {
+                        weight: w,
+                        origin: Origin::Original,
+                    });
                     false
                 } else {
                     true
@@ -169,18 +177,15 @@ impl MaxSatSolver for Oll {
                 coremax_obs::emit(coremax_obs::Event::StratumOpened {
                     index,
                     weight: threshold,
-                    softs: working.len() as u64,
+                    softs: working.iter().flatten().count() as u64,
                 });
             }
         };
         open_stratum(&mut pending, &mut working, &mut run);
 
         let mut tots: Vec<IncrementalTotalizer> = Vec::new();
-        // The latest soft on each materialised totalizer output, by
-        // `(totalizer, level)`; one no longer working was relaxed,
-        // unless its output is listed as hardened (false for good).
-        let mut output_softs: HashMap<(usize, usize), SoftId> = HashMap::new();
-        let mut hardened_outputs: HashSet<(usize, usize)> = HashSet::new();
+        // What stands on each totalizer output, by totalizer and level.
+        let mut on_outputs: Vec<Vec<OnOutput>> = Vec::new();
 
         loop {
             match run.solve(&[]) {
@@ -205,20 +210,15 @@ impl MaxSatSolver for Oll {
                     // [lb, ub], falsifying any working soft of residual
                     // weight > ub − lb costs more than the incumbent —
                     // make it permanently hard. In `SoftId` order: the
-                    // map's iteration order differs per run, and the
                     // order the units reach the engine steers its search.
                     let gap = ub.saturating_sub(lb);
-                    let mut to_harden: Vec<SoftId> = working
-                        .iter()
-                        .filter(|(_, meta)| meta.weight > gap)
-                        .map(|(&id, _)| id)
-                        .collect();
-                    to_harden.sort_unstable();
-                    for id in to_harden {
-                        let meta = working.remove(&id).expect("listed above");
-                        run.engine.harden(id);
+                    for (i, slot) in working.iter_mut().enumerate() {
+                        let Some(meta) = slot.take_if(|meta| meta.weight > gap) else {
+                            continue;
+                        };
+                        run.engine.harden(SoftId(i));
                         if let Origin::TotOutput { tot, level } = meta.origin {
-                            hardened_outputs.insert((tot, level));
+                            on_outputs[tot][level] = OnOutput::Hardened;
                         }
                         run.stats.hardened += 1;
                         if coremax_obs::tracing_enabled() {
@@ -250,7 +250,7 @@ impl MaxSatSolver for Oll {
                         .engine
                         .failed_softs()
                         .into_iter()
-                        .filter(|id| working.contains_key(id))
+                        .filter(|id| working[id.0].is_some())
                         .collect();
                     // Refuted independently of every assumption, or by
                     // no working soft. Before any hardening this can
@@ -269,7 +269,8 @@ impl MaxSatSolver for Oll {
                     }
                     let minw = members
                         .iter()
-                        .map(|id| working[id].weight)
+                        .filter_map(|id| working[id.0])
+                        .map(|meta| meta.weight)
                         .min()
                         .expect("non-empty core");
                     run.core(members.len(), minw);
@@ -284,13 +285,12 @@ impl MaxSatSolver for Oll {
                     let mut rels: Vec<Lit> = Vec::with_capacity(members.len());
                     let mut extensions: Vec<(usize, usize)> = Vec::new();
                     for &id in &members {
-                        let Working { weight, origin } = working[&id];
-                        if let Origin::TotOutput { tot, level } = origin {
+                        let meta = working[id.0].as_mut().expect("member is working");
+                        if let Origin::TotOutput { tot, level } = meta.origin {
                             extensions.push((tot, level));
                         }
-                        if weight > minw {
-                            working.get_mut(&id).expect("member is working").weight =
-                                weight.saturating_sub(minw);
+                        if meta.weight > minw {
+                            meta.weight = meta.weight.saturating_sub(minw);
                             let relax = Lit::positive(run.engine.new_var());
                             let selector = run.engine.selector(id);
                             run.engine.add_clause([!selector, relax]);
@@ -299,7 +299,7 @@ impl MaxSatSolver for Oll {
                             run.stats.weight_splits += 1;
                         } else {
                             run.engine.deactivate(id);
-                            working.remove(&id);
+                            working[id.0] = None;
                             rels.push(run.engine.selector(id));
                         }
                     }
@@ -314,16 +314,18 @@ impl MaxSatSolver for Oll {
                     // are emitted.
                     for (tot, level) in extensions {
                         let next = level + 1;
-                        if next >= tots[tot].num_inputs() || hardened_outputs.contains(&(tot, next))
-                        {
+                        if next >= tots[tot].num_inputs() {
                             continue;
                         }
-                        if let Some(meta) = output_softs
-                            .get(&(tot, next))
-                            .and_then(|id| working.get_mut(id))
-                        {
-                            meta.weight = meta.weight.saturating_add(minw);
-                            continue;
+                        match on_outputs[tot][next] {
+                            OnOutput::Hardened => continue,
+                            OnOutput::Soft(id) => {
+                                if let Some(meta) = working[id.0].as_mut() {
+                                    meta.weight = meta.weight.saturating_add(minw);
+                                    continue;
+                                }
+                            }
+                            OnOutput::Nothing => {}
                         }
                         if tots[tot].bound() < next {
                             let ((), clauses) =
@@ -338,14 +340,12 @@ impl MaxSatSolver for Oll {
                         }
                         let out = tots[tot].output(next).expect("bound reaches next");
                         let id = run.engine.add_soft([!out]);
-                        output_softs.insert((tot, next), id);
-                        working.insert(
-                            id,
-                            Working {
-                                weight: minw,
-                                origin: Origin::TotOutput { tot, level: next },
-                            },
-                        );
+                        debug_assert_eq!(id.0, working.len(), "one slot per soft");
+                        on_outputs[tot][next] = OnOutput::Soft(id);
+                        working.push(Some(Working {
+                            weight: minw,
+                            origin: Origin::TotOutput { tot, level: next },
+                        }));
                     }
 
                     // New soft cardinality constraint over this core's
@@ -358,18 +358,18 @@ impl MaxSatSolver for Oll {
                         let aux_vars = run.engine.num_vars() - vars_before;
                         let out = tot.output(1).expect("two or more inputs");
                         let id = run.engine.add_soft([!out]);
+                        debug_assert_eq!(id.0, working.len(), "one slot per soft");
+                        let mut on = vec![OnOutput::Nothing; tot.num_inputs()];
+                        on[1] = OnOutput::Soft(id);
+                        on_outputs.push(on);
                         tots.push(tot);
-                        output_softs.insert((tots.len() - 1, 1), id);
-                        working.insert(
-                            id,
-                            Working {
-                                weight: minw,
-                                origin: Origin::TotOutput {
-                                    tot: tots.len() - 1,
-                                    level: 1,
-                                },
+                        working.push(Some(Working {
+                            weight: minw,
+                            origin: Origin::TotOutput {
+                                tot: tots.len() - 1,
+                                level: 1,
                             },
-                        );
+                        }));
                         run.relaxed(aux_vars, clauses);
                     }
                     // The core's charge, reported once it is relaxed.

@@ -128,8 +128,8 @@ impl<'a> CoreRun<'a> {
         let clauses = sink.into_clauses();
         let added = clauses.len() as u64;
         self.stats.cardinality_clauses += added;
-        for c in clauses {
-            self.engine.add_clause(c.into_iter().chain(gate));
+        for c in &clauses {
+            self.engine.add_clause(c.iter().copied().chain(gate));
         }
         span.finish(&mut self.stats.phase);
         (built, added)

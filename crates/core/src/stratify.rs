@@ -343,8 +343,8 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
                 num_vars = sink.num_vars();
                 let freeze = sink.into_clauses();
                 stats.cardinality_clauses += freeze.len() as u64;
-                for c in freeze {
-                    hard.push(c);
+                for c in &freeze {
+                    hard.push(c.iter().copied());
                 }
             }
             if stage_budget.interrupted() {

@@ -70,12 +70,24 @@ impl Wmsu1 {
     }
 }
 
-/// One working soft clause: original literals plus accumulated blocking
-/// literals, at the weight share it currently carries.
+/// One working soft clause: the literals of an original soft clause
+/// plus accumulated blocking literals, at the weight share it currently
+/// carries. Only the blocking literals are stored, so a clause that
+/// never gains one costs no allocation.
 #[derive(Debug, Clone)]
 struct WorkingSoft {
-    lits: Vec<Lit>,
+    /// Index of the original soft clause in the formula.
+    original: usize,
+    blocking: Vec<Lit>,
     weight: Weight,
+}
+
+impl WorkingSoft {
+    /// The clause's literals: the original's, then the blocking ones.
+    fn lits<'a>(&'a self, wcnf: &'a WcnfFormula) -> impl Iterator<Item = Lit> + 'a {
+        let original = wcnf.soft(self.original).clause.lits();
+        original.iter().chain(&self.blocking).copied()
+    }
 }
 
 impl MaxSatSolver for Wmsu1 {
@@ -106,12 +118,18 @@ impl MaxSatSolver for Wmsu1 {
         // splitting appends residual copies.
         let mut soft: Vec<WorkingSoft> = wcnf
             .soft_clauses()
-            .map(|s| WorkingSoft {
-                lits: s.clause.lits().to_vec(),
+            .enumerate()
+            .map(|(original, s)| WorkingSoft {
+                original,
+                blocking: Vec::new(),
                 weight: s.weight,
             })
             .collect();
+        // The live handle of each working soft, and the working soft of
+        // each handle (indexed by `SoftId`; a retired handle keeps its
+        // entry, but a retired soft is never in a core).
         let mut handles: Vec<SoftId> = run.add_softs().map(SoftId).collect();
+        let mut working_of: Vec<usize> = (0..handles.len()).collect();
 
         loop {
             match run.solve(&[]) {
@@ -131,10 +149,7 @@ impl MaxSatSolver for Wmsu1 {
                         return run.infeasible();
                     }
                     let failed = run.engine.failed_softs();
-                    let in_core: Vec<usize> = failed
-                        .iter()
-                        .filter_map(|id| handles.iter().position(|h| h == id))
-                        .collect();
+                    let in_core: Vec<usize> = failed.iter().map(|id| working_of[id.0]).collect();
                     if in_core.is_empty() {
                         return run.infeasible();
                     }
@@ -151,21 +166,23 @@ impl MaxSatSolver for Wmsu1 {
                     let mut fresh: Vec<Lit> = Vec::with_capacity(in_core.len());
                     for &i in &in_core {
                         if soft[i].weight > w_min {
-                            soft.push(WorkingSoft {
-                                lits: soft[i].lits.clone(),
+                            let residual = WorkingSoft {
                                 weight: soft[i].weight.saturating_sub(w_min),
-                            });
-                            let residual = run.engine.add_soft(soft[i].lits.iter().copied());
-                            handles.push(residual);
+                                ..soft[i].clone()
+                            };
+                            handles.push(run.engine.add_soft(residual.lits(wcnf)));
+                            working_of.push(soft.len());
+                            soft.push(residual);
                             soft[i].weight = w_min;
                             run.stats.weight_splits += 1;
                         }
                         let b = Lit::positive(run.engine.new_var());
-                        soft[i].lits.push(b);
+                        soft[i].blocking.push(b);
                         fresh.push(b);
                         run.stats.blocking_vars += 1;
                         run.engine.retire(handles[i]);
-                        handles[i] = run.engine.add_soft(soft[i].lits.iter().copied());
+                        handles[i] = run.engine.add_soft(soft[i].lits(wcnf));
+                        working_of.push(i);
                     }
                     let ((), clauses) =
                         run.encode(None, |sink| encode_exactly(&fresh, 1, self.encoding, sink));

@@ -24,7 +24,7 @@ pub fn encode_pb(constraint: &PbConstraint, sink: &mut CnfSink) {
         return;
     }
     if constraint.is_trivially_false() {
-        sink.add_clause(Vec::new());
+        sink.add_clause([]);
         return;
     }
     match constraint.op() {
@@ -74,8 +74,8 @@ fn encode_le(constraint: &PbConstraint, sink: &mut CnfSink) {
     let root = build(&terms, bound, &suffix, 0, 0, &mut memo, sink);
     match root {
         NodeRef::True => {}
-        NodeRef::False => sink.add_clause(Vec::new()),
-        NodeRef::Node(l) => sink.add_clause(vec![l]),
+        NodeRef::False => sink.add_clause([]),
+        NodeRef::Node(l) => sink.add_clause([l]),
     }
 }
 
@@ -126,30 +126,30 @@ fn encode_ite(c: Lit, a: NodeRef, b: NodeRef, sink: &mut CnfSink) -> NodeRef {
         (False, True) => Node(!c),
         (True, Node(bl)) => {
             let t = Lit::positive(sink.fresh_var());
-            sink.add_clause(vec![!c, t]);
-            sink.add_clause(vec![!bl, t]);
-            sink.add_clause(vec![c, bl, !t]);
+            sink.add_clause([!c, t]);
+            sink.add_clause([!bl, t]);
+            sink.add_clause([c, bl, !t]);
             Node(t)
         }
         (False, Node(bl)) => {
             let t = Lit::positive(sink.fresh_var());
-            sink.add_clause(vec![!t, !c]);
-            sink.add_clause(vec![!t, bl]);
-            sink.add_clause(vec![c, !bl, t]);
+            sink.add_clause([!t, !c]);
+            sink.add_clause([!t, bl]);
+            sink.add_clause([c, !bl, t]);
             Node(t)
         }
         (Node(al), True) => {
             let t = Lit::positive(sink.fresh_var());
-            sink.add_clause(vec![c, t]);
-            sink.add_clause(vec![!al, t]);
-            sink.add_clause(vec![!c, al, !t]);
+            sink.add_clause([c, t]);
+            sink.add_clause([!al, t]);
+            sink.add_clause([!c, al, !t]);
             Node(t)
         }
         (Node(al), False) => {
             let t = Lit::positive(sink.fresh_var());
-            sink.add_clause(vec![!t, c]);
-            sink.add_clause(vec![!t, al]);
-            sink.add_clause(vec![!c, !al, t]);
+            sink.add_clause([!t, c]);
+            sink.add_clause([!t, al]);
+            sink.add_clause([!c, !al, t]);
             Node(t)
         }
         (Node(al), Node(bl)) => {
@@ -157,12 +157,12 @@ fn encode_ite(c: Lit, a: NodeRef, b: NodeRef, sink: &mut CnfSink) -> NodeRef {
                 return Node(al);
             }
             let t = Lit::positive(sink.fresh_var());
-            sink.add_clause(vec![!c, !al, t]);
-            sink.add_clause(vec![!c, al, !t]);
-            sink.add_clause(vec![c, !bl, t]);
-            sink.add_clause(vec![c, bl, !t]);
-            sink.add_clause(vec![!al, !bl, t]);
-            sink.add_clause(vec![al, bl, !t]);
+            sink.add_clause([!c, !al, t]);
+            sink.add_clause([!c, al, !t]);
+            sink.add_clause([c, !bl, t]);
+            sink.add_clause([c, bl, !t]);
+            sink.add_clause([!al, !bl, t]);
+            sink.add_clause([al, bl, !t]);
             Node(t)
         }
     }
@@ -282,7 +282,7 @@ mod tests {
         let mut sink = CnfSink::new(1);
         encode_pb(&c, &mut sink);
         assert_eq!(sink.num_clauses(), 1);
-        assert!(sink.clauses()[0].is_empty());
+        assert!(sink.clauses().get(0).is_empty());
     }
 
     #[test]

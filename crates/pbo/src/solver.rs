@@ -2,7 +2,7 @@
 //! search — the minisat+ strategy used as the paper's `pbo` baseline.
 
 use coremax_cards::CnfSink;
-use coremax_cnf::{Assignment, Lit, WcnfFormula};
+use coremax_cnf::{Assignment, ClauseStore, Lit, WcnfFormula};
 use coremax_sat::{Budget, SolveOutcome, Solver};
 
 use crate::constraint::{PbConstraint, PbOp, PbTerm};
@@ -40,7 +40,7 @@ pub enum PboOutcome {
 #[derive(Debug)]
 pub struct PboSolver {
     num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
+    clauses: ClauseStore,
     constraints: Vec<PbConstraint>,
     objective: Vec<PbTerm>,
     budget: Budget,
@@ -54,7 +54,7 @@ impl PboSolver {
     pub fn new(num_vars: usize) -> Self {
         PboSolver {
             num_vars,
-            clauses: Vec::new(),
+            clauses: ClauseStore::new(),
             constraints: Vec::new(),
             objective: Vec::new(),
             budget: Budget::new(),
@@ -64,11 +64,9 @@ impl PboSolver {
 
     /// Adds a CNF clause constraint.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        let c: Vec<Lit> = lits.into_iter().collect();
-        for l in &c {
+        for l in self.clauses.push(lits) {
             self.num_vars = self.num_vars.max(l.var().index() + 1);
         }
-        self.clauses.push(c);
     }
 
     /// Adds a PB constraint.
@@ -159,8 +157,8 @@ impl PboSolver {
             encode_pb(constraint, &mut sink);
         }
         solver.ensure_vars(sink.num_vars());
-        for c in sink.into_clauses() {
-            solver.add_clause(c);
+        for c in sink.clauses() {
+            solver.add_clause(c.iter().copied());
         }
 
         let mut best: Option<(Assignment, u64)> = None;
@@ -194,8 +192,8 @@ impl PboSolver {
                     encode_pb(&bound, &mut sink);
                     bounds_so_far.push(bound);
                     solver.ensure_vars(sink.num_vars());
-                    for c in sink.into_clauses() {
-                        solver.add_clause(c);
+                    for c in sink.clauses() {
+                        solver.add_clause(c.iter().copied());
                     }
                 }
                 SolveOutcome::Unsat => {
@@ -226,9 +224,7 @@ pub fn maxsat_as_pbo(wcnf: &WcnfFormula) -> PboSolver {
     let mut objective = Vec::with_capacity(wcnf.num_soft());
     for (next, soft) in (wcnf.num_vars() as u32..).zip(wcnf.soft_clauses()) {
         let b = Lit::positive(coremax_cnf::Var::new(next));
-        let mut clause: Vec<Lit> = soft.clause.lits().to_vec();
-        clause.push(b);
-        pbo.add_clause(clause);
+        pbo.add_clause(soft.clause.iter().copied().chain([b]));
         objective.push(PbTerm::new(soft.weight, b));
     }
     pbo.set_objective(objective);

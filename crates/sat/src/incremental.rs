@@ -82,7 +82,7 @@ pub struct IncrementalSolver {
     budget: Budget,
     num_vars: usize,
     /// The selector of each soft, by `SoftId`. Each is a fresh variable,
-    /// so their variables ascend, which `failed_softs` searches by.
+    /// so their variables ascend, which `soft_of` searches by.
     selectors: Vec<Lit>,
     states: Vec<SoftState>,
     assumption_buf: Vec<Lit>,
@@ -232,6 +232,18 @@ impl IncrementalSolver {
         !self.selectors[id.0]
     }
 
+    /// The soft clause that `assumption` enforces (`¬s` for its
+    /// selector `s`), if it is one: the lookup that maps a failed
+    /// assumption back to its soft.
+    #[must_use]
+    pub fn soft_of(&self, assumption: Lit) -> Option<SoftId> {
+        self.selectors
+            .binary_search_by_key(&assumption.var(), |s| s.var())
+            .ok()
+            .map(SoftId)
+            .filter(|&id| self.assumption(id) == assumption)
+    }
+
     /// Whether the soft clause is currently enforced by assumption.
     #[must_use]
     pub fn is_active(&self, id: SoftId) -> bool {
@@ -354,12 +366,7 @@ impl IncrementalSolver {
             .solver
             .failed_assumptions()
             .iter()
-            .filter_map(|a| {
-                self.selectors
-                    .binary_search_by_key(&a.var(), |s| s.var())
-                    .ok()
-                    .map(SoftId)
-            })
+            .filter_map(|&a| self.soft_of(a))
             .collect();
         ids.sort_unstable();
         ids

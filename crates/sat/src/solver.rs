@@ -1810,26 +1810,33 @@ impl Solver {
 
             let lit = match next_decision {
                 Some(l) => l,
+                None if self.trail.len() == self.num_vars() => {
+                    // All variables assigned: a model. Counting the trail
+                    // instead of popping the heap empty leaves the
+                    // assigned variables enqueued, so `cancel_until`
+                    // finds them there. The heap's order is strict, so
+                    // these extra entries, skipped when popped, change
+                    // no later decision.
+                    let mut m = Assignment::for_vars(self.num_vars());
+                    for i in 0..self.num_vars() {
+                        m.assign(Var::new(i as u32), self.assigns[i << 1] == VALUE_TRUE);
+                    }
+                    self.model = Some(m);
+                    return SearchResult::Sat;
+                }
                 None => {
-                    let mut picked = None;
-                    while let Some(v) = self.order.pop(&self.activity) {
+                    // Every unassigned variable is in the heap, so the
+                    // pops end at one.
+                    let v = loop {
+                        let v = self
+                            .order
+                            .pop(&self.activity)
+                            .expect("every unassigned variable is enqueued");
                         if self.var_value(v) == VALUE_UNDEF {
-                            picked = Some(v);
-                            break;
+                            break v;
                         }
-                    }
-                    match picked {
-                        Some(v) => Lit::new(v, self.phase[v.index()]),
-                        None => {
-                            // All variables assigned: a model.
-                            let mut m = Assignment::for_vars(self.num_vars());
-                            for i in 0..self.num_vars() {
-                                m.assign(Var::new(i as u32), self.assigns[i << 1] == VALUE_TRUE);
-                            }
-                            self.model = Some(m);
-                            return SearchResult::Sat;
-                        }
-                    }
+                    };
+                    Lit::new(v, self.phase[v.index()])
                 }
             };
             self.decide(lit);
@@ -2207,6 +2214,20 @@ mod tests {
         for c in &clauses {
             assert!(c.iter().any(|&lit| m.satisfies(lit)), "clause violated");
         }
+    }
+
+    #[test]
+    fn a_model_reached_by_propagation_pops_nothing_off_the_heap() {
+        // x1 is a fact, and assuming x2 propagates x3 and x4: every
+        // variable is assigned before the first pick. A drain of the
+        // heap would have removed the fact for good, because
+        // backtracking to level 0 never unassigns it.
+        let mut s = solver_with(&[&[1], &[-2, 3], &[-3, 4]]);
+        assert_eq!(s.solve_with_assumptions(&[l(2)]), SolveOutcome::Sat);
+        assert_eq!(s.order.len(), s.num_vars());
+        assert!((0..4).all(|v| s.order.contains(Var::new(v))));
+        let m = s.model().expect("model after SAT");
+        assert!([1, 2, 3, 4].iter().all(|&d| m.satisfies(l(d))));
     }
 
     #[test]
