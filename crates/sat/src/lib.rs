@@ -7,7 +7,10 @@
 //!
 //! - two-watched-literal propagation with dedicated binary-clause watch
 //!   lists (the other literal is stored inline, so binary propagation
-//!   never touches the clause arena),
+//!   never touches the clause arena); each kind of watch list lives in
+//!   one arena per engine, every literal's list a window of it, so
+//!   loading and dropping an engine allocate per arena growth rather
+//!   than per literal,
 //! - first-UIP conflict analysis with recursive clause minimisation,
 //!   allocation-free in steady state,
 //! - VSIDS variable activities with phase saving,
@@ -73,6 +76,7 @@ mod luby;
 pub mod share;
 mod solver;
 mod stats;
+mod watch;
 
 pub use budget::Budget;
 pub use incremental::{IncrementalSolver, SoftId};

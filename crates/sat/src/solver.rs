@@ -11,6 +11,7 @@ use crate::heap::ActivityHeap;
 use crate::luby::luby;
 use crate::share::ExchangeEndpoint;
 use crate::stats::SolverStats;
+use crate::watch::WatchLists;
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,11 +163,12 @@ struct VarData {
     reason: CRef,
 }
 
-/// Extends a per-variable array to `len` entries of `value`. Capacity
-/// goes to a power of two, as one push per variable would leave it:
-/// growing to the exact length measured a higher peak memory on the
-/// portfolio benchmark, where many short-lived engines grow by turns.
-fn grow<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+/// Extends a per-variable array, or the slot table of a watch arena, to
+/// `len` entries of `value`. Capacity goes to a power of two, as one
+/// push per variable would leave it: growing to the exact length
+/// measured a higher peak memory on the portfolio benchmark, where many
+/// short-lived engines grow by turns.
+pub(crate) fn grow<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
     v.reserve_exact(len.next_power_of_two().saturating_sub(v.len()));
     v.resize(len, value);
 }
@@ -203,10 +205,11 @@ pub struct Solver {
     config: SolverConfig,
     db: ClauseDb,
 
-    // Per-literal watch lists, indexed by `Lit::index`. Binary clauses
-    // live exclusively in `bin_watches`; longer clauses in `watches`.
-    watches: Vec<Vec<Watcher>>,
-    bin_watches: Vec<Vec<BinWatcher>>,
+    // Per-literal watch lists, indexed by `Lit::index`, each kind in one
+    // arena. Binary clauses live exclusively in `bin_watches`; longer
+    // clauses in `watches`.
+    watches: WatchLists<Watcher>,
+    bin_watches: WatchLists<BinWatcher>,
 
     // Per-LITERAL truth values (two entries per variable, indexed by
     // `Lit::index`): `lit_value` is a single array load with no sign
@@ -316,8 +319,8 @@ impl Solver {
         Solver {
             config,
             db: ClauseDb::new(),
-            watches: Vec::new(),
-            bin_watches: Vec::new(),
+            watches: WatchLists::default(),
+            bin_watches: WatchLists::default(),
             assigns: Vec::new(),
             var_data: Vec::new(),
             activity: Vec::new(),
@@ -393,8 +396,8 @@ impl Solver {
         grow(&mut self.phase, num_vars, self.config.default_phase);
         grow(&mut self.seen, num_vars, false);
         grow(&mut self.unit_pure, num_vars, false);
-        grow(&mut self.watches, 2 * num_vars, Vec::new());
-        grow(&mut self.bin_watches, 2 * num_vars, Vec::new());
+        self.watches.ensure_lits(2 * num_vars);
+        self.bin_watches.ensure_lits(2 * num_vars);
         for i in old..num_vars {
             self.order.insert(Var::new(i as u32), &self.activity);
         }
@@ -962,14 +965,16 @@ impl Solver {
     fn watch(&mut self, lit: Lit, cref: CRef, blocker: Lit) {
         // Clause watches `lit`; the watcher must fire when `lit` becomes
         // false, i.e. when `!lit` is enqueued.
-        self.watches[(!lit).index()].push(Watcher { cref, blocker });
+        self.watches.push((!lit).index(), Watcher { cref, blocker });
     }
 
     /// Registers both watchers of a binary clause `l0 ∨ l1`.
     #[inline]
     fn watch_binary(&mut self, l0: Lit, l1: Lit, cref: CRef) {
-        self.bin_watches[(!l0).index()].push(BinWatcher { other: l1, cref });
-        self.bin_watches[(!l1).index()].push(BinWatcher { other: l0, cref });
+        self.bin_watches
+            .push((!l0).index(), BinWatcher { other: l1, cref });
+        self.bin_watches
+            .push((!l1).index(), BinWatcher { other: l0, cref });
     }
 
     fn enqueue(&mut self, lit: Lit, reason: CRef) {
@@ -1018,6 +1023,22 @@ impl Solver {
     }
 
     fn propagate(&mut self) -> Option<CRef> {
+        // The walk holds both arenas as locals, so it reads binary lists
+        // as slices and moves watchers between lists while `enqueue` and
+        // the clause arena stay reachable through `self`.
+        let mut watches = std::mem::take(&mut self.watches);
+        let bin_watches = std::mem::take(&mut self.bin_watches);
+        let conflict = self.propagate_lists(&mut watches, &bin_watches);
+        self.watches = watches;
+        self.bin_watches = bin_watches;
+        conflict
+    }
+
+    fn propagate_lists(
+        &mut self,
+        watches: &mut WatchLists<Watcher>,
+        bin_watches: &WatchLists<BinWatcher>,
+    ) -> Option<CRef> {
         while self.qhead < self.trail.len() {
             // Observe stop flag / deadline / propagation cap *inside*
             // long implication chains (decision-loop polling alone can
@@ -1044,34 +1065,34 @@ impl Solver {
 
             // Binary clauses first: the other literal is inline, the
             // clause arena is never touched, and watchers never move.
-            let bins = std::mem::take(&mut self.bin_watches[p.index()]);
-            for &w in &bins {
+            for &w in bin_watches.list(p.index()) {
                 match self.lit_value(w.other) {
                     Some(true) => {}
-                    Some(false) => {
-                        self.bin_watches[p.index()] = bins;
-                        return Some(w.cref);
-                    }
+                    Some(false) => return Some(w.cref),
                     None => {
                         self.stats.bin_propagations += 1;
                         self.enqueue(w.other, w.cref);
                     }
                 }
             }
-            self.bin_watches[p.index()] = bins;
 
-            let mut ws = std::mem::take(&mut self.watches[p.index()]);
-            let mut kept = 0usize;
+            // Keep or drop each of `p`'s watchers in place. A watcher
+            // that moves lands on the list of a literal that is not
+            // false, never on `p`'s, so `p`'s positions stay valid
+            // throughout.
+            let (begin, n) = watches.span(p.index());
+            let end = begin + n;
+            let mut kept = begin;
             let mut conflict: Option<CRef> = None;
-            let mut i = 0usize;
-            while i < ws.len() {
-                let w = ws[i];
+            let mut i = begin;
+            while i < end {
+                let w = watches.get(i);
                 i += 1;
                 // Blocker first: it needs no clause-header access, and a
                 // deleted clause parked behind a true blocker is
                 // harmless until the next collection sweeps it.
                 if self.lit_value(w.blocker) == Some(true) {
-                    ws[kept] = w;
+                    watches.set(kept, w);
                     kept += 1;
                     continue;
                 }
@@ -1089,10 +1110,13 @@ impl Solver {
                 debug_assert_eq!(self.db.lit_at(start + 1), false_lit);
                 let first = self.db.lit_at(start);
                 if first != w.blocker && self.lit_value(first) == Some(true) {
-                    ws[kept] = Watcher {
-                        cref: w.cref,
-                        blocker: first,
-                    };
+                    watches.set(
+                        kept,
+                        Watcher {
+                            blocker: first,
+                            ..w
+                        },
+                    );
                     kept += 1;
                     continue;
                 }
@@ -1107,30 +1131,35 @@ impl Solver {
                 if let Some(k) = replacement {
                     self.db.swap_lits(start + 1, start + k);
                     let new_watch = self.db.lit_at(start + 1);
-                    self.watch(new_watch, w.cref, first);
+                    watches.push(
+                        (!new_watch).index(),
+                        Watcher {
+                            blocker: first,
+                            ..w
+                        },
+                    );
                     continue; // watcher moved to another list
                 }
                 // No replacement: clause is unit or conflicting.
                 if self.lit_value(first) == Some(false) {
                     conflict = Some(w.cref);
                     // Keep the remaining watchers (including this one).
-                    ws[kept] = w;
+                    watches.set(kept, w);
                     kept += 1;
-                    while i < ws.len() {
-                        ws[kept] = ws[i];
+                    while i < end {
+                        watches.set(kept, watches.get(i));
                         kept += 1;
                         i += 1;
                     }
                     self.qhead = self.trail.len();
                 } else {
-                    ws[kept] = w;
+                    watches.set(kept, w);
                     kept += 1;
                     self.enqueue(first, w.cref);
                 }
             }
-            ws.truncate(kept);
-            debug_assert!(self.watches[p.index()].is_empty());
-            self.watches[p.index()] = ws;
+            debug_assert_eq!(watches.span(p.index()), (begin, n));
+            watches.truncate(p.index(), kept - begin);
             if let Some(c) = conflict {
                 return Some(c);
             }
@@ -1423,13 +1452,15 @@ impl Solver {
         if self.decision_level() == 0 {
             return;
         }
-        let mut marked = vec![false; self.num_vars()];
-        marked[a.var().index()] = true;
+        // `analyze` leaves `seen` all false. Every mark but `a`'s lies
+        // on the trail above level 0, where the loop below clears it.
+        debug_assert!(!self.seen.contains(&true));
+        self.seen[a.var().index()] = true;
         let bottom = self.trail_lim[0];
         for idx in (bottom..self.trail.len()).rev() {
             let lit = self.trail[idx];
             let v = lit.var();
-            if !marked[v.index()] {
+            if !self.seen[v.index()] {
                 continue;
             }
             let reason = self.var_data[v.index()].reason;
@@ -1441,11 +1472,15 @@ impl Solver {
             } else {
                 for &l in self.db.lits(reason) {
                     if self.var_data[l.var().index()].level > 0 {
-                        marked[l.var().index()] = true;
+                        self.seen[l.var().index()] = true;
                     }
                 }
             }
+            // Only earlier trail entries can be marked from here on.
+            self.seen[v.index()] = false;
         }
+        self.seen[a.var().index()] = false;
+        debug_assert!(!self.seen.contains(&true));
     }
 
     /// Records the clause prepared by [`Solver::analyze`] (in
@@ -1658,19 +1693,16 @@ impl Solver {
         }
         let gc_span = coremax_obs::span(Phase::Gc);
         let remap = self.db.collect_garbage();
-        for ws in &mut self.watches {
-            ws.retain_mut(|w| {
-                let n = remap.remap(w.cref);
-                w.cref = n;
-                !n.is_undef()
-            });
-        }
-        for ws in &mut self.bin_watches {
-            for w in ws.iter_mut() {
-                w.cref = remap.remap(w.cref);
-                debug_assert!(!w.cref.is_undef(), "binary clauses are never deleted");
-            }
-        }
+        // The same pass drops the watch arenas' garbage.
+        self.watches.compact(|w| {
+            w.cref = remap.remap(w.cref);
+            !w.cref.is_undef()
+        });
+        self.bin_watches.compact(|w| {
+            w.cref = remap.remap(w.cref);
+            debug_assert!(!w.cref.is_undef(), "binary clauses are never deleted");
+            true
+        });
         for vd in &mut self.var_data {
             if !vd.reason.is_undef() {
                 let n = remap.remap(vd.reason);
