@@ -16,7 +16,7 @@ use coremax::{
 use coremax_cnf::{dimacs, WcnfFormula, Weight};
 use coremax_instances::{debug_suite, full_suite, weighted_suite, InstanceStats, SuiteConfig};
 use coremax_par::{solve_batch, BatchOptions, Portfolio};
-use coremax_sat::{Budget, SharingConfig};
+use coremax_sat::Budget;
 
 /// Parsed command-line options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,13 +51,6 @@ pub struct Options {
     /// Race the full portfolio (all algorithms × preprocessing) instead
     /// of a single algorithm; the winner is reported deterministically.
     pub portfolio: bool,
-    /// Enable cooperative clause sharing between portfolio members
-    /// (requires `--portfolio`; answers stay exact, wall-clock winner
-    /// timing stops being bit-reproducible).
-    pub share: bool,
-    /// Export LBD gate for `--share` (learned clauses above this LBD
-    /// stay local); `None` uses the [`SharingConfig`] default.
-    pub share_lbd: Option<u32>,
     /// Input path (`-` = stdin; a directory selects batch mode).
     pub input: String,
     /// When set, generate the benchmark suite into this directory
@@ -86,8 +79,6 @@ impl Default for Options {
             print_model: false,
             jobs: 1,
             portfolio: false,
-            share: false,
-            share_lbd: None,
             input: "-".into(),
             generate_dir: None,
             family: None,
@@ -157,18 +148,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, St
                 }
             }
             "--portfolio" => options.portfolio = true,
-            "--share" => options.share = true,
-            "--share-lbd" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| "missing value for --share-lbd".to_string())?;
-                let lbd: u32 = v.parse().map_err(|_| format!("invalid share LBD `{v}`"))?;
-                if lbd == 0 {
-                    return Err("--share-lbd must be at least 1".into());
-                }
-                options.share_lbd = Some(lbd);
-                options.share = true; // the gate only means something shared
-            }
             "--verify" => options.verify = true,
             "--preprocess" => options.preprocess = true,
             "--no-preprocess" => {
@@ -211,11 +190,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, St
              it cannot be combined with -a/--algorithm or --no-preprocess"
             .into());
     }
-    // Clause sharing is a property of the portfolio race; on a single
-    // solver there is nobody to share with.
-    if options.share && !options.portfolio {
-        return Err("--share/--share-lbd require --portfolio".into());
-    }
     if options.generate_dir.is_some() {
         options.input = input.unwrap_or_else(|| "-".into());
     } else {
@@ -230,7 +204,7 @@ pub fn usage() -> String {
     "usage: coremax-solve [-a ALGO] [-t MS] [--verify] [--stats] [-m]\n\
      \x20                    [--no-preprocess] [--simp-stats]\n\
      \x20                    [--progress] [--trace FILE] [--stats-json FILE]\n\
-     \x20                    [-j N] [--portfolio] [--share] [--share-lbd N] FILE|DIR\n\
+     \x20                    [-j N] [--portfolio] FILE|DIR\n\
      \x20      coremax-solve --generate DIR [--family NAME] [--scale N] [--seed S]\n\
      \n\
      ALGO: msu4-v2 (default), msu4-v1, msu4-inc, msu1, msu2, msu3, pbo,\n\
@@ -249,11 +223,6 @@ pub fn usage() -> String {
      -j/--jobs N      worker threads (batch instances, portfolio race)\n\
      --portfolio      race every algorithm (bare and preprocessed) and\n\
      \x20                report the deterministic fixed-priority winner\n\
-     --share          let portfolio members exchange hard-implied learned\n\
-     \x20                clauses (exact answers; winner timing no longer\n\
-     \x20                bit-reproducible). Requires --portfolio\n\
-     --share-lbd N    export only learned clauses with LBD <= N\n\
-     \x20                (default 4; implies --share)\n\
      --no-preprocess skips the simplifier (BVE/subsumption/probing);\n\
      --simp-stats prints its reduction counters\n\
      --progress       live anytime output: `o <cost>` on every improved\n\
@@ -351,15 +320,7 @@ pub fn run(options: &Options, wcnf: &WcnfFormula) -> Result<MaxSatSolution, Stri
 /// `options.jobs` threads).
 fn single_instance_solver(options: &Options) -> Result<Box<dyn MaxSatSolver + Send>, String> {
     if options.portfolio {
-        let mut portfolio = Portfolio::new(options.jobs);
-        if options.share {
-            let mut config = SharingConfig::default();
-            if let Some(lbd) = options.share_lbd {
-                config.max_lbd = lbd;
-            }
-            portfolio = portfolio.with_sharing(config);
-        }
-        return Ok(Box::new(portfolio));
+        return Ok(Box::new(Portfolio::new(options.jobs)));
     }
     let inner = make_solver_send(&options.algorithm)?;
     let inner: Box<dyn MaxSatSolver + Send> = if !inner.supports_weights() {
@@ -847,60 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_share_flags() {
-        let o = parse_args(
-            ["--portfolio", "--share", "x.wcnf"]
-                .into_iter()
-                .map(String::from),
-        )
-        .unwrap();
-        assert!(o.share);
-        assert_eq!(o.share_lbd, None);
-        let o = parse_args(
-            ["--portfolio", "--share-lbd", "6", "x.wcnf"]
-                .into_iter()
-                .map(String::from),
-        )
-        .unwrap();
-        assert!(o.share, "--share-lbd implies --share");
-        assert_eq!(o.share_lbd, Some(6));
-        // Sharing without a portfolio has nobody to share with.
-        assert!(parse_args(["--share", "x.wcnf"].into_iter().map(String::from)).is_err());
-        assert!(parse_args(
-            ["--share-lbd", "0", "--portfolio", "x.wcnf"]
-                .into_iter()
-                .map(String::from)
-        )
-        .is_err());
-        assert!(parse_args(
-            ["--portfolio", "--share-lbd", "x.wcnf"]
-                .into_iter()
-                .map(String::from)
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn sharing_portfolio_run_matches_plain_portfolio() {
-        let wcnf =
-            parse_problem("p cnf 4 8\n1 0\n-1 -2 0\n2 0\n-1 -3 0\n3 0\n-2 -3 0\n1 -4 0\n-1 4 0\n")
-                .unwrap();
-        for jobs in [1, 4] {
-            let options = Options {
-                portfolio: true,
-                share: true,
-                share_lbd: Some(5),
-                jobs,
-                ..Options::default()
-            };
-            let s = run(&options, &wcnf).unwrap();
-            assert_eq!(s.status, coremax::MaxSatStatus::Optimal, "jobs={jobs}");
-            assert_eq!(s.cost, Some(2), "jobs={jobs}");
-            assert!(coremax::verify_solution(&wcnf, &s));
-        }
-    }
-
-    #[test]
     fn portfolio_run_matches_single_solver() {
         let wcnf =
             parse_problem("p cnf 4 8\n1 0\n-1 -2 0\n2 0\n-1 -3 0\n3 0\n-2 -3 0\n1 -4 0\n-1 4 0\n")
@@ -1066,7 +973,18 @@ mod tests {
 
     #[test]
     fn parse_rejects_unknown_flag() {
-        assert!(parse_args(["--bogus".to_string(), "f".to_string()]).is_err());
+        // A script that passes `--share` or `--share-lbd` gets the usage
+        // error, not a race that silently ignores them.
+        for args in [
+            &["--bogus", "f"][..],
+            &["--portfolio", "--share", "f"],
+            &["--portfolio", "--share-lbd", "4", "f"],
+        ] {
+            let err = parse_args(args.iter().map(|a| a.to_string())).unwrap_err();
+            assert!(err.starts_with("unknown flag `--"), "{args:?}: {err}");
+            assert!(err.ends_with(&usage()), "{args:?}: {err}");
+        }
+        assert!(!usage().contains("--share"));
     }
 
     #[test]

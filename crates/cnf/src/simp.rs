@@ -112,18 +112,6 @@ impl VarMap {
         self.new_to_old[new.index()]
     }
 
-    /// The full compacted→original table (indexed by compacted var).
-    #[must_use]
-    pub fn new_to_old(&self) -> &[Var] {
-        &self.new_to_old
-    }
-
-    /// The full original→compacted table (`None` = variable removed).
-    #[must_use]
-    pub fn old_to_new(&self) -> &[Option<Var>] {
-        &self.old_to_new
-    }
-
     /// Translates a model over the compacted space into a (partial)
     /// assignment over the original space: every surviving variable
     /// receives its value, removed variables stay unassigned.

@@ -85,7 +85,6 @@ mod wmsu1;
 pub use bounds::{blocking_upper_bound, disjoint_core_analysis, DisjointCoreReport};
 pub use branch_bound::BranchBound;
 pub use core_min::minimize_core;
-pub use coremax_sat::{ClauseExchange, ExchangeTotals, SharedContext, SharingConfig};
 pub use linear_core::{Msu2, Msu3};
 pub use msu1::Msu1;
 pub use msu4::{Msu4, Msu4Config};

@@ -18,7 +18,7 @@
 
 use coremax_cards::{encode_at_most, CardEncoding};
 use coremax_cnf::{Lit, WcnfFormula};
-use coremax_sat::{Budget, SharedContext, SolveOutcome};
+use coremax_sat::{Budget, SolveOutcome};
 
 use crate::run::CoreRun;
 use crate::types::{MaxSatSolution, MaxSatSolver};
@@ -29,7 +29,6 @@ struct LinearCore {
     encoding: CardEncoding,
     core_at_least_one: bool,
     budget: Budget,
-    shared: Option<SharedContext>,
 }
 
 impl LinearCore {
@@ -38,7 +37,6 @@ impl LinearCore {
             encoding,
             core_at_least_one,
             budget: Budget::new(),
-            shared: None,
         }
     }
 
@@ -52,7 +50,7 @@ impl LinearCore {
         // becomes the blocking variable the global bound ranges over —
         // no clause is ever re-added. The lower bound is the search's
         // current `k`.
-        let mut run = CoreRun::new(wcnf, &self.budget, self.shared.clone());
+        let mut run = CoreRun::new(wcnf, &self.budget);
         run.add_softs();
         let num_soft = wcnf.num_soft();
 
@@ -221,10 +219,6 @@ impl MaxSatSolver for Msu3 {
         self.inner.budget = budget;
     }
 
-    fn set_shared_context(&mut self, ctx: SharedContext) {
-        self.inner.shared = Some(ctx);
-    }
-
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
         self.inner.solve(wcnf)
     }
@@ -264,10 +258,6 @@ impl MaxSatSolver for Msu2 {
 
     fn set_budget(&mut self, budget: Budget) {
         self.inner.budget = budget;
-    }
-
-    fn set_shared_context(&mut self, ctx: SharedContext) {
-        self.inner.shared = Some(ctx);
     }
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {

@@ -2,7 +2,7 @@
 
 use coremax_cards::{encode_at_most, sorted_prefix, CardEncoding};
 use coremax_cnf::{Assignment, Lit, WcnfFormula, Weight};
-use coremax_sat::{Budget, SharedContext, SoftId, SolveOutcome};
+use coremax_sat::{Budget, SoftId, SolveOutcome};
 
 use crate::run::CoreRun;
 use crate::types::{MaxSatSolution, MaxSatSolver};
@@ -78,7 +78,6 @@ impl Default for Msu4Config {
 pub struct Msu4 {
     config: Msu4Config,
     budget: Budget,
-    shared: Option<SharedContext>,
 }
 
 impl Msu4 {
@@ -112,7 +111,6 @@ impl Msu4 {
         Msu4 {
             config,
             budget: Budget::new(),
-            shared: None,
         }
     }
 
@@ -136,16 +134,12 @@ impl MaxSatSolver for Msu4 {
         self.budget = budget;
     }
 
-    fn set_shared_context(&mut self, ctx: SharedContext) {
-        self.shared = Some(ctx);
-    }
-
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
         assert!(
             wcnf.is_unweighted(),
             "msu4 handles unweighted (partial) MaxSAT; got weighted soft clauses"
         );
-        let mut run = CoreRun::new(wcnf, &self.budget, self.shared.clone());
+        let mut run = CoreRun::new(wcnf, &self.budget);
         // Bounds in *cost* space: lb = the paper's νU (each disjointly
         // refuted core forces one more falsified clause, Prop. 1);
         // ub = the paper's νBV (the incumbent's cost, Prop. 2), or every

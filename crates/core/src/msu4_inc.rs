@@ -24,7 +24,7 @@
 
 use coremax_cards::CardEncoding;
 use coremax_cnf::{Lit, WcnfFormula, Weight};
-use coremax_sat::{Budget, SharedContext, SolveOutcome};
+use coremax_sat::{Budget, SolveOutcome};
 
 use crate::msu4::BlockingBound;
 use crate::run::CoreRun;
@@ -57,7 +57,6 @@ use crate::types::{MaxSatSolution, MaxSatSolver};
 #[derive(Debug, Clone)]
 pub struct Msu4Incremental {
     budget: Budget,
-    shared: Option<SharedContext>,
 }
 
 impl Default for Msu4Incremental {
@@ -72,7 +71,6 @@ impl Msu4Incremental {
     pub fn new() -> Self {
         Msu4Incremental {
             budget: Budget::new(),
-            shared: None,
         }
     }
 }
@@ -86,16 +84,12 @@ impl MaxSatSolver for Msu4Incremental {
         self.budget = budget;
     }
 
-    fn set_shared_context(&mut self, ctx: SharedContext) {
-        self.shared = Some(ctx);
-    }
-
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
         assert!(
             wcnf.is_unweighted(),
             "msu4-inc handles unweighted (partial) MaxSAT; got weighted soft clauses"
         );
-        let mut run = CoreRun::new(wcnf, &self.budget, self.shared.clone());
+        let mut run = CoreRun::new(wcnf, &self.budget);
         run.add_softs();
         // ub is the incumbent's cost, or every soft clause before the
         // first model.

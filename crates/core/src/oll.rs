@@ -39,7 +39,7 @@
 
 use coremax_cards::IncrementalTotalizer;
 use coremax_cnf::{Lit, WcnfFormula, Weight};
-use coremax_sat::{Budget, SharedContext, SoftId, SolveOutcome};
+use coremax_sat::{Budget, SoftId, SolveOutcome};
 
 use crate::run::CoreRun;
 use crate::types::{MaxSatSolution, MaxSatSolver};
@@ -65,7 +65,6 @@ use crate::types::{MaxSatSolution, MaxSatSolver};
 #[derive(Debug, Clone)]
 pub struct Oll {
     budget: Budget,
-    shared: Option<SharedContext>,
 }
 
 impl Default for Oll {
@@ -80,7 +79,6 @@ impl Oll {
     pub fn new() -> Self {
         Oll {
             budget: Budget::new(),
-            shared: None,
         }
     }
 }
@@ -127,16 +125,12 @@ impl MaxSatSolver for Oll {
         self.budget = budget;
     }
 
-    fn set_shared_context(&mut self, ctx: SharedContext) {
-        self.shared = Some(ctx);
-    }
-
     fn supports_weights(&self) -> bool {
         true
     }
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
-        let mut run = CoreRun::new(wcnf, &self.budget, self.shared.clone());
+        let mut run = CoreRun::new(wcnf, &self.budget);
 
         // Every original soft is registered up front but starts
         // deactivated; the stratified schedule below activates them

@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use coremax_cnf::WcnfFormula;
-use coremax_sat::{Budget, SharedContext};
+use coremax_sat::Budget;
 use coremax_simp::{SimpConfig, Simplifier};
 
 use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
@@ -50,7 +50,6 @@ pub struct Preprocessed<S> {
     inner: S,
     config: SimpConfig,
     budget: Budget,
-    shared: Option<SharedContext>,
 }
 
 impl<S: MaxSatSolver> Preprocessed<S> {
@@ -67,7 +66,6 @@ impl<S: MaxSatSolver> Preprocessed<S> {
             inner,
             config,
             budget: Budget::new(),
-            shared: None,
         }
     }
 
@@ -85,10 +83,6 @@ impl<S: MaxSatSolver> MaxSatSolver for Preprocessed<S> {
 
     fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
-    }
-
-    fn set_shared_context(&mut self, ctx: SharedContext) {
-        self.shared = Some(ctx);
     }
 
     fn supports_weights(&self) -> bool {
@@ -150,20 +144,6 @@ impl<S: MaxSatSolver> MaxSatSolver for Preprocessed<S> {
             stats.phase.absorb(&pre_phase);
             stats.wall_time = start.elapsed();
             return MaxSatSolution::infeasible(stats);
-        }
-        if let Some(ctx) = &self.shared {
-            // Exchange clauses live in the *original* variable space;
-            // compose the simplifier's variable compaction on top of the
-            // context's translation so imports land on surviving
-            // variables (whole clauses touching eliminated variables are
-            // skipped) and the inner solver's exports map back. Both
-            // directions stay sound: BVE resolvents are implied by the
-            // original hards, and an original-space hard-implied clause
-            // over kept variables holds in every model of the simplified
-            // hards.
-            self.inner.set_shared_context(
-                ctx.with_var_map(simp.var_map.new_to_old(), simp.var_map.old_to_new()),
-            );
         }
         let mut solution = self.inner.solve(&simp.formula);
         solution.stats.simp = simp_stats;

@@ -17,7 +17,7 @@ use std::time::Instant;
 use coremax_cards::CnfSink;
 use coremax_cnf::{Assignment, Lit, WcnfFormula, Weight};
 use coremax_obs::{Event, Phase};
-use coremax_sat::{Budget, IncrementalSolver, SharedContext, SolveOutcome};
+use coremax_sat::{Budget, IncrementalSolver, SolveOutcome};
 
 use crate::types::{MaxSatSolution, MaxSatStats, MaxSatStatus};
 
@@ -38,23 +38,15 @@ pub(crate) struct CoreRun<'a> {
 
 impl<'a> CoreRun<'a> {
     /// Starts the clock, derives the run's budget from `budget`, and
-    /// loads the hard clauses into one engine (shared, so a portfolio
-    /// exchange may export what they imply). Softs are the driver's.
-    pub(crate) fn new(
-        wcnf: &'a WcnfFormula,
-        budget: &Budget,
-        shared: Option<SharedContext>,
-    ) -> Self {
+    /// loads the hard clauses into one engine. Softs are the driver's.
+    pub(crate) fn new(wcnf: &'a WcnfFormula, budget: &Budget) -> Self {
         let start = Instant::now();
         let budget = budget.child(start);
         let mut engine = IncrementalSolver::new();
-        if let Some(ctx) = shared {
-            engine.set_shared_context(ctx);
-        }
         engine.ensure_vars(wcnf.num_vars());
         engine.set_budget(budget.clone());
         for h in wcnf.hard_clauses() {
-            engine.add_clause_shared(h.lits().iter().copied());
+            engine.add_clause(h.lits().iter().copied());
         }
         CoreRun {
             wcnf,

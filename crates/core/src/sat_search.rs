@@ -21,7 +21,7 @@ use crate::types::{MaxSatSolution, MaxSatSolver};
 /// Returns the run and the blocking literals. A model's cost counts the
 /// soft clauses it falsifies, not the blockers it raises.
 fn relaxed_run<'a>(wcnf: &'a WcnfFormula, budget: &Budget) -> (CoreRun<'a>, Vec<Lit>) {
-    let mut run = CoreRun::new(wcnf, budget, None);
+    let mut run = CoreRun::new(wcnf, budget);
     // One blocker per soft, numbered in soft order, grown in one step.
     let first = run.engine.num_vars();
     run.engine.ensure_vars(first + wcnf.num_soft());

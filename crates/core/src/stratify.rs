@@ -35,7 +35,7 @@ use std::time::Instant;
 use coremax_cards::{encode_at_most, CardEncoding, CnfSink};
 use coremax_cnf::{ClauseStore, Lit, Var, WcnfFormula, Weight};
 use coremax_pbo::{encode_pb, PbConstraint, PbOp, PbTerm};
-use coremax_sat::{Budget, SharedContext};
+use coremax_sat::Budget;
 
 use crate::oll::Oll;
 use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
@@ -69,7 +69,6 @@ pub struct Stratified<S> {
     inner: S,
     encoding: CardEncoding,
     budget: Budget,
-    shared: Option<SharedContext>,
 }
 
 impl<S: MaxSatSolver> Stratified<S> {
@@ -83,7 +82,6 @@ impl<S: MaxSatSolver> Stratified<S> {
             inner,
             encoding: CardEncoding::Totalizer,
             budget: Budget::new(),
-            shared: None,
         }
     }
 
@@ -163,17 +161,6 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
 
     fn supports_weights(&self) -> bool {
         true
-    }
-
-    fn set_shared_context(&mut self, ctx: SharedContext) {
-        // Stage sub-instances carry *extra* hard clauses (stratum
-        // freezes, hardened softs), so clauses learned here are not in
-        // general implied by the canonical hards — exporting would be
-        // unsound. Importing stays sound: the sub-instance hards
-        // subsume the canonical ones.
-        let ctx = ctx.import_only();
-        self.inner.set_shared_context(ctx.clone());
-        self.shared = Some(ctx);
     }
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
@@ -270,9 +257,6 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
             } else {
                 let mut fallback = Oll::new();
                 fallback.set_budget(stage_budget.clone());
-                if let Some(ctx) = &self.shared {
-                    fallback.set_shared_context(ctx.clone());
-                }
                 fallback.solve(&sub)
             };
             stats.absorb(&solution.stats);

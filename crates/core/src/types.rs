@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use coremax_cnf::{Assignment, WcnfFormula, Weight};
 use coremax_obs::PhaseTimes;
-use coremax_sat::{Budget, SharedContext, SolverStats};
+use coremax_sat::{Budget, SolverStats};
 use coremax_simp::SimpStats;
 
 /// Verdict of a MaxSAT run.
@@ -301,15 +301,6 @@ pub trait MaxSatSolver {
         false
     }
 
-    /// Connects the solver to a portfolio clause exchange (see
-    /// `coremax_sat::share`). Solvers that support cooperative sharing
-    /// thread the context down to their SAT engines; the default
-    /// ignores it, which is always sound — sharing is an optimisation,
-    /// never a requirement. Call before [`MaxSatSolver::solve`].
-    fn set_shared_context(&mut self, ctx: SharedContext) {
-        let _ = ctx;
-    }
-
     /// Solves the given weighted partial MaxSAT instance.
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution;
 }
@@ -325,10 +316,6 @@ impl MaxSatSolver for Box<dyn MaxSatSolver> {
 
     fn supports_weights(&self) -> bool {
         (**self).supports_weights()
-    }
-
-    fn set_shared_context(&mut self, ctx: SharedContext) {
-        (**self).set_shared_context(ctx);
     }
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
@@ -349,10 +336,6 @@ impl MaxSatSolver for Box<dyn MaxSatSolver + Send> {
 
     fn supports_weights(&self) -> bool {
         (**self).supports_weights()
-    }
-
-    fn set_shared_context(&mut self, ctx: SharedContext) {
-        (**self).set_shared_context(ctx);
     }
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {

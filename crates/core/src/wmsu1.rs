@@ -15,7 +15,7 @@
 
 use coremax_cards::{encode_exactly, CardEncoding};
 use coremax_cnf::{Lit, WcnfFormula, Weight};
-use coremax_sat::{Budget, SharedContext, SoftId, SolveOutcome};
+use coremax_sat::{Budget, SoftId, SolveOutcome};
 
 use crate::run::CoreRun;
 use crate::types::{MaxSatSolution, MaxSatSolver};
@@ -42,7 +42,6 @@ use crate::types::{MaxSatSolution, MaxSatSolver};
 pub struct Wmsu1 {
     encoding: CardEncoding,
     budget: Budget,
-    shared: Option<SharedContext>,
 }
 
 impl Default for Wmsu1 {
@@ -65,7 +64,6 @@ impl Wmsu1 {
         Wmsu1 {
             encoding,
             budget: Budget::new(),
-            shared: None,
         }
     }
 }
@@ -99,10 +97,6 @@ impl MaxSatSolver for Wmsu1 {
         self.budget = budget;
     }
 
-    fn set_shared_context(&mut self, ctx: SharedContext) {
-        self.shared = Some(ctx);
-    }
-
     fn supports_weights(&self) -> bool {
         true
     }
@@ -113,7 +107,7 @@ impl MaxSatSolver for Wmsu1 {
         // assumption. Extending a clause with a blocking literal retires
         // the old copy and registers the extended one under a fresh
         // selector. Each core charges its w_min to the lower bound.
-        let mut run = CoreRun::new(wcnf, &self.budget, self.shared.clone());
+        let mut run = CoreRun::new(wcnf, &self.budget);
         // Soft clauses gain blocking literals and shed weight over time;
         // splitting appends residual copies.
         let mut soft: Vec<WorkingSoft> = wcnf

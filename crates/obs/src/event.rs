@@ -188,16 +188,6 @@ pub enum Event {
         /// Winning member solver name.
         name: &'static str,
     },
-    /// Final clause-exchange totals for a sharing-enabled race.
-    ClausesShared {
-        /// Clauses published into the exchange across all workers.
-        exported: u64,
-        /// Clause deliveries into importing solvers (one export can be
-        /// imported by many workers).
-        imported: u64,
-        /// Deliveries dropped as duplicates by receivers.
-        duplicates: u64,
-    },
 }
 
 impl Event {
@@ -227,7 +217,6 @@ impl Event {
             Event::MemberCancelled { .. } => "member_cancelled",
             Event::MemberSkipped { .. } => "member_skipped",
             Event::WinnerChosen { .. } => "winner_chosen",
-            Event::ClausesShared { .. } => "clauses_shared",
         }
     }
 
@@ -355,15 +344,6 @@ impl Event {
                 escape_into(&mut s, name);
                 let _ = write!(out, ", \"name\": \"{s}\"");
             }
-            Event::ClausesShared {
-                exported,
-                imported,
-                duplicates,
-            } => {
-                num(out, "exported", *exported);
-                num(out, "imported", *imported);
-                num(out, "duplicates", *duplicates);
-            }
         }
     }
 }
@@ -448,11 +428,6 @@ mod tests {
             Event::WinnerChosen {
                 index: 2,
                 name: "msu3",
-            },
-            Event::ClausesShared {
-                exported: 120,
-                imported: 340,
-                duplicates: 16,
             },
         ];
         for ev in &samples {

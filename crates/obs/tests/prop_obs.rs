@@ -261,21 +261,9 @@ proptest! {
         // thread-count-invariance guarantee — tracing must not
         // perturb it either.
         differential(&w, || Portfolio::new(2).solve(&w).solution, "portfolio");
-        // Clause sharing keeps races exact, so the same differential
-        // holds with the exchange active (and its extra events on).
-        differential(
-            &w,
-            || {
-                Portfolio::new(2)
-                    .with_sharing(coremax_sat::SharingConfig::default())
-                    .solve(&w)
-                    .solution
-            },
-            "portfolio+share",
-        );
     }
 
-    // Member lifecycles balance for every job count and sharing mode:
+    // Member lifecycles balance for every job count:
     // each member slot is claimed exactly once (started or skipped),
     // every started member ends exactly once (finished or cancelled),
     // skipped members never end, and the winner — when one exists —
@@ -285,21 +273,15 @@ proptest! {
     fn portfolio_member_lifecycles_balance(
         w in arb_weighted(5),
         jobs in 1usize..=8,
-        share in any::<bool>(),
     ) {
         let _l = obs_lock();
         let collector = Arc::new(CollectorSink::new());
         let outcome = {
             let _guard = coremax_obs::install(collector.clone(), true);
-            let mut portfolio = Portfolio::new(jobs);
-            if share {
-                portfolio = portfolio.with_sharing(coremax_sat::SharingConfig::default());
-            }
-            portfolio.solve(&w)
+            Portfolio::new(jobs).solve(&w)
         };
         let n = Portfolio::default_members().len();
         let (mut started, mut skipped, mut ended) = (vec![0u32; n], vec![0u32; n], vec![0u32; n]);
-        let mut shared_totals = 0u32;
         for (_, ev) in collector.events() {
             match ev {
                 Event::MemberStarted { index, .. } => started[index as usize] += 1,
@@ -307,7 +289,6 @@ proptest! {
                 Event::MemberFinished { index, .. } | Event::MemberCancelled { index, .. } => {
                     ended[index as usize] += 1;
                 }
-                Event::ClausesShared { .. } => shared_totals += 1,
                 _ => {}
             }
         }
@@ -315,23 +296,18 @@ proptest! {
             prop_assert_eq!(
                 started[i] + skipped[i],
                 1,
-                "member {} claimed {} times (jobs={}, share={})",
-                i, started[i] + skipped[i], jobs, share
+                "member {} claimed {} times (jobs={})",
+                i, started[i] + skipped[i], jobs
             );
             prop_assert_eq!(
                 ended[i],
                 started[i],
-                "member {} started {} but ended {} times (jobs={}, share={})",
-                i, started[i], ended[i], jobs, share
+                "member {} started {} but ended {} times (jobs={})",
+                i, started[i], ended[i], jobs
             );
         }
         if let Some(winner) = outcome.winner_index {
             prop_assert_eq!(started[winner], 1, "winner must have started");
         }
-        prop_assert_eq!(
-            shared_totals,
-            u32::from(share),
-            "exactly one clauses_shared summary per sharing race"
-        );
     }
 }

@@ -10,9 +10,7 @@ use coremax::{
     Preprocessed, Stratified, Wmsu1,
 };
 use coremax_cnf::{WcnfFormula, Weight};
-use coremax_sat::{
-    Budget, ClauseExchange, ExchangeTotals, RestartMode, SharingConfig, SolverConfig,
-};
+use coremax_sat::Budget;
 
 /// Which base algorithm a portfolio member runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,9 +106,6 @@ pub struct PortfolioOutcome {
     /// wall-clock span; `solution.stats.wall_time` stays the winner's
     /// own solve time.
     pub total_stats: MaxSatStats,
-    /// Clause-exchange totals when the race ran with sharing enabled
-    /// ([`Portfolio::with_sharing`]); `None` for a plain race.
-    pub sharing: Option<ExchangeTotals>,
 }
 
 /// Races K solver configurations on one instance across worker threads.
@@ -124,7 +119,6 @@ pub struct Portfolio {
     members: Vec<PortfolioMember>,
     jobs: usize,
     budget: Budget,
-    sharing: Option<SharingConfig>,
 }
 
 impl Portfolio {
@@ -136,7 +130,6 @@ impl Portfolio {
             members: Portfolio::default_members(),
             jobs: jobs.max(1),
             budget: Budget::new(),
-            sharing: None,
         }
     }
 
@@ -148,34 +141,7 @@ impl Portfolio {
             members,
             jobs: jobs.max(1),
             budget: Budget::new(),
-            sharing: None,
         }
-    }
-
-    /// Enables cooperative clause sharing for this portfolio's races.
-    ///
-    /// Every member gets a [`SharedContext`](coremax_sat::SharedContext)
-    /// into one per-race [`ClauseExchange`]: hard-implied low-LBD
-    /// learned clauses travel between workers, and member solver
-    /// configurations are diversified (branch seed, default phase,
-    /// restart schedule) so workers explore different parts of the
-    /// search space. Sharing preserves exactness — exchanged clauses
-    /// are implied by the instance's hard clauses, so no member's
-    /// verdict can change — but the *timing* of a race stops being
-    /// bit-reproducible: which member wins first may vary run to run
-    /// (the reported winner is still the deterministic priority
-    /// tie-break among exact finishers). The default (no sharing)
-    /// keeps races byte-identical to the sharing-free implementation.
-    #[must_use]
-    pub fn with_sharing(mut self, config: SharingConfig) -> Self {
-        self.sharing = Some(config);
-        self
-    }
-
-    /// The sharing configuration, when sharing is enabled.
-    #[must_use]
-    pub fn sharing(&self) -> Option<SharingConfig> {
-        self.sharing
     }
 
     /// The default racing line-up: the paper's strongest variants first,
@@ -250,9 +216,6 @@ impl Portfolio {
             .child(start)
             .with_stop_flag(race_stop.clone())
             .with_shared_caps(self.budget.max_conflicts(), self.budget.max_propagations());
-        let exchange = self
-            .sharing
-            .map(|cfg| ClauseExchange::new(members.len(), cfg));
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<MaxSatSolution>>> =
             members.iter().map(|_| Mutex::new(None)).collect();
@@ -287,9 +250,6 @@ impl Portfolio {
                     }
                     let mut solver = members[i].build(weighted);
                     solver.set_budget(member_budget.clone());
-                    if let Some(ex) = &exchange {
-                        solver.set_shared_context(ex.context(i, diversified_config(i)));
-                    }
                     let solution = solver.solve(wcnf);
                     let exact = matches!(
                         solution.status,
@@ -368,56 +328,14 @@ impl Portfolio {
         // solve, exactly as it would sequentially.
         total_stats.wall_time = start.elapsed();
 
-        let sharing = exchange.as_ref().map(|ex| ex.totals());
-        if let Some(totals) = sharing {
-            if coremax_obs::tracing_enabled() {
-                coremax_obs::emit(coremax_obs::Event::ClausesShared {
-                    exported: totals.exported,
-                    imported: totals.imported,
-                    duplicates: totals.duplicates,
-                });
-            }
-        }
-
         PortfolioOutcome {
             winner: winner_index.map(|i| members[i].name),
             winner_index,
             solution,
             runs,
             total_stats,
-            sharing,
         }
     }
-}
-
-/// splitmix64: a full-avalanche mix for per-worker branch seeds.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Worker `i`'s diversified SAT configuration for a sharing race.
-///
-/// Worker 0 keeps the stock configuration (the same solver the
-/// sequential oracle runs); the rest vary the branch tie-break seed,
-/// the default phase, and the restart schedule so that workers explore
-/// different parts of the search space and their exported clauses
-/// complement each other. Diversification only changes *heuristics* —
-/// every configuration is exact.
-fn diversified_config(worker: usize) -> SolverConfig {
-    let mut cfg = SolverConfig::default();
-    if worker == 0 {
-        return cfg;
-    }
-    cfg.branch_seed = splitmix64(worker as u64);
-    cfg.default_phase = worker % 2 == 1;
-    if worker % 3 == 2 {
-        cfg.restart_mode = RestartMode::Glucose;
-    }
-    cfg.restart_base = [100, 64, 150, 256][worker % 4];
-    cfg
 }
 
 /// Merges the certified intervals of an all-aborted race: incumbent
@@ -765,77 +683,6 @@ mod tests {
             outcome.solution.stats.wall_time,
             outcome.total_stats.wall_time
         );
-    }
-
-    #[test]
-    fn sharing_race_agrees_with_plain_race() {
-        let unsat = {
-            let mut w = WcnfFormula::new();
-            let x = w.new_var();
-            w.add_hard([Lit::positive(x)]);
-            w.add_hard([Lit::negative(x)]);
-            w.add_soft([Lit::positive(x)], 1);
-            w
-        };
-        let weighted = dimacs::parse_wcnf("p wcnf 2 3 99\n99 1 2 0\n100 -1 0\n3 -2 0\n").unwrap();
-        for w in [example2(), unsat, weighted] {
-            let plain = Portfolio::new(4).solve(&w);
-            for jobs in [1, 2, 4] {
-                let shared = Portfolio::new(jobs)
-                    .with_sharing(SharingConfig::default())
-                    .solve(&w);
-                assert_eq!(shared.solution.status, plain.solution.status, "jobs={jobs}");
-                assert_eq!(shared.solution.cost, plain.solution.cost, "jobs={jobs}");
-                if let Some(model) = &shared.solution.model {
-                    assert_eq!(w.cost(model), shared.solution.cost, "jobs={jobs}");
-                }
-                assert!(shared.sharing.is_some(), "sharing totals must surface");
-            }
-            assert!(plain.sharing.is_none(), "plain races carry no totals");
-        }
-    }
-
-    #[test]
-    fn sharing_exchanges_clauses_on_a_hard_unweighted_instance() {
-        // Hard php(6) clauses make every member grind through real
-        // conflicts *on pure (hard) antecedents*, so sharing-eligible
-        // low-LBD learnts exist and multi-worker races exchange them.
-        // (An all-soft instance has no hard clauses and therefore
-        // nothing exportable: exports must be hard-implied.)
-        let cnf = coremax_instances::pigeonhole(6);
-        let mut w = WcnfFormula::new();
-        for _ in 0..cnf.num_vars() {
-            w.new_var();
-        }
-        for c in cnf.clauses() {
-            w.add_hard(c.iter().copied());
-        }
-        w.add_soft([Lit::positive(coremax_cnf::Var::new(0))], 1);
-        let plain = Portfolio::new(4).solve(&w);
-        let outcome = Portfolio::new(4)
-            .with_sharing(SharingConfig::default())
-            .solve(&w);
-        assert_eq!(outcome.solution.status, plain.solution.status);
-        assert_eq!(outcome.solution.cost, plain.solution.cost);
-        let totals = outcome.sharing.expect("sharing totals");
-        assert!(
-            totals.exported > 0,
-            "php members must export pure learnts: {totals:?}"
-        );
-    }
-
-    #[test]
-    fn diversified_configs_are_distinct_and_stable() {
-        let c0 = diversified_config(0);
-        assert_eq!(c0.branch_seed, SolverConfig::default().branch_seed);
-        assert_eq!(c0.default_phase, SolverConfig::default().default_phase);
-        let mut seeds = std::collections::HashSet::new();
-        for i in 1..14 {
-            let c = diversified_config(i);
-            assert!(seeds.insert(c.branch_seed), "worker {i} seed collides");
-            assert_eq!(c.default_phase, i % 2 == 1);
-            assert_eq!(diversified_config(i).branch_seed, c.branch_seed);
-        }
     }
 
     #[test]

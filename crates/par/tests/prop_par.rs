@@ -28,7 +28,7 @@ use coremax_instances::{
     equiv_instance, pigeonhole, random_unsat_3cnf, random_weighted_wcnf, WeightDist, WeightedConfig,
 };
 use coremax_par::{solve_batch, BatchOptions, Portfolio};
-use coremax_sat::{Budget, SharingConfig};
+use coremax_sat::Budget;
 use proptest::prelude::*;
 
 /// Exhaustive oracle: the minimum cost over all 2^n assignments, or
@@ -152,52 +152,6 @@ proptest! {
             let solo = Portfolio::with_members(1, vec![members[index].clone()]).solve(&w);
             prop_assert_eq!(solo.solution.status, outcome.solution.status);
             prop_assert_eq!(solo.solution.cost, outcome.solution.cost, "winner re-run differs");
-        }
-    }
-
-    // Property 1b: cooperative clause sharing never changes the
-    // answer. For every instance, job count, and LBD gate, a sharing
-    // race's `(status, cost, model cost)` equals the plain race's and
-    // the exhaustive oracle. Exchanged clauses are implied by the
-    // instance's hard clauses alone, so they can only accelerate a
-    // member, never steer it to a different verdict. No conflict or
-    // propagation caps are set here: shared caps make *capped* races
-    // timing-dependent by design (only the certified interval is
-    // guaranteed), whereas uncapped sharing races must stay exact.
-    #[test]
-    fn sharing_race_answer_matches_plain_race_and_oracle(
-        w in arb_instance(),
-        max_lbd in 1u32..=6,
-    ) {
-        let oracle = exhaustive_optimum(&w);
-        let plain = Portfolio::new(1).solve(&w);
-        for jobs in job_counts() {
-            let outcome = Portfolio::new(jobs)
-                .with_sharing(SharingConfig { max_lbd, max_len: 8 })
-                .solve(&w);
-            prop_assert_eq!(
-                outcome.solution.status,
-                plain.solution.status,
-                "jobs={} sharing changed the status", jobs
-            );
-            prop_assert_eq!(
-                outcome.solution.cost,
-                plain.solution.cost,
-                "jobs={} sharing changed the cost", jobs
-            );
-            match oracle {
-                Some(optimum) => {
-                    prop_assert_eq!(outcome.solution.status, MaxSatStatus::Optimal);
-                    prop_assert_eq!(outcome.solution.cost, Some(optimum), "jobs={}", jobs);
-                    let model = outcome.solution.model.as_ref().expect("optimal model");
-                    prop_assert_eq!(w.cost(model), Some(optimum), "jobs={} model lies", jobs);
-                }
-                None => {
-                    prop_assert_eq!(outcome.solution.status, MaxSatStatus::Infeasible);
-                }
-            }
-            prop_assert!(verify_solution(&w, &outcome.solution), "jobs={}", jobs);
-            prop_assert!(outcome.sharing.is_some(), "sharing totals must surface");
         }
     }
 
@@ -379,8 +333,7 @@ fn pre_raised_flag_stops_portfolio_before_any_work() {
 }
 
 /// Every clause of `cnf` as a hard clause, plus soft units on its first
-/// three variables: most learned clauses are hard-implied, so a sharing
-/// race has clauses to exchange.
+/// three variables: a hard refutation that every member must prove.
 fn hardened(cnf: &CnfFormula) -> WcnfFormula {
     let mut w = WcnfFormula::new();
     for _ in 0..cnf.num_vars() {
@@ -396,7 +349,7 @@ fn hardened(cnf: &CnfFormula) -> WcnfFormula {
 }
 
 /// Hard implication chain `x1 → x2 → … → xn` with soft endpoints
-/// (optimum 1): easy for every member, so the exchange stays quiet.
+/// (optimum 1): easy for every member.
 fn chain(n: usize) -> WcnfFormula {
     let mut w = WcnfFormula::new();
     for _ in 0..n {
@@ -413,15 +366,14 @@ fn chain(n: usize) -> WcnfFormula {
     w
 }
 
-/// Sharing on structured instances, beyond the oracle's reach: hard
-/// pigeonhole and random-UNSAT refutations (real exchange traffic), a
-/// hard chain (almost none) and an all-soft miter (none: nothing is
-/// hard-implied). Every race at jobs 1, 2, 4 and 8, with sharing off
-/// and on, must return a verified solution, and all exact verdicts on
-/// an instance must agree. A budget abort is checked only for
-/// verification: which race aborts first on a loaded host is timing.
+/// Races on structured instances, beyond the oracle's reach: hard
+/// pigeonhole and random-UNSAT refutations, a hard chain and an
+/// all-soft miter. Every race at jobs 1, 2, 4 and 8 must return a
+/// verified solution, and all exact verdicts on an instance must agree.
+/// A budget abort is checked only for verification: which race aborts
+/// first on a loaded host is timing.
 #[test]
-fn sharing_races_agree_on_structured_instances() {
+fn races_agree_on_structured_instances() {
     let mut instances: Vec<(String, WcnfFormula)> = (5..=7)
         .map(|holes| (format!("php-hard-{holes}"), hardened(&pigeonhole(holes))))
         .collect();
@@ -439,21 +391,16 @@ fn sharing_races_agree_on_structured_instances() {
     for (name, w) in &instances {
         let mut key = None;
         for jobs in [1, 2, 4, 8] {
-            for sharing in [None, Some(SharingConfig::default())] {
-                let mut portfolio = Portfolio::new(jobs);
-                if let Some(config) = sharing {
-                    portfolio = portfolio.with_sharing(config);
-                }
-                portfolio.set_budget(Budget::new().with_timeout(Duration::from_secs(20)));
-                let solution = portfolio.solve(w).solution;
-                let run = format!("{name} jobs={jobs} sharing={}", sharing.is_some());
-                assert!(verify_solution(w, &solution), "{run}: failed verification");
-                if solution.status == MaxSatStatus::Unknown {
-                    continue;
-                }
-                let verdict = (solution.status, solution.cost);
-                assert_eq!(*key.get_or_insert(verdict), verdict, "{run}: disagreement");
+            let mut portfolio = Portfolio::new(jobs);
+            portfolio.set_budget(Budget::new().with_timeout(Duration::from_secs(20)));
+            let solution = portfolio.solve(w).solution;
+            let run = format!("{name} jobs={jobs}");
+            assert!(verify_solution(w, &solution), "{run}: failed verification");
+            if solution.status == MaxSatStatus::Unknown {
+                continue;
             }
+            let verdict = (solution.status, solution.cost);
+            assert_eq!(*key.get_or_insert(verdict), verdict, "{run}: disagreement");
         }
     }
 }

@@ -39,16 +39,7 @@ const HDR_SIZE: usize = 3;
 
 const FLAG_LEARNED: u32 = 1;
 const FLAG_DELETED: u32 = 2;
-/// The clause is implied by the *pure* (hard, canonical-variable) part
-/// of the instance alone: either loaded through the shared add path, or
-/// learned from an all-pure derivation. Only pure clauses may be
-/// exported to the clause exchange (see `crate::share`).
-const FLAG_PURE: u32 = 4;
-/// The clause was imported from the clause exchange; import-flagged
-/// clauses are never deleted by clause-DB reductions (their transmitted
-/// LBD is honest but foreign, so they get explicit protection).
-const FLAG_IMPORT: u32 = 8;
-const FLAG_MASK: u32 = FLAG_LEARNED | FLAG_DELETED | FLAG_PURE | FLAG_IMPORT;
+const FLAG_MASK: u32 = FLAG_LEARNED | FLAG_DELETED;
 const LBD_SHIFT: u32 = 4;
 
 /// Flat clause arena in the MiniSAT region-allocator style. Deleted
@@ -176,29 +167,6 @@ impl ClauseDb {
     #[inline]
     pub(crate) fn is_deleted(&self, c: CRef) -> bool {
         self.word(c.index() + HDR_FLAGS) & FLAG_DELETED != 0
-    }
-
-    /// Whether the clause is implied by the pure (canonical-hard) part
-    /// of the instance alone.
-    #[inline]
-    pub(crate) fn is_pure(&self, c: CRef) -> bool {
-        self.word(c.index() + HDR_FLAGS) & FLAG_PURE != 0
-    }
-
-    pub(crate) fn set_pure(&mut self, c: CRef) {
-        let flags = self.word(c.index() + HDR_FLAGS);
-        self.set_word(c.index() + HDR_FLAGS, flags | FLAG_PURE);
-    }
-
-    /// Whether the clause was imported from the clause exchange.
-    #[inline]
-    pub(crate) fn is_import(&self, c: CRef) -> bool {
-        self.word(c.index() + HDR_FLAGS) & FLAG_IMPORT != 0
-    }
-
-    pub(crate) fn set_import(&mut self, c: CRef) {
-        let flags = self.word(c.index() + HDR_FLAGS);
-        self.set_word(c.index() + HDR_FLAGS, flags | FLAG_IMPORT);
     }
 
     pub(crate) fn mark_deleted(&mut self, c: CRef) {
@@ -371,26 +339,6 @@ mod tests {
         db.set_lbd(a, 2);
         assert_eq!(db.lbd(a), 2);
         assert!(!db.is_deleted(a));
-    }
-
-    #[test]
-    fn pure_and_import_flags_survive_lbd_updates_and_gc() {
-        let mut db = ClauseDb::new();
-        let a = db.add(&[l(1), l(2)], true);
-        let junk = db.add(&[l(4), l(5)], true);
-        assert!(!db.is_pure(a) && !db.is_import(a));
-        db.set_pure(a);
-        db.set_import(a);
-        db.set_lbd(a, 9);
-        assert!(db.is_pure(a));
-        assert!(db.is_import(a));
-        assert!(db.is_learned(a));
-        assert_eq!(db.lbd(a), 9);
-        db.mark_deleted(junk);
-        let remap = db.collect_garbage();
-        let na = remap.remap(a);
-        assert!(db.is_pure(na) && db.is_import(na));
-        assert_eq!(db.lbd(na), 9);
     }
 
     #[test]

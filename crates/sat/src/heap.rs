@@ -13,11 +13,6 @@ pub struct ActivityHeap {
     heap: Vec<Var>,
     /// Position of each variable in `heap`, or `usize::MAX` if absent.
     index: Vec<usize>,
-    /// Branching-diversification seed: 0 (default) ties break by
-    /// variable index; nonzero ties break by a seeded xorshift hash of
-    /// the index, giving each portfolio worker a distinct exploration
-    /// order at equal activities.
-    seed: u64,
 }
 
 const ABSENT: usize = usize::MAX;
@@ -27,12 +22,6 @@ impl ActivityHeap {
     #[must_use]
     pub fn new() -> Self {
         ActivityHeap::default()
-    }
-
-    /// Sets the tie-break seed (see the `seed` field; 0 disables).
-    /// Affects only future comparisons; call before populating.
-    pub fn set_seed(&mut self, seed: u64) {
-        self.seed = seed;
     }
 
     /// Grows the index map to cover `num_vars` variables.
@@ -98,20 +87,10 @@ impl ActivityHeap {
     }
 
     fn less(&self, a: Var, b: Var, activity: &[f64]) -> bool {
-        // Max-heap on activity; tie-break on the seeded hash when
-        // diversification is on, then on index for determinism.
+        // Max-heap on activity; tie-break on index for determinism.
         let (aa, ab) = (activity[a.index()], activity[b.index()]);
         if aa != ab {
             return aa > ab;
-        }
-        if self.seed != 0 {
-            let (ha, hb) = (
-                xorshift_mix(self.seed, a.index() as u64),
-                xorshift_mix(self.seed, b.index() as u64),
-            );
-            if ha != hb {
-                return ha < hb;
-            }
         }
         a.index() < b.index()
     }
@@ -152,20 +131,6 @@ impl ActivityHeap {
         self.index[self.heap[a].index()] = a;
         self.index[self.heap[b].index()] = b;
     }
-}
-
-/// Stateless mix of a seed and a variable index (the splitmix64
-/// finaliser): cheap, deterministic per seed, and — thanks to full
-/// avalanche — even adjacent seeds permute equal-activity variables
-/// differently.
-#[inline]
-fn xorshift_mix(seed: u64, x: u64) -> u64 {
-    let mut z = x
-        .wrapping_add(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -222,30 +187,6 @@ mod tests {
         assert_eq!(h.pop(&activity), Some(v(2)));
         assert!(h.pop(&activity).is_none());
         assert!(h.is_empty());
-    }
-
-    #[test]
-    fn seeded_ties_are_deterministic_and_seed_dependent() {
-        let activity = vec![1.0; 16];
-        let order_for = |seed: u64| -> Vec<u32> {
-            let mut h = ActivityHeap::new();
-            h.set_seed(seed);
-            for i in 0..16 {
-                h.insert(v(i), &activity);
-            }
-            std::iter::from_fn(|| h.pop(&activity))
-                .map(|x| x.index() as u32)
-                .collect()
-        };
-        let baseline: Vec<u32> = (0..16).collect();
-        assert_eq!(order_for(0), baseline, "seed 0 keeps index order");
-        let a = order_for(7);
-        assert_eq!(a, order_for(7), "same seed, same order");
-        assert_ne!(a, baseline, "nonzero seed permutes ties");
-        assert_ne!(a, order_for(8), "different seeds differ");
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, baseline, "still a permutation");
     }
 
     #[test]

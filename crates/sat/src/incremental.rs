@@ -52,7 +52,6 @@ use std::ops::Range;
 use coremax_cnf::{Assignment, Lit, Var};
 
 use crate::budget::Budget;
-use crate::share::SharedContext;
 use crate::solver::{SolveOutcome, Solver, SolverConfig};
 use crate::stats::SolverStats;
 
@@ -114,17 +113,6 @@ impl IncrementalSolver {
         }
     }
 
-    /// Connects the engine to the portfolio clause exchange: learned
-    /// clauses whose derivations bottom out in shared
-    /// ([`IncrementalSolver::add_clause_shared`]) clauses are exported,
-    /// and other workers' clauses are imported at restart boundaries.
-    /// Also adopts the context's diversification knobs (branch seed,
-    /// phase, restart policy).
-    pub fn set_shared_context(&mut self, ctx: SharedContext) {
-        self.solver.apply_diversification(&ctx.solver_config());
-        self.solver.set_exchange(ctx.endpoint());
-    }
-
     /// Sets the budget applied to subsequent solve calls. Callers
     /// typically pass a [`Budget::child`] anchored at the start of the
     /// whole optimisation run so every iteration shares one deadline.
@@ -155,26 +143,7 @@ impl IncrementalSolver {
 
     /// Adds a hard clause.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        self.add_clause_impl(lits, false);
-    }
-
-    /// Adds a hard clause and marks it *shareable*: the caller asserts
-    /// it belongs to (or is implied by) the canonical instance's hard
-    /// clauses over this engine's variable space, seeding the purity
-    /// tracking that gates clause-exchange exports (see
-    /// [`crate::Solver::add_clause_shared`]). Behaviourally identical
-    /// to [`IncrementalSolver::add_clause`] otherwise — in particular,
-    /// safe to call with no exchange attached.
-    pub fn add_clause_shared<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        self.add_clause_impl(lits, true);
-    }
-
-    fn add_clause_impl<I: IntoIterator<Item = Lit>>(&mut self, lits: I, shared: bool) {
-        if shared {
-            self.solver.add_clause_shared(lits);
-        } else {
-            self.solver.add_clause(lits);
-        }
+        self.solver.add_clause(lits);
         // The solver grows its variables to cover the clause.
         self.num_vars = self.num_vars.max(self.solver.num_vars());
     }

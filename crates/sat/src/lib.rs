@@ -27,11 +27,11 @@
 //!   (MiniSAT's `analyzeFinal`): a clause-level core comes from storing
 //!   each clause `C` as `C ∨ s` with a fresh selector `s` and assuming
 //!   `¬s`, which is how every core-guided driver reads its cores
-//!   (see [`IncrementalSolver`]),
-//! - cooperative **clause sharing** between diversified portfolio
-//!   workers (the [`share`] module): purity-tracked export of low-LBD
-//!   learned clauses implied by the instance's hard clauses alone, with
-//!   imports drained at restart boundaries.
+//!   (see [`IncrementalSolver`]).
+//!
+//! Engines share no clauses: a portfolio races independent engines,
+//! which may draw on one joint conflict and propagation pool
+//! ([`Budget::with_shared_caps`]).
 //!
 //! # Examples
 //!
@@ -73,13 +73,11 @@ mod clause_db;
 mod heap;
 mod incremental;
 mod luby;
-pub mod share;
 mod solver;
 mod stats;
 mod watch;
 
 pub use budget::Budget;
 pub use incremental::{IncrementalSolver, SoftId};
-pub use share::{ClauseExchange, ExchangeEndpoint, ExchangeTotals, SharedContext, SharingConfig};
 pub use solver::{RestartMode, SolveOutcome, Solver, SolverConfig};
 pub use stats::{SolverStats, LBD_HIST_BUCKETS};

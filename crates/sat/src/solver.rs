@@ -9,7 +9,6 @@ use crate::budget::Budget;
 use crate::clause_db::{CRef, ClauseDb};
 use crate::heap::ActivityHeap;
 use crate::luby::luby;
-use crate::share::ExchangeEndpoint;
 use crate::stats::SolverStats;
 use crate::watch::WatchLists;
 
@@ -103,13 +102,6 @@ pub struct SolverConfig {
     pub propagation_check_interval: u64,
     /// Default polarity used before a variable has a saved phase.
     pub default_phase: bool,
-    /// Branching-diversification seed for the VSIDS heap: 0 (the
-    /// default) breaks activity ties by variable index, any other value
-    /// breaks them by a seeded xorshift hash, so equal-activity
-    /// variables are explored in a per-seed order. Portfolio workers
-    /// get distinct seeds; a lone solver keeps 0 for the classic
-    /// MiniSAT-reproducible order.
-    pub branch_seed: u64,
 }
 
 impl Default for SolverConfig {
@@ -129,7 +121,6 @@ impl Default for SolverConfig {
             timeout_check_interval: 64,
             propagation_check_interval: 1024,
             default_phase: false,
-            branch_seed: 0,
         }
     }
 }
@@ -220,11 +211,6 @@ pub struct Solver {
     activity: Vec<f64>,
     phase: Vec<bool>,
     seen: Vec<bool>,
-    // Whether each level-0 unit fact is implied by the pure
-    // (canonical-hard) clauses alone — the unit-level companion of the
-    // clause arena's pure flag. Only meaningful for level-0-assigned
-    // variables; see `crate::share` for the sharing soundness model.
-    unit_pure: Vec<bool>,
 
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
@@ -284,13 +270,6 @@ pub struct Solver {
     // LBD of the clause produced by the latest `analyze` call, computed
     // before backtracking (levels are only valid pre-backtrack).
     pending_lbd: u32,
-    // Whether the latest `analyze` derivation used pure antecedents
-    // only (making the learned clause exportable; see `crate::share`).
-    pending_pure: bool,
-
-    // Clause-exchange endpoint; `None` (the default) keeps every
-    // sharing hook on the cold paths dormant.
-    exchange: Option<ExchangeEndpoint>,
 
     // Conflicts/propagations already charged into the budget's shared
     // caps (the portfolio-wide pool), so each charge is a delta.
@@ -314,8 +293,6 @@ impl Solver {
     /// Creates a solver with the given configuration.
     #[must_use]
     pub fn with_config(config: SolverConfig) -> Self {
-        let mut order = ActivityHeap::new();
-        order.set_seed(config.branch_seed);
         Solver {
             config,
             db: ClauseDb::new(),
@@ -326,11 +303,10 @@ impl Solver {
             activity: Vec::new(),
             phase: Vec::new(),
             seen: Vec::new(),
-            unit_pure: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
-            order,
+            order: ActivityHeap::new(),
             var_inc: 1.0,
             cla_inc: 1.0,
             max_learnts: 0.0,
@@ -360,8 +336,6 @@ impl Solver {
             lbd_gen: 0,
             assumption_levels: 0,
             pending_lbd: 0,
-            pending_pure: false,
-            exchange: None,
             shared_conflicts_charged: 0,
             shared_props_charged: 0,
         }
@@ -395,7 +369,6 @@ impl Solver {
         grow(&mut self.activity, num_vars, 0.0);
         grow(&mut self.phase, num_vars, self.config.default_phase);
         grow(&mut self.seen, num_vars, false);
-        grow(&mut self.unit_pure, num_vars, false);
         self.watches.ensure_lits(2 * num_vars);
         self.bin_watches.ensure_lits(2 * num_vars);
         for i in old..num_vars {
@@ -447,141 +420,8 @@ impl Solver {
         buf.clear();
         buf.extend(lits);
         let mut ordered = std::mem::take(&mut self.ordered_buf);
-        self.add_clause_impl(&mut buf, &mut ordered, false);
+        self.add_clause_impl(&mut buf, &mut ordered);
         self.add_buf = buf;
-        self.ordered_buf = ordered;
-    }
-
-    /// Adds a clause and marks it *pure*: the caller asserts that it
-    /// belongs to (or is implied by) the canonical instance's hard
-    /// clauses, over canonical variables. Pure clauses seed the purity
-    /// tracking that gates clause-exchange exports — learned clauses
-    /// whose whole derivation bottoms out in pure clauses are
-    /// themselves hard-implied and may be shared with other portfolio
-    /// workers. Behaviourally identical to [`Solver::add_clause`]
-    /// otherwise.
-    pub fn add_clause_shared<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        let mut buf = std::mem::take(&mut self.add_buf);
-        buf.clear();
-        buf.extend(lits);
-        let mut ordered = std::mem::take(&mut self.ordered_buf);
-        self.add_clause_impl(&mut buf, &mut ordered, true);
-        self.add_buf = buf;
-        self.ordered_buf = ordered;
-    }
-
-    /// Attaches a clause-exchange endpoint (see [`crate::share`]).
-    /// Subsequent `solve` calls publish staged exports and drain
-    /// imports at restart boundaries. Calling again replaces the
-    /// endpoint (rebuilt engines re-attach a fresh one).
-    pub fn set_exchange(&mut self, endpoint: ExchangeEndpoint) {
-        self.exchange = Some(endpoint);
-    }
-
-    /// Adopts the portfolio-diversification knobs of `cfg` — branching
-    /// seed, default phase, restart mode and base — onto a live solver.
-    /// Search-quality parameters only: verdicts are unaffected. Intended
-    /// to run before the first solve call; unsaved phases are re-seeded
-    /// when the default polarity changes.
-    pub fn apply_diversification(&mut self, cfg: &SolverConfig) {
-        if cfg.default_phase != self.config.default_phase {
-            for p in &mut self.phase {
-                *p = cfg.default_phase;
-            }
-        }
-        self.config.default_phase = cfg.default_phase;
-        self.config.branch_seed = cfg.branch_seed;
-        self.order.set_seed(cfg.branch_seed);
-        self.config.restart_mode = cfg.restart_mode;
-        self.config.restart_base = cfg.restart_base;
-    }
-
-    /// Exchange epoch point (requires decision level 0): publishes the
-    /// exports staged since the last sync and installs every pending
-    /// import. May refute the formula (`is_ok` turns false) when an
-    /// import conflicts with the level-0 trail.
-    fn exchange_sync(&mut self) {
-        let Some(mut ex) = self.exchange.take() else {
-            return;
-        };
-        debug_assert_eq!(self.decision_level(), 0);
-        self.stats.clauses_exported += ex.publish();
-        let num_vars = self.num_vars();
-        let (imported, duplicates) = ex.drain(num_vars, |lits, lbd| {
-            self.install_import(lits, lbd);
-        });
-        self.stats.clauses_imported += imported;
-        self.stats.import_duplicates += duplicates;
-        self.exchange = Some(ex);
-    }
-
-    /// Installs one imported clause (already in local variable space) as
-    /// a protected learned clause. Must run at decision level 0. The
-    /// clause is pure by the exchange invariant — only hard-implied
-    /// canonical clauses enter the rings — so it is both marked pure
-    /// (transitive re-export is sound) and marked import (database
-    /// reductions never delete it). An import that conflicts with the
-    /// level-0 trail refutes the formula.
-    fn install_import(&mut self, lits: &[Lit], lbd: u32) {
-        if !self.ok {
-            return; // already refuted; later imports change nothing
-        }
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut num_unassigned = 0usize;
-        for &l in lits {
-            match self.lit_value(l) {
-                // Satisfied at level 0 forever: nothing to store.
-                Some(true) => return,
-                None => num_unassigned += 1,
-                Some(false) => {}
-            }
-        }
-        if num_unassigned == 0 {
-            // All literals false at level 0: the import refutes the
-            // working formula (sound — imports are hard-implied, so the
-            // canonical hard clauses are themselves UNSAT).
-            self.ok = false;
-            return;
-        }
-        let mut ordered = std::mem::take(&mut self.ordered_buf);
-        ordered.clear();
-        // Unassigned literals first so slots 0/1 are valid watches; the
-        // level-0 false remainder never changes value again.
-        ordered.extend(
-            lits.iter()
-                .copied()
-                .filter(|&l| self.lit_value(l).is_none()),
-        );
-        ordered.extend(
-            lits.iter()
-                .copied()
-                .filter(|&l| self.lit_value(l).is_some()),
-        );
-        let cref = self.db.add(&ordered, true);
-        self.db.set_lbd(cref, lbd.clamp(1, ordered.len() as u32));
-        // Flags go on before any enqueue: the unit-fact purity of an
-        // asserting import is derived from the clause flag in `enqueue`.
-        self.db.set_pure(cref);
-        self.db.set_import(cref);
-        if num_unassigned == 1 {
-            let unit = ordered[0];
-            if ordered.len() == 2 {
-                self.watch_binary(ordered[0], ordered[1], cref);
-            } else if ordered.len() > 2 {
-                self.watch(ordered[0], cref, ordered[1]);
-                self.watch(ordered[1], cref, ordered[0]);
-            }
-            self.enqueue(unit, cref);
-            if self.propagate().is_some() {
-                self.ok = false;
-            }
-        } else if ordered.len() == 2 {
-            self.watch_binary(ordered[0], ordered[1], cref);
-        } else {
-            let (w0, w1) = (ordered[0], ordered[1]);
-            self.watch(w0, cref, w1);
-            self.watch(w1, cref, w0);
-        }
         self.ordered_buf = ordered;
     }
 
@@ -599,7 +439,7 @@ impl Solver {
         self.budget.charge_shared(dc, dp)
     }
 
-    fn add_clause_impl(&mut self, lits: &mut Vec<Lit>, ordered: &mut Vec<Lit>, pure: bool) {
+    fn add_clause_impl(&mut self, lits: &mut Vec<Lit>, ordered: &mut Vec<Lit>) {
         if let Some(top) = lits.iter().map(|l| l.var().index()).max() {
             self.ensure_vars(top + 1);
         }
@@ -633,10 +473,7 @@ impl Solver {
         if satisfied {
             // Satisfied at level 0 forever: store for completeness but do
             // not watch.
-            let cref = self.db.add(lits, false);
-            if pure {
-                self.db.set_pure(cref);
-            }
+            self.db.add(lits, false);
             return;
         }
 
@@ -657,13 +494,6 @@ impl Solver {
                 let unit = ordered[0];
                 ordered.extend(lits.iter().copied().filter(|&x| x != unit));
                 let cref = self.db.add(ordered, false);
-                if pure {
-                    // The stored clause (all literals) is pure; whether
-                    // the *unit fact* is pure additionally depends on
-                    // the purity of the level-0 facts that falsified
-                    // the other literals — `enqueue` works that out.
-                    self.db.set_pure(cref);
-                }
                 if ordered.len() == 2 {
                     // The invariant holds forever once `unit` is
                     // enqueued true, so a binary watcher is safe even
@@ -696,9 +526,6 @@ impl Solver {
                         .filter(|&l| self.lit_value(l).is_some()),
                 );
                 let cref = self.db.add(ordered, false);
-                if pure {
-                    self.db.set_pure(cref);
-                }
                 if ordered.len() == 2 {
                     self.watch_binary(ordered[0], ordered[1], cref);
                 } else {
@@ -781,10 +608,6 @@ impl Solver {
                 .max(self.config.min_learnts);
         }
 
-        // Exchange epoch at solve start: publish anything staged by a
-        // previous call and install imports that arrived in between.
-        self.exchange_sync();
-
         // Each assumption opens exactly one level (an already-true one
         // opens an empty level) and every other level assigns a fresh
         // variable, so no level of this solve exceeds the stamp range.
@@ -794,12 +617,6 @@ impl Solver {
 
         let mut restart_count: u64 = 0;
         let outcome = loop {
-            // An exchange sync (here at solve start, or below at a
-            // restart boundary) can refute the formula outright when an
-            // imported clause conflicts with the level-0 state.
-            if !self.ok {
-                break SolveOutcome::Unsat;
-            }
             restart_count += 1;
             let budget_this_restart = match self.config.restart_mode {
                 RestartMode::Luby => self.config.restart_base * luby(restart_count),
@@ -833,22 +650,13 @@ impl Solver {
                     self.lbd_queue_len = 0;
                     self.lbd_queue_pos = 0;
                     self.lbd_recent_sum = 0;
-                    // Restart boundary, trail at level 0: the exchange
-                    // epoch point. Staged exports publish, pending
-                    // imports install against the settled trail.
-                    self.exchange_sync();
                 }
                 SearchResult::BudgetExhausted => break SolveOutcome::Unknown,
             }
         };
         // Flush the residual shared-cap charge so portfolio-wide
-        // accounting stays exact, and publish any exports staged since
-        // the last restart (imports wait for the next solve — the
-        // verdict just produced must not be disturbed post hoc).
+        // accounting stays exact.
         let _ = self.charge_shared_budget();
-        if let Some(ex) = self.exchange.as_mut() {
-            self.stats.clauses_exported += ex.publish();
-        }
         self.assumption_levels = 0;
         self.interrupt_armed = false;
         self.interrupted = false;
@@ -872,7 +680,7 @@ impl Solver {
     }
 
     /// Returns `true` while the formula has not been refuted, i.e. until
-    /// a clause falsified at level 0 is added or imported, or the search
+    /// a clause falsified at level 0 is added, or the search
     /// meets a conflict at decision level 0.
     #[must_use]
     pub fn is_ok(&self) -> bool {
@@ -987,20 +795,6 @@ impl Solver {
             reason,
         };
         self.trail.push(lit);
-        if self.decision_level() == 0 && !reason.is_undef() {
-            // The unit fact `lit` is derived by resolving `reason` with
-            // the unit facts falsifying its other literals, all of which
-            // were enqueued earlier. The fact is pure (hard-implied over
-            // canonical variables) iff the reason and every resolved-away
-            // unit fact are pure.
-            let pure = self.db.is_pure(reason)
-                && self
-                    .db
-                    .lits(reason)
-                    .iter()
-                    .all(|l| l.var() == v || self.unit_pure[l.var().index()]);
-            self.unit_pure[v.index()] = pure;
-        }
     }
 
     /// Interruption poll for the propagation loop: raised stop flag,
@@ -1218,8 +1012,8 @@ impl Solver {
     /// First-UIP conflict analysis. Fills [`Solver::learnt_buf`] with
     /// the learned clause (asserting literal first, max-level literal
     /// second, search-level literals before assumption-level ones),
-    /// stores the learn-time LBD in `pending_lbd` and the derivation's
-    /// purity in `pending_pure`, and returns the backtrack level.
+    /// stores the learn-time LBD in `pending_lbd`, and returns the
+    /// backtrack level.
     /// Allocation-free once the scratch capacities plateau.
     fn analyze(&mut self, mut confl: CRef) -> u32 {
         let caps = (
@@ -1233,13 +1027,8 @@ impl Solver {
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
-        // The learned clause is pure — implied by the pure (hard,
-        // canonical-variable) part of the formula alone — iff every
-        // clause resolved into its derivation is pure.
-        let mut pure = true;
 
         loop {
-            pure &= self.db.is_pure(confl);
             if self.db.is_learned(confl) {
                 self.bump_clause(confl);
                 // Keep the stored LBD current (it can only improve):
@@ -1267,13 +1056,7 @@ impl Solver {
                     continue;
                 }
                 let v = q.var();
-                if self.seen[v.index()] {
-                    continue;
-                }
-                if self.var_data[v.index()].level == 0 {
-                    // Skipped from the learned clause, but its unit
-                    // derivation is part of the resolution proof.
-                    pure &= self.unit_pure[v.index()];
+                if self.seen[v.index()] || self.var_data[v.index()].level == 0 {
                     continue;
                 }
                 self.seen[v.index()] = true;
@@ -1306,10 +1089,7 @@ impl Solver {
 
         self.stats.max_literals += learnt.len() as u64;
 
-        // Recursive clause minimisation (MiniSAT ccmin deep mode). A
-        // literal's removal resolves extra clauses into the derivation, so
-        // the reasons visited by a *successful* redundancy proof count
-        // towards its purity.
+        // Recursive clause minimisation (MiniSAT ccmin deep mode).
         self.analyze_toclear.clear();
         self.analyze_toclear.extend_from_slice(&learnt);
         let levels_mask: u64 = learnt[1..].iter().fold(0u64, |m, l| {
@@ -1319,7 +1099,7 @@ impl Solver {
         for i in 1..learnt.len() {
             let l = learnt[i];
             let reason = self.var_data[l.var().index()].reason;
-            if reason.is_undef() || !self.lit_redundant(l, levels_mask, &mut pure) {
+            if reason.is_undef() || !self.lit_redundant(l, levels_mask) {
                 learnt[j] = l;
                 j += 1;
             }
@@ -1332,7 +1112,6 @@ impl Solver {
         self.analyze_toclear.clear();
 
         self.stats.tot_literals += learnt.len() as u64;
-        self.pending_pure = pure;
 
         // Learn-time LBD, while the literal levels are still valid.
         self.pending_lbd = compute_lbd(
@@ -1389,29 +1168,21 @@ impl Solver {
     }
 
     /// Checks whether `lit` is implied by the rest of the learned clause
-    /// (so it can be dropped). On success `pure` is ANDed with the
-    /// purity of the visited reasons, since the removal resolves them
-    /// into the derivation; on failure it is left alone.
-    fn lit_redundant(&mut self, lit: Lit, levels_mask: u64, pure: &mut bool) -> bool {
+    /// (so it can be dropped).
+    fn lit_redundant(&mut self, lit: Lit, levels_mask: u64) -> bool {
         let mut stack = std::mem::take(&mut self.analyze_stack);
         stack.clear();
         stack.push(lit);
         let top = self.analyze_toclear.len();
         let mut failed = false;
-        let mut probe_pure = true;
 
         while let Some(l) = stack.pop() {
             let reason = self.var_data[l.var().index()].reason;
             debug_assert!(!reason.is_undef());
-            probe_pure &= self.db.is_pure(reason);
             for k in 0..self.db.len(reason) {
                 let q = self.db.lits(reason)[k];
                 let v = q.var();
-                if q == !l || self.seen[v.index()] {
-                    continue;
-                }
-                if self.var_data[v.index()].level == 0 {
-                    probe_pure &= self.unit_pure[v.index()];
+                if q == !l || self.seen[v.index()] || self.var_data[v.index()].level == 0 {
                     continue;
                 }
                 // Abstraction check: the literal's level must appear in
@@ -1436,8 +1207,6 @@ impl Solver {
             for l in self.analyze_toclear.drain(top..) {
                 self.seen[l.var().index()] = false;
             }
-        } else {
-            *pure &= probe_pure;
         }
         self.analyze_stack = stack;
         !failed
@@ -1484,7 +1253,7 @@ impl Solver {
     }
 
     /// Records the clause prepared by [`Solver::analyze`] (in
-    /// `learnt_buf` / `pending_lbd` / `pending_pure`) into the
+    /// `learnt_buf` / `pending_lbd`) into the
     /// database, watches it, and asserts its first literal.
     ///
     /// Learned clauses satisfy the same arena invariant as normalised
@@ -1503,20 +1272,6 @@ impl Solver {
         self.note_learnt_lbd(lbd);
         let cref = self.db.add(&self.learnt_buf, true);
         self.db.set_lbd(cref, lbd);
-        if self.pending_pure {
-            // Every antecedent was pure, so this clause is implied by
-            // the pure (hard, canonical-variable) clauses alone — it is
-            // sound to hand to every other portfolio worker.
-            self.db.set_pure(cref);
-            if let Some(ex) = self.exchange.as_mut() {
-                if ex.export_enabled()
-                    && lbd <= ex.max_lbd()
-                    && self.learnt_buf.len() <= ex.max_len()
-                {
-                    ex.stage(&self.learnt_buf, lbd);
-                }
-            }
-        }
         let first = self.learnt_buf[0];
         match self.learnt_buf.len() {
             // Asserting unit: becomes a level-0 fact with the learned
@@ -1600,11 +1355,7 @@ impl Solver {
             if removed >= target {
                 break;
             }
-            if self.db.len(c) <= 2
-                || self.db.lbd(c) <= 2
-                || self.db.is_import(c)
-                || self.is_locked(c)
-            {
+            if self.db.len(c) <= 2 || self.db.lbd(c) <= 2 || self.is_locked(c) {
                 continue;
             }
             self.db.mark_deleted(c);
@@ -1652,11 +1403,7 @@ impl Solver {
         refs.clear();
         refs.extend(self.db.learned_refs());
         for &c in refs.iter() {
-            if self.db.len(c) <= 2
-                || self.db.lbd(c) <= 2
-                || self.db.is_import(c)
-                || self.is_locked(c)
-            {
+            if self.db.len(c) <= 2 || self.db.lbd(c) <= 2 || self.is_locked(c) {
                 continue;
             }
             self.db.mark_deleted(c);
@@ -2582,143 +2329,6 @@ mod tests {
         assert!(!s.is_ok());
     }
 
-    use crate::share::{ClauseExchange, SharingConfig};
-
-    #[test]
-    fn cross_solver_sharing_round_trip() {
-        // Worker 0 refutes a pigeonhole instance, exporting its pure
-        // low-LBD learnts; worker 1 then solves the same instance with
-        // the imports installed. Both verdicts must agree and the
-        // exchange counters must show real traffic.
-        let clauses = php_clauses(6, 5);
-        let ex = ClauseExchange::new(2, SharingConfig::default());
-        let mut a = Solver::new();
-        a.set_exchange(ex.context(0, SolverConfig::default()).endpoint());
-        for c in &clauses {
-            a.add_clause_shared(c.iter().copied());
-        }
-        assert_eq!(a.solve(), SolveOutcome::Unsat);
-        assert!(
-            a.stats().clauses_exported > 0,
-            "expected exports: {}",
-            a.stats()
-        );
-
-        let mut b = Solver::new();
-        b.set_exchange(ex.context(1, SolverConfig::default()).endpoint());
-        for c in &clauses {
-            b.add_clause_shared(c.iter().copied());
-        }
-        assert_eq!(b.solve(), SolveOutcome::Unsat);
-        assert!(
-            b.stats().clauses_imported > 0,
-            "expected imports: {}",
-            b.stats()
-        );
-        // Both workers export (b publishes its own learnts too), so the
-        // exchange-wide total covers at least a's contribution.
-        let totals = ex.totals();
-        assert!(totals.exported >= a.stats().clauses_exported);
-        assert!(totals.imported >= b.stats().clauses_imported);
-    }
-
-    #[test]
-    fn imported_clauses_survive_forced_reductions() {
-        // The forced-GC stress config sheds learnts constantly; imports
-        // are exempt. After the solve every import-flagged clause must
-        // still be live.
-        let clauses = php_clauses(6, 5);
-        let ex = ClauseExchange::new(2, SharingConfig::default());
-        let mut donor = Solver::new();
-        donor.set_exchange(ex.context(0, SolverConfig::default()).endpoint());
-        for c in &clauses {
-            donor.add_clause_shared(c.iter().copied());
-        }
-        assert_eq!(donor.solve(), SolveOutcome::Unsat);
-
-        let mut s = Solver::with_config(SolverConfig {
-            learntsize_factor: 0.01,
-            learntsize_inc: 1.001,
-            min_learnts: 5.0,
-            gc_frac: 0.0,
-            ..SolverConfig::default()
-        });
-        s.set_exchange(ex.context(1, SolverConfig::default()).endpoint());
-        for c in &clauses {
-            s.add_clause_shared(c.iter().copied());
-        }
-        assert_eq!(s.solve(), SolveOutcome::Unsat);
-        assert!(s.stats().clauses_imported > 0, "no imports: {}", s.stats());
-    }
-
-    #[test]
-    fn adversarial_imports_never_change_the_verdict() {
-        // An adversary worker floods the exchange with supersets of the
-        // instance's own clauses (trivially implied, so exchange-legal)
-        // before every solve of a forced-GC/glucose stress solver. The
-        // verdict must match a clean solver on both an UNSAT and a SAT
-        // variant of the instance.
-        for drop_last in [false, true] {
-            let mut clauses = php_clauses(5, 4);
-            if drop_last {
-                clauses.truncate(clauses.len() - 1); // SAT variant
-            }
-            let mut clean = Solver::new();
-            for c in &clauses {
-                clean.add_clause(c.iter().copied());
-            }
-            let expected = clean.solve();
-
-            let ex = ClauseExchange::new(2, SharingConfig::default());
-            let mut adversary = ex.context(0, SolverConfig::default()).endpoint();
-            // Supersets: clause ∪ {extra literal drawn from the clause
-            // after it in the list} — implied by the base clause alone.
-            for (i, c) in clauses.iter().enumerate() {
-                let extra = clauses[(i + 1) % clauses.len()][0];
-                let mut sup: Vec<Lit> = c.clone();
-                sup.push(extra);
-                adversary.stage(&sup, 2);
-            }
-            assert!(adversary.publish() > 0);
-
-            let mut s = Solver::with_config(SolverConfig {
-                learntsize_factor: 0.01,
-                learntsize_inc: 1.001,
-                min_learnts: 5.0,
-                gc_frac: 0.0,
-                restart_mode: RestartMode::Glucose,
-                ..SolverConfig::default()
-            });
-            s.set_exchange(ex.context(1, SolverConfig::default()).endpoint());
-            for c in &clauses {
-                s.add_clause_shared(c.iter().copied());
-            }
-            assert_eq!(s.solve(), expected, "drop_last={drop_last}");
-            assert!(s.stats().clauses_imported > 0, "imports: {}", s.stats());
-            if expected == SolveOutcome::Sat {
-                let m = s.model().unwrap();
-                for c in &clauses {
-                    assert!(c.iter().any(|&lit| m.satisfies(lit)));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn import_refuting_the_level0_trail_reports_unsat() {
-        // Units x1 and x2 are level-0 facts; an imported (¬x1 ∨ ¬x2)
-        // is all-false at install time and must refute the formula.
-        let ex = ClauseExchange::new(2, SharingConfig::default());
-        let mut donor = ex.context(0, SolverConfig::default()).endpoint();
-        assert!(donor.stage(&[l(-1), l(-2)], 2));
-        donor.publish();
-
-        let mut s = solver_with(&[&[1], &[2]]);
-        s.set_exchange(ex.context(1, SolverConfig::default()).endpoint());
-        assert_eq!(s.solve(), SolveOutcome::Unsat);
-        assert!(!s.is_ok());
-    }
-
     #[test]
     fn shared_caps_stop_the_search_jointly() {
         // Two solvers drawing on one shared conflict pool: the second
@@ -2749,20 +2359,5 @@ mod tests {
             "exhausted pool stops later members before they search"
         );
         assert_eq!(b.stats().conflicts, 0);
-    }
-
-    #[test]
-    fn exports_require_purity() {
-        // Clauses added via plain `add_clause` are impure; nothing may
-        // be exported even with an exchange attached.
-        let ex = ClauseExchange::new(2, SharingConfig::default());
-        let mut s = Solver::new();
-        s.set_exchange(ex.context(0, SolverConfig::default()).endpoint());
-        for c in php_clauses(6, 5) {
-            s.add_clause(c);
-        }
-        assert_eq!(s.solve(), SolveOutcome::Unsat);
-        assert_eq!(s.stats().clauses_exported, 0, "{}", s.stats());
-        assert_eq!(ex.totals().exported, 0);
     }
 }

@@ -68,14 +68,6 @@ pub struct SolverStats {
     /// memory pressure handled by shedding learned clauses instead of
     /// growing towards allocation failure.
     pub watermark_reductions: u64,
-    /// Learned clauses this solver published to the portfolio clause
-    /// exchange (0 when sharing is off).
-    pub clauses_exported: u64,
-    /// Clauses this solver received from the clause exchange.
-    pub clauses_imported: u64,
-    /// Exchange deliveries dropped as duplicates of clauses this solver
-    /// already exported or imported.
-    pub import_duplicates: u64,
     /// Per-phase wall-time breakdown (propagate / analyze / reduce_db
     /// / gc / sat_call). All zero unless `coremax_obs` timing was
     /// enabled while the solver ran.
@@ -120,9 +112,6 @@ impl SolverStats {
         self.incremental_solves += other.incremental_solves;
         self.clauses_retained += other.clauses_retained;
         self.watermark_reductions += other.watermark_reductions;
-        self.clauses_exported += other.clauses_exported;
-        self.clauses_imported += other.clauses_imported;
-        self.import_duplicates += other.import_duplicates;
         self.phase.absorb(&other.phase);
     }
 
@@ -138,9 +127,7 @@ impl SolverStats {
              \"peak_learned\": {}, \"glue_clauses\": {}, \"lbd_hist\": [{}, {}, {}, {}], \
              \"gc_runs\": {}, \"gc_bytes_reclaimed\": {}, \"scratch_reallocs\": {}, \
              \"max_literals\": {}, \"tot_literals\": {}, \"incremental_solves\": {}, \
-             \"clauses_retained\": {}, \"watermark_reductions\": {}, \
-             \"clauses_exported\": {}, \"clauses_imported\": {}, \"import_duplicates\": {}, \
-             \"phase_times\": ",
+             \"clauses_retained\": {}, \"watermark_reductions\": {}, \"phase_times\": ",
             self.decisions,
             self.propagations,
             self.bin_propagations,
@@ -164,9 +151,6 @@ impl SolverStats {
             self.incremental_solves,
             self.clauses_retained,
             self.watermark_reductions,
-            self.clauses_exported,
-            self.clauses_imported,
-            self.import_duplicates,
         );
         self.phase.to_json_into(out);
         out.push('}');
@@ -180,8 +164,7 @@ impl fmt::Display for SolverStats {
             "decisions={} propagations={} bin_props={} conflicts={} \
              restarts={} (luby={} glucose={}) learned={} deleted={} peak_learned={} \
              glue={} lbd_hist=[{},{},{},{}] gc_runs={} gc_bytes={} scratch_reallocs={} \
-             inc_solves={} clauses_retained={} watermark_reductions={} \
-             exported={} imported={} import_dups={}",
+             inc_solves={} clauses_retained={} watermark_reductions={}",
             self.decisions,
             self.propagations,
             self.bin_propagations,
@@ -202,10 +185,7 @@ impl fmt::Display for SolverStats {
             self.scratch_reallocs,
             self.incremental_solves,
             self.clauses_retained,
-            self.watermark_reductions,
-            self.clauses_exported,
-            self.clauses_imported,
-            self.import_duplicates
+            self.watermark_reductions
         )?;
         if !self.phase.is_zero() {
             write!(f, " phase=[{}]", self.phase)?;
