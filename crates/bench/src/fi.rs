@@ -4,7 +4,7 @@
 //! one: this module arms budget-level faults (stop flags raised from a
 //! concurrent thread at a randomized instant, already-expired and
 //! near-expired deadlines, whole-solve conflict and propagation caps)
-//! against any [`MaxSatSolver`] and checks the returned solution
+//! against any [`coremax::MaxSatSolver`] and checks the returned solution
 //! against the soundness invariants every budget-exhausted solve must
 //! satisfy:
 //!
@@ -64,11 +64,11 @@ impl FaultThread {
     }
 }
 
-/// Arms `fault` as a [`Budget`]. The caps are armed as shared caps
-/// ([`Budget::with_shared_caps`]): a per-call cap would not reach a
-/// driver's SAT calls, because [`Budget::child`] drops it. For
-/// [`Fault::StopAfter`] the returned handle must be joined once the
-/// solve returns.
+/// Arms `fault` as a [`Budget`]. A cap covers the whole solve the
+/// budget is handed to: [`Budget::child`] turns it into the solve's one
+/// work pool, which every SAT call, stage, member and branch-and-bound
+/// node charges. For [`Fault::StopAfter`] the returned handle must be
+/// joined once the solve returns.
 #[must_use]
 pub fn armed_budget(fault: &Fault) -> (Budget, Option<FaultThread>) {
     match fault {
@@ -90,8 +90,8 @@ pub fn armed_budget(fault: &Fault) -> (Budget, Option<FaultThread>) {
             )
         }
         Fault::Deadline(timeout) => (Budget::new().with_timeout(*timeout), None),
-        Fault::ConflictCap(cap) => (Budget::new().with_shared_caps(Some(*cap), None), None),
-        Fault::PropagationCap(cap) => (Budget::new().with_shared_caps(None, Some(*cap)), None),
+        Fault::ConflictCap(cap) => (Budget::new().with_max_conflicts(*cap), None),
+        Fault::PropagationCap(cap) => (Budget::new().with_max_propagations(*cap), None),
     }
 }
 

@@ -219,9 +219,7 @@ fn at_most_two_of_four() -> WcnfFormula {
 
 /// Both cap classes reach every driver: armed at 0, each stops every
 /// member of the lineup before it can prove the optimum, with a
-/// certified interval. `maxsatz-bb` is the exception: its
-/// branch-and-bound makes no SAT call to charge the pool, and it polls
-/// only stop flags and the deadline.
+/// certified interval.
 #[test]
 fn work_caps_at_zero_stop_every_sat_driver() {
     let w = at_most_two_of_four();
@@ -233,9 +231,7 @@ fn work_caps_at_zero_stop_every_sat_driver() {
             let s = solver.solve(&w);
             check_anytime_sound(&w, &s, optimum)
                 .unwrap_or_else(|violation| panic!("{label} under {fault:?}: {violation}"));
-            if label != "maxsatz-bb" {
-                assert_eq!(s.status, MaxSatStatus::Unknown, "{label} under {fault:?}");
-            }
+            assert_eq!(s.status, MaxSatStatus::Unknown, "{label} under {fault:?}");
         }
     }
 }

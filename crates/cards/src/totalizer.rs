@@ -98,7 +98,7 @@ struct TotNode {
 /// contract OLL/RC2-class solvers depend on when a core forces a bound
 /// from `k` to `k+1`.
 ///
-/// Output semantics match [`build_totalizer`]: `output(i)` ⇔ at least
+/// Output semantics match the one-shot totalizer's: `output(i)` ⇔ at least
 /// `i+1` inputs are true. An at-most-`k` bound is enforced by asserting
 /// (or assuming, for retractable bounds) `¬output(k)`; both implication
 /// directions are emitted so models stay extractable.

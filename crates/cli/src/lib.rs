@@ -998,31 +998,91 @@ mod tests {
         assert_eq!(o.input, "-");
     }
 
+    /// Every algorithm name `make_solver` advertises.
+    const ADVERTISED: [&str; 17] = [
+        "msu4-v1",
+        "msu4-v2",
+        "msu4-inc",
+        "msu1",
+        "msu2",
+        "msu3",
+        "oll",
+        "wmsu1",
+        "stratified",
+        "strat-msu3",
+        "strat-msu4",
+        "strat-oll",
+        "strat-wmsu1",
+        "pbo",
+        "maxsatz-bb",
+        "linear-sat",
+        "binary-sat",
+    ];
+
     #[test]
     fn all_advertised_solvers_constructible() {
-        for name in [
-            "msu4-v1",
-            "msu4-v2",
-            "msu4-inc",
-            "msu1",
-            "msu2",
-            "msu3",
-            "oll",
-            "wmsu1",
-            "stratified",
-            "strat-msu3",
-            "strat-msu4",
-            "strat-oll",
-            "strat-wmsu1",
-            "pbo",
-            "maxsatz-bb",
-            "linear-sat",
-            "binary-sat",
-        ] {
+        for name in ADVERTISED {
             assert!(make_solver(name).is_ok(), "{name}");
         }
         assert!(make_solver("nope").is_err());
         assert!(make_solver("replication").is_err());
+    }
+
+    /// Pigeonhole 6/5 with every clause soft: the optimum is 1, and
+    /// every solver needs far more than 20 conflicts or 200
+    /// propagations to prove it.
+    fn capped_instance() -> WcnfFormula {
+        WcnfFormula::from_cnf_all_soft(&coremax_instances::pigeonhole(5))
+    }
+
+    #[test]
+    fn every_advertised_solver_honours_work_caps() {
+        let w = capped_instance();
+        for budget in [
+            Budget::new().with_max_conflicts(20),
+            Budget::new().with_max_propagations(200),
+        ] {
+            let mut solvers: Vec<(&str, Box<dyn MaxSatSolver>)> = ADVERTISED
+                .iter()
+                .map(|&name| (name, make_solver(name).unwrap()))
+                .collect();
+            solvers.push(("preprocessed", Box::new(Preprocessed::new(Msu4::v2()))));
+            solvers.push(("portfolio", Box::new(Portfolio::new(2))));
+            for (name, mut solver) in solvers {
+                solver.set_budget(budget.clone());
+                let s = solver.solve(&w);
+                let caps = (budget.max_conflicts(), budget.max_propagations());
+                assert_eq!(s.status, MaxSatStatus::Unknown, "{name} under {caps:?}");
+                assert!(coremax::verify_solution(&w, &s), "{name} under {caps:?}");
+                assert!(
+                    s.lower_bound <= 1 && s.cost.is_none_or(|c| c >= 1),
+                    "{name} under {caps:?}: [{}, {:?}] misses the optimum",
+                    s.lower_bound,
+                    s.cost
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn capped_runs_repeat() {
+        // A single-threaded capped solve depends on no clock, so two runs
+        // stop at the same point with the same work done.
+        let w = capped_instance();
+        for name in ["oll", "msu4-v2"] {
+            let run = || {
+                let mut solver = make_solver(name).unwrap();
+                solver.set_budget(Budget::new().with_max_conflicts(20));
+                let s = solver.solve(&w);
+                let mut work = s.stats.sat;
+                work.phase = coremax_obs::PhaseTimes::default();
+                (s.status, s.lower_bound, s.cost, work)
+            };
+            let first = run();
+            assert_eq!(first.0, MaxSatStatus::Unknown, "{name}");
+            assert_eq!(first.3.conflicts, 20, "{name}");
+            assert_eq!(first, run(), "{name}");
+        }
     }
 
     #[test]

@@ -344,9 +344,10 @@ impl WcnfFormula {
     }
 
     /// Cost of `assignment`: the total weight of falsified soft clauses
-    /// (saturating at [`Weight::MAX`], like [`total_soft_weight`]
-    /// (Self::total_soft_weight) — a wrapped sum could certify a bogus
-    /// low cost), or `None` if some hard clause is not satisfied.
+    /// (saturating at [`Weight::MAX`], like
+    /// [`total_soft_weight`](Self::total_soft_weight) — a wrapped sum
+    /// could certify a bogus low cost), or `None` if some hard clause is
+    /// not satisfied.
     #[must_use]
     pub fn cost(&self, assignment: &Assignment) -> Option<Weight> {
         for h in &self.hard {

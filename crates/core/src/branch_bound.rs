@@ -53,8 +53,8 @@ struct SearchCtx {
     best_cost: Weight,
     best_model: Option<Assignment>,
     nodes: u64,
-    // Child budget with the deadline resolved and stop flags attached;
-    // polled every 256 nodes.
+    // Child budget with the deadline resolved, stop flags attached and
+    // the run's work pool; polled every 256 nodes and charged at each.
     budget: Budget,
     aborted: bool,
     /// Scratch: per-clause state recomputed against the current partial
@@ -179,8 +179,9 @@ impl SearchCtx {
     /// subformulas detected by unit propagation over the reduct of the
     /// unresolved clauses (Li–Manyà–Planes 2006). Each inconsistency
     /// consumes its clauses, so different inconsistencies are disjoint
-    /// and their minimum weights add up.
-    fn lower_bound(&self, assignment: &Assignment) -> Weight {
+    /// and their minimum weights add up. Returns the bound and the
+    /// number of literals the unit propagation assigned.
+    fn lower_bound(&self, assignment: &Assignment) -> (Weight, u64) {
         // Build the reduct: clauses not yet satisfied, restricted to
         // unassigned literals; skip already-falsified (counted in cost).
         let mut reduct: Vec<(Vec<Lit>, Option<Weight>)> = Vec::new();
@@ -203,16 +204,29 @@ impl SearchCtx {
         }
 
         let mut lb: Weight = 0;
+        let mut propagations = 0;
         let mut alive: Vec<bool> = vec![true; reduct.len()];
         // Repeatedly look for an inconsistency via unit propagation over
         // the remaining reduct; on success remove the involved clauses.
-        while let Some((involved, min_weight)) = up_inconsistency(&reduct, &alive, self.num_vars) {
+        while let Some((involved, min_weight)) =
+            up_inconsistency(&reduct, &alive, self.num_vars, &mut propagations)
+        {
             lb = lb.saturating_add(min_weight);
             for i in involved {
                 alive[i] = false;
             }
         }
-        lb
+        (lb, propagations)
+    }
+
+    /// Charges work to the run's pool: a dead end (a falsified hard
+    /// clause or a bound prune) as one conflict, and each literal the
+    /// lower bound's unit propagation assigns as one propagation. A
+    /// spent cap aborts the search.
+    fn charge(&mut self, conflicts: u64, propagations: u64) {
+        if self.budget.charge(conflicts, propagations) {
+            self.aborted = true;
+        }
     }
 
     fn search(&mut self, assignment: &mut Assignment, cost_unused: Weight) {
@@ -227,14 +241,14 @@ impl SearchCtx {
         }
 
         let cost = match self.current_cost(assignment) {
-            Some(c) => c,
-            None => return, // hard clause falsified
+            Some(c) if c < self.best_cost => c,
+            // A falsified hard clause, or no better than the incumbent.
+            _ => return self.charge(1, 0),
         };
-        if cost >= self.best_cost {
-            return;
-        }
-        let lb = cost + self.lower_bound(assignment);
-        if lb >= self.best_cost {
+        let (bound, propagations) = self.lower_bound(assignment);
+        let pruned = cost + bound >= self.best_cost;
+        self.charge(u64::from(pruned), propagations);
+        if pruned || self.aborted {
             return;
         }
 
@@ -303,19 +317,20 @@ impl SearchCtx {
 }
 
 /// Searches for one inconsistent subformula using unit propagation over
-/// the alive part of the reduct. Returns the indices of the involved
-/// clauses and the minimum soft weight among them (hard clauses do not
-/// cap the weight). Returns `None` when no inconsistency is found.
+/// the alive part of the reduct, adding each literal it assigns to
+/// `propagations`. Returns the indices of the involved clauses and the
+/// minimum soft weight among them (hard clauses do not cap the weight).
+/// Returns `None` when no inconsistency is found.
 fn up_inconsistency(
     reduct: &[(Vec<Lit>, Option<Weight>)],
     alive: &[bool],
     num_vars: usize,
+    propagations: &mut u64,
 ) -> Option<(Vec<usize>, Weight)> {
     // Simulated assignment for the propagation probe.
     let mut value: Vec<Option<bool>> = vec![None; num_vars];
     // For each propagated var, the reduct clause that forced it.
     let mut reason: Vec<usize> = vec![usize::MAX; num_vars];
-    let mut trail: Vec<Var> = Vec::new();
 
     loop {
         let mut progressed = false;
@@ -375,14 +390,13 @@ fn up_inconsistency(
                     } else {
                         min_weight
                     };
-                    let _ = trail;
                     return Some((involved, w));
                 }
                 1 => {
                     let l = unassigned.expect("one unassigned literal");
                     value[l.var().index()] = Some(l.is_positive());
                     reason[l.var().index()] = i;
-                    trail.push(l.var());
+                    *propagations += 1;
                     progressed = true;
                 }
                 _ => {}

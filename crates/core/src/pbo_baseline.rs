@@ -63,6 +63,7 @@ impl MaxSatSolver for PboBaseline {
             sat_calls: u64::from(pbo.sat_calls()),
             ..MaxSatStats::default()
         };
+        stats.absorb_sat(pbo.stats());
         stats.wall_time = start.elapsed();
         match outcome {
             PboOutcome::Optimal { model, cost } => {
@@ -116,6 +117,18 @@ mod tests {
         let s = PboBaseline::new().solve(&w);
         assert_eq!(s.cost, Some(2));
         assert_eq!(s.status, MaxSatStatus::Optimal);
+    }
+
+    #[test]
+    fn reports_its_engine_work() {
+        // Pigeonhole 6/5, every clause soft: the optimiser's SAT engine
+        // searches, and its counters reach the solution's stats.
+        let w = WcnfFormula::from_cnf_all_soft(&coremax_instances::pigeonhole(5));
+        let s = PboBaseline::new().solve(&w);
+        assert_eq!(s.cost, Some(1));
+        assert!(s.stats.sat_calls > 1, "{:?}", s.stats);
+        assert!(s.stats.sat.conflicts > 0, "{}", s.stats.sat);
+        assert!(s.stats.sat.propagations > 0, "{}", s.stats.sat);
     }
 
     #[test]

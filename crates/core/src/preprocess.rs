@@ -91,15 +91,10 @@ impl<S: MaxSatSolver> MaxSatSolver for Preprocessed<S> {
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
         let start = Instant::now();
-        // Anchor the wall-clock budget *before* preprocessing, so
-        // simplification time counts against the caller's timeout: the
-        // inner solver receives an absolute deadline of `start +
-        // timeout` (or the caller's own deadline, whichever is
-        // earlier), while conflict/propagation caps pass through.
-        let mut inner_budget = self.budget.clone();
-        if let Some(deadline) = self.budget.effective_deadline(start) {
-            inner_budget = inner_budget.with_deadline(deadline);
-        }
+        // Anchor the budget *before* preprocessing, so simplification
+        // time counts against the caller's timeout, and the inner solve
+        // charges the caller's work pool.
+        let inner_budget = self.budget.child(start);
         self.inner.set_budget(inner_budget.clone());
         // The simplifier itself takes no budget, so honour cancellation
         // at its boundaries: a raised stop flag (or an already-expired

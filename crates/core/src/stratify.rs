@@ -165,21 +165,15 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
         let start = Instant::now();
-        // Stage budgets share one clock and the caller's stop flags;
-        // per-call conflict/propagation caps apply to each stage.
-        let mut stage_budget = self.budget.child(start);
-        if let Some(c) = self.budget.max_conflicts() {
-            stage_budget = stage_budget.with_max_conflicts(c);
-        }
-        if let Some(p) = self.budget.max_propagations() {
-            stage_budget = stage_budget.with_max_propagations(p);
-        }
+        // Every stage shares one clock, the caller's stop flags and one
+        // work pool.
+        let stage_budget = self.budget.child(start);
         let mut stats = MaxSatStats::default();
 
         let groups = partition(wcnf);
         if groups.is_empty() {
             // No soft clauses: the inner solver decides feasibility.
-            self.inner.set_budget(self.budget.clone());
+            self.inner.set_budget(stage_budget);
             let mut solution = self.inner.solve(wcnf);
             solution.stats.strata = 1;
             return solution;

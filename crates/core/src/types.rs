@@ -289,7 +289,8 @@ pub trait MaxSatSolver {
     fn name(&self) -> &'static str;
 
     /// Sets the resource budget for subsequent [`MaxSatSolver::solve`]
-    /// calls. Exceeding it yields [`MaxSatStatus::Unknown`].
+    /// calls. Each limit covers one whole `solve` (see [`Budget`]);
+    /// exceeding it yields [`MaxSatStatus::Unknown`].
     fn set_budget(&mut self, budget: Budget);
 
     /// Returns `true` if [`MaxSatSolver::solve`] accepts soft clauses

@@ -243,7 +243,7 @@ fn frozen_heavy_stratum_then_mixed_group_solves_within_budget() {
             .find(|i| i.name == "w-skewed-heavy-v22")
             .expect("the suite has a skewed-heavy v22 instance")
             .wcnf;
-        let budget = || Budget::new().with_shared_caps(Some(20_000), None);
+        let budget = || Budget::new().with_max_conflicts(20_000);
         for (label, mut solver) in [
             (
                 "stratified<msu3>",

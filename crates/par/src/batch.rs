@@ -14,7 +14,8 @@ use coremax_sat::Budget;
 pub struct BatchOptions {
     /// Worker threads (clamped to ≥ 1).
     pub jobs: usize,
-    /// Per-instance budget (each instance starts a fresh clock).
+    /// Per-instance budget (each instance starts a fresh clock and work
+    /// pool).
     pub budget: Budget,
 }
 

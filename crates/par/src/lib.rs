@@ -28,13 +28,12 @@
 //! winner commits. Under a wall-clock budget the set of finishers can
 //! vary, so only budget-free runs are bit-reproducible end to end —
 //! the same caveat sequential timeouts already carry. Conflict and
-//! propagation caps meter the race as a whole: [`Portfolio::solve`]
-//! pools them into one joint pool with
-//! [`coremax_sat::Budget::with_shared_caps`], which every member's
-//! engine charges (each core-guided driver's engine inherits it through
-//! [`coremax_sat::Budget::child`]). Which member spends the pool first
-//! depends on thread timing, so capped races certify their intervals
-//! but are not bit-reproducible either.
+//! propagation caps meter the race as a whole, as they meter any solve:
+//! [`Portfolio::solve`] hands every member the race's
+//! [`coremax_sat::Budget::child`], so all members charge one work pool.
+//! Which member spends the pool first depends on thread timing, so
+//! capped races certify their intervals but are not bit-reproducible
+//! either.
 //!
 //! Batch solving is deterministic per instance by construction: each
 //! instance is solved by the same configuration regardless of which

@@ -202,20 +202,14 @@ impl Portfolio {
         let weighted = !wcnf.is_unweighted();
         let members = &self.members;
         let race_stop = Arc::new(AtomicBool::new(false));
-        // Resolve the caller's wall-clock limits ONCE, at race start: a
-        // relative timeout handed out unresolved would restart its clock
-        // in every member, letting a K-member race run up to K× the
-        // requested bound. Conflict/propagation caps become *shared*
-        // caps for the same reason: re-attaching them per member would
-        // let a K-member race spend the caller's cap K times over.
-        // Every member charges one jointly-metered pool, so the race as
-        // a whole respects the cap (give or take one polling interval
-        // per member).
-        let member_budget = self
-            .budget
-            .child(start)
-            .with_stop_flag(race_stop.clone())
-            .with_shared_caps(self.budget.max_conflicts(), self.budget.max_propagations());
+        // Resolve the caller's limits ONCE, at race start: a relative
+        // timeout handed out unresolved would restart its clock in every
+        // member, letting a K-member race run up to K× the requested
+        // bound, and a cap would be spent K times over. Every member
+        // charges the race's one work pool, so the race as a whole
+        // respects the cap (give or take one polling interval per
+        // member).
+        let member_budget = self.budget.child(start).with_stop_flag(race_stop.clone());
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<MaxSatSolution>>> =
             members.iter().map(|_| Mutex::new(None)).collect();

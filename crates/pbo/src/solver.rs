@@ -3,7 +3,7 @@
 
 use coremax_cards::CnfSink;
 use coremax_cnf::{Assignment, ClauseStore, Lit, WcnfFormula};
-use coremax_sat::{Budget, SolveOutcome, Solver};
+use coremax_sat::{Budget, SolveOutcome, Solver, SolverStats};
 
 use crate::constraint::{PbConstraint, PbOp, PbTerm};
 use crate::encode::encode_pb;
@@ -46,6 +46,8 @@ pub struct PboSolver {
     budget: Budget,
     /// Statistics: SAT solver calls made by the last `solve`.
     sat_calls: u32,
+    /// The SAT engine's counters from the last `solve`.
+    stats: SolverStats,
 }
 
 impl PboSolver {
@@ -59,6 +61,7 @@ impl PboSolver {
             objective: Vec::new(),
             budget: Budget::new(),
             sat_calls: 0,
+            stats: SolverStats::default(),
         }
     }
 
@@ -102,6 +105,12 @@ impl PboSolver {
         self.sat_calls
     }
 
+    /// The SAT engine's counters from the most recent `solve`.
+    #[must_use]
+    pub fn stats(&self) -> &SolverStats {
+        &self.stats
+    }
+
     /// Evaluates the objective under `model`.
     #[must_use]
     pub fn objective_value(&self, model: &Assignment) -> u64 {
@@ -138,17 +147,10 @@ impl PboSolver {
         self.sat_calls = 0;
         let mut solver = Solver::new();
         solver.ensure_vars(self.num_vars);
-        // Pin the budget to an absolute deadline so the whole iterative
-        // search shares one clock (a relative timeout would restart at
-        // every strengthening round).
-        let mut budget = self.budget.child(std::time::Instant::now());
-        if let Some(c) = self.budget.max_conflicts() {
-            budget = budget.with_max_conflicts(c);
-        }
-        if let Some(p) = self.budget.max_propagations() {
-            budget = budget.with_max_propagations(p);
-        }
-        solver.set_budget(budget);
+        // The whole iterative search shares one clock and one work pool
+        // (a bare budget would restart both at every strengthening
+        // round).
+        solver.set_budget(self.budget.child(std::time::Instant::now()));
         for c in &self.clauses {
             solver.add_clause(c.iter().copied());
         }
@@ -163,7 +165,7 @@ impl PboSolver {
 
         let mut best: Option<(Assignment, u64)> = None;
         let mut bounds_so_far: Vec<PbConstraint> = Vec::new();
-        loop {
+        let outcome = loop {
             self.sat_calls += 1;
             match solver.solve() {
                 SolveOutcome::Sat => {
@@ -183,7 +185,7 @@ impl PboSolver {
                     }
                     if cost == 0 {
                         let (model, cost) = best.expect("cost-0 model recorded");
-                        return PboOutcome::Optimal { model, cost };
+                        break PboOutcome::Optimal { model, cost };
                     }
                     // Strengthen: objective ≤ cost − 1.
                     let bound =
@@ -197,14 +199,16 @@ impl PboSolver {
                     }
                 }
                 SolveOutcome::Unsat => {
-                    return match best.take() {
+                    break match best.take() {
                         Some((model, cost)) => PboOutcome::Optimal { model, cost },
                         None => PboOutcome::Infeasible,
                     };
                 }
-                SolveOutcome::Unknown => return PboOutcome::Unknown { best: best.take() },
+                SolveOutcome::Unknown => break PboOutcome::Unknown { best: best.take() },
             }
-        }
+        };
+        self.stats = *solver.stats();
+        outcome
     }
 }
 

@@ -4,60 +4,29 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Conflict/propagation caps metered *jointly* across every solver a
-/// budget (and its children) reaches: each solver charges its work into
-/// the shared counters, and once a cap is crossed every participant
-/// observes exhaustion. This is how a K-member portfolio race respects
-/// the caller's cap as a whole instead of spending it K times over.
+/// The work one solve has charged so far. [`Budget::child`] makes it
+/// when a cap is set, and every clone and child of that budget charges
+/// the same counters.
 #[derive(Debug, Default)]
-pub struct SharedCaps {
+struct WorkPool {
     conflicts: AtomicU64,
     propagations: AtomicU64,
-    max_conflicts: Option<u64>,
-    max_propagations: Option<u64>,
-    exhausted: AtomicBool,
 }
 
-impl SharedCaps {
-    fn new(max_conflicts: Option<u64>, max_propagations: Option<u64>) -> Self {
-        SharedCaps {
-            conflicts: AtomicU64::new(0),
-            propagations: AtomicU64::new(0),
-            max_conflicts,
-            max_propagations,
-            exhausted: AtomicBool::new(false),
-        }
-    }
-
-    /// Charges a work delta and returns `true` once the pool is
-    /// exhausted (sticky: stays `true` for every later caller).
-    fn charge(&self, conflicts: u64, propagations: u64) -> bool {
-        let c = self.conflicts.fetch_add(conflicts, Ordering::Relaxed) + conflicts;
-        let p = self.propagations.fetch_add(propagations, Ordering::Relaxed) + propagations;
-        if self.max_conflicts.is_some_and(|m| c >= m)
-            || self.max_propagations.is_some_and(|m| p >= m)
-        {
-            self.exhausted.store(true, Ordering::Relaxed);
-        }
-        self.exhausted.load(Ordering::Relaxed)
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.exhausted.load(Ordering::Relaxed)
-    }
-
-    /// Total conflicts charged so far.
-    fn conflicts_spent(&self) -> u64 {
-        self.conflicts.load(Ordering::Relaxed)
-    }
-}
-
-/// Limits on how much work a [`crate::Solver`] may perform before giving
-/// up with [`crate::SolveOutcome::Unknown`].
+/// Limits on how much work a solve may perform before giving up with
+/// [`crate::SolveOutcome::Unknown`].
 ///
 /// A default budget is unlimited. Budgets make "aborted instances"
 /// (Table 1 / Table 2 of the paper) measurable and deterministic when
 /// expressed in conflicts rather than seconds.
+///
+/// Every limit covers the whole solve the budget is handed to.
+/// [`Budget::child`] turns a timeout into that solve's deadline and the
+/// conflict and propagation caps into its one work pool, and every
+/// clone, child, SAT call, stage and portfolio member of the solve
+/// charges that pool. For a bare [`crate::Solver`], one `solve` call is
+/// the whole solve. A single-threaded solve limited only by caps depends
+/// on no clock, so where it stops repeats from run to run.
 ///
 /// Besides the passive caps, a budget may carry a **cooperative stop
 /// flag** ([`Budget::with_stop_flag`]): a shared [`AtomicBool`] that any
@@ -101,9 +70,9 @@ pub struct Budget {
     // are layered (a caller's flag plus the portfolio's race flag);
     // `stop_requested` honours any of them.
     stop: Vec<Arc<AtomicBool>>,
-    // Caps shared across every solver this budget reaches (portfolio
-    // races); unlike the per-call caps above, these survive `child`.
-    shared: Option<Arc<SharedCaps>>,
+    // The running solve's work pool; `None` until `child` starts a
+    // capped solve.
+    pool: Option<Arc<WorkPool>>,
 }
 
 impl Budget {
@@ -113,21 +82,25 @@ impl Budget {
         Budget::default()
     }
 
-    /// Caps the number of conflicts.
+    /// Caps the conflicts of the whole solve. On a budget that already
+    /// meters a solve (one made by [`Budget::child`]), the cap bounds
+    /// that solve's total since it started.
     #[must_use]
     pub fn with_max_conflicts(mut self, conflicts: u64) -> Self {
         self.max_conflicts = Some(conflicts);
         self
     }
 
-    /// Caps the number of propagations.
+    /// Caps the propagations of the whole solve, metered like
+    /// [`Budget::with_max_conflicts`].
     #[must_use]
     pub fn with_max_propagations(mut self, propagations: u64) -> Self {
         self.max_propagations = Some(propagations);
         self
     }
 
-    /// Caps wall-clock time. The clock starts at the next `solve` call.
+    /// Caps wall-clock time. The clock starts at the solve the budget
+    /// is handed to.
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
@@ -150,29 +123,6 @@ impl Budget {
     #[must_use]
     pub fn with_stop_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.stop.push(flag);
-        self
-    }
-
-    /// Attaches conflict/propagation caps metered jointly across every
-    /// solver this budget (or any clone / [`Budget::child`]) reaches.
-    /// A no-op when both caps are `None`.
-    ///
-    /// This is the portfolio's answer to per-member cap re-attachment:
-    /// K racing members charging one shared pool spend at most the
-    /// caller's cap collectively (give or take one polling interval per
-    /// member), not K× it. Note the flip side: with shared caps, *which*
-    /// member runs out of budget first is a thread-timing artifact, so
-    /// capped races certify their result intervals but are not
-    /// bit-reproducible across runs.
-    #[must_use]
-    pub fn with_shared_caps(
-        mut self,
-        max_conflicts: Option<u64>,
-        max_propagations: Option<u64>,
-    ) -> Self {
-        if max_conflicts.is_some() || max_propagations.is_some() {
-            self.shared = Some(Arc::new(SharedCaps::new(max_conflicts, max_propagations)));
-        }
         self
     }
 
@@ -212,36 +162,34 @@ impl Budget {
         !self.stop.is_empty()
     }
 
-    /// Returns `true` if shared conflict/propagation caps are attached.
+    /// Charges work to the solve's pool and returns `true` once the
+    /// pool's total reaches a cap. Solvers call it at their polling
+    /// points with the work done since their previous charge. Without a
+    /// pool it charges nothing and returns `false`.
     #[must_use]
-    pub fn has_shared_caps(&self) -> bool {
-        self.shared.is_some()
+    pub fn charge(&self, conflicts: u64, propagations: u64) -> bool {
+        let Some(pool) = &self.pool else {
+            return false;
+        };
+        let c = pool.conflicts.fetch_add(conflicts, Ordering::Relaxed) + conflicts;
+        let p = pool.propagations.fetch_add(propagations, Ordering::Relaxed) + propagations;
+        self.capped_at(c, p)
     }
 
-    /// Charges a work delta against the shared caps (if any) and
-    /// returns `true` once the shared pool is exhausted. Solvers call
-    /// this at their interrupt-polling points with the work done since
-    /// their previous charge.
-    #[must_use]
-    pub fn charge_shared(&self, conflicts: u64, propagations: u64) -> bool {
-        match &self.shared {
-            Some(caps) => caps.charge(conflicts, propagations),
-            None => false,
-        }
+    /// Returns `true` once the solve's pool has reached a cap. Reads no
+    /// clock.
+    pub(crate) fn work_spent(&self) -> bool {
+        self.pool.as_ref().is_some_and(|pool| {
+            self.capped_at(
+                pool.conflicts.load(Ordering::Relaxed),
+                pool.propagations.load(Ordering::Relaxed),
+            )
+        })
     }
 
-    /// Returns `true` if attached shared caps have been exhausted (by
-    /// any participant).
-    #[must_use]
-    pub fn shared_caps_exhausted(&self) -> bool {
-        self.shared.as_ref().is_some_and(|c| c.is_exhausted())
-    }
-
-    /// Total conflicts charged into the shared caps so far (0 when no
-    /// shared caps are attached). Diagnostic / test hook.
-    #[must_use]
-    pub fn shared_conflicts_spent(&self) -> u64 {
-        self.shared.as_ref().map_or(0, |c| c.conflicts_spent())
+    fn capped_at(&self, conflicts: u64, propagations: u64) -> bool {
+        self.max_conflicts.is_some_and(|m| conflicts >= m)
+            || self.max_propagations.is_some_and(|m| propagations >= m)
     }
 
     /// The attached stop flags (empty when none).
@@ -259,7 +207,6 @@ impl Budget {
             && self.timeout.is_none()
             && self.deadline.is_none()
             && self.stop.is_empty()
-            && self.shared.is_none()
     }
 
     /// Resolves the effective deadline given a solve start time: the
@@ -274,39 +221,40 @@ impl Budget {
         }
     }
 
-    /// Returns `true` when a stop flag has been raised or the absolute
-    /// deadline has passed — the between-SAT-calls poll MaxSAT drivers
-    /// use to abort a run without starting another sub-solve. Only the
-    /// *absolute* deadline is consulted (resolve a relative timeout
-    /// with [`Budget::child`] first); conflict and propagation caps are
-    /// metered by the solver itself.
+    /// Returns `true` when a stop flag has been raised, the solve's
+    /// work pool has reached a cap, or the absolute deadline has passed
+    /// — the between-SAT-calls poll MaxSAT drivers use to abort a run
+    /// without starting another sub-solve. Only the *absolute* deadline
+    /// and an existing pool are consulted (resolve a relative timeout
+    /// and start the pool with [`Budget::child`] first).
     #[must_use]
     pub fn interrupted(&self) -> bool {
         self.stop_requested()
-            || self.shared_caps_exhausted()
+            || self.work_spent()
             || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Derives the budget a sub-solver of one run should receive: the
-    /// wall-clock limits collapse to an absolute deadline anchored at
-    /// `start` (so every SAT call of a MaxSAT run shares one clock) and
-    /// the stop flags and shared caps are carried over (both meter the
-    /// whole run, wherever it executes), while per-call conflict and
-    /// propagation caps are dropped (they meter a single `solve`, not
-    /// the whole run).
+    /// Derives the budget of a solve that starts at `start`, or of a
+    /// part of it: the wall-clock limits collapse to an absolute
+    /// deadline anchored at `start`, and the caps get the solve's work
+    /// pool, made here unless the budget already carries one. The caps
+    /// and stop flags carry over. So every SAT call, stage and
+    /// portfolio member handed the result (or a clone, or a child of
+    /// it) shares one clock and one pool.
     ///
     /// This is the one way child budgets should be built — constructing
     /// `Budget::new().with_deadline(..)` by hand silently severs the
-    /// cancellation chain.
+    /// cancellation chain and the pool.
     #[must_use]
     pub fn child(&self, start: Instant) -> Budget {
+        let capped = self.max_conflicts.is_some() || self.max_propagations.is_some();
         Budget {
-            max_conflicts: None,
-            max_propagations: None,
+            max_conflicts: self.max_conflicts,
+            max_propagations: self.max_propagations,
             timeout: None,
             deadline: self.effective_deadline(start),
             stop: self.stop.clone(),
-            shared: self.shared.clone(),
+            pool: self.pool.clone().or_else(|| capped.then(Arc::default)),
         }
     }
 }
@@ -379,27 +327,53 @@ mod tests {
 
     #[test]
     fn shared_caps_meter_jointly_and_survive_child() {
-        let b = Budget::new().with_shared_caps(Some(10), None);
-        assert!(b.has_shared_caps());
+        let b = Budget::new().with_max_conflicts(10);
         assert!(!b.is_unlimited());
-        let child = b.child(Instant::now());
-        assert!(child.has_shared_caps(), "shared caps cascade to children");
-        // Two participants (the budget and its child) charge one pool.
-        assert!(!b.charge_shared(6, 100));
-        assert!(child.charge_shared(4, 0), "joint total hits the cap");
-        assert!(b.shared_caps_exhausted(), "exhaustion is visible to all");
-        assert!(b.interrupted());
-        assert_eq!(b.shared_conflicts_spent(), 10);
-        // Exhaustion is sticky.
-        assert!(b.charge_shared(0, 0));
+        // `child` starts the solve's pool; a child of a child, and every
+        // clone, charges the same one.
+        let run = b.child(Instant::now());
+        let stage = run.child(Instant::now());
+        assert!(!run.charge(6, 100));
+        assert!(stage.clone().charge(4, 0), "joint total hits the cap");
+        assert!(run.work_spent(), "exhaustion is visible to all");
+        assert!(run.interrupted());
+        assert!(run.charge(0, 0), "exhaustion is sticky");
+        // The budget itself meters no solve: the next solve it is handed
+        // to starts a fresh pool.
+        assert!(!b.interrupted());
+        assert!(!b.charge(100, 100));
+        assert!(!b.child(Instant::now()).interrupted());
     }
 
     #[test]
     fn shared_caps_noop_when_both_none() {
-        let b = Budget::new().with_shared_caps(None, None);
-        assert!(!b.has_shared_caps());
+        // Without a cap no pool is made: charging does nothing.
+        let b = Budget::new().child(Instant::now());
         assert!(b.is_unlimited());
-        assert!(!b.charge_shared(1_000_000, 1_000_000));
+        assert!(!b.charge(1_000_000, 1_000_000));
+        assert!(!b.interrupted());
+    }
+
+    #[test]
+    fn a_cap_of_zero_is_spent_before_any_work() {
+        for b in [
+            Budget::new().with_max_conflicts(0),
+            Budget::new().with_max_propagations(0),
+        ] {
+            assert!(b.child(Instant::now()).interrupted());
+        }
+    }
+
+    #[test]
+    fn a_cap_added_inside_a_solve_bounds_the_solve_total() {
+        let run = Budget::new().with_max_conflicts(100).child(Instant::now());
+        assert!(!run.charge(30, 0));
+        let tighter = run.clone().with_max_conflicts(30);
+        assert!(tighter.interrupted(), "the solve has spent 30 already");
+        assert!(!run.interrupted());
+        let props = run.clone().with_max_propagations(5);
+        assert!(props.charge(0, 5), "the pool counts every cap's work");
+        assert!(!run.interrupted());
     }
 
     #[test]
@@ -412,7 +386,8 @@ mod tests {
             .with_stop_flag(stop.clone());
         let child = b.child(start);
         assert_eq!(child.deadline(), Some(start + Duration::from_secs(3)));
-        assert_eq!(child.max_conflicts(), None, "per-call caps do not cascade");
+        assert_eq!(child.timeout(), None);
+        assert_eq!(child.max_conflicts(), Some(99), "caps carry over");
         assert_eq!(child.max_propagations(), None);
         stop.store(true, Ordering::Relaxed);
         assert!(child.stop_requested(), "child budgets share the flag");

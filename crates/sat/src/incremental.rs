@@ -74,7 +74,10 @@ enum SoftState {
 }
 
 /// A persistent assumption-based SAT engine with selector-variable
-/// soft-clause management. See the [module docs](self) for the model.
+/// soft-clause management: each soft clause `ω` is stored once as
+/// `ω ∨ s` with a fresh selector `s`, enforced while `¬s` is assumed,
+/// relaxed by dropping that assumption, hardened by the unit `¬s` and
+/// retired by the unit `s`.
 #[derive(Debug)]
 pub struct IncrementalSolver {
     solver: Solver,

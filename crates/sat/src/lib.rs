@@ -14,8 +14,7 @@
 //! - first-UIP conflict analysis with recursive clause minimisation,
 //!   allocation-free in steady state,
 //! - VSIDS variable activities with phase saving,
-//! - Luby-sequence restarts, plus an optional glucose-style adaptive
-//!   restart mode ([`RestartMode`]),
+//! - Luby-sequence restarts,
 //! - learned-clause database reduction ordered by literal block
 //!   distance (LBD) first and activity second, with glue-clause
 //!   protection, followed by clause-arena garbage collection; the LBD
@@ -29,9 +28,10 @@
 //!   `¬s`, which is how every core-guided driver reads its cores
 //!   (see [`IncrementalSolver`]).
 //!
-//! Engines share no clauses: a portfolio races independent engines,
-//! which may draw on one joint conflict and propagation pool
-//! ([`Budget::with_shared_caps`]).
+//! Engines share no clauses: a portfolio races independent engines.
+//! A [`Budget`]'s conflict and propagation caps cover the whole solve it
+//! is handed to, so every SAT call of a MaxSAT run, and every member of
+//! a race, charges one work pool ([`Budget::child`]).
 //!
 //! # Examples
 //!
@@ -79,5 +79,5 @@ mod watch;
 
 pub use budget::Budget;
 pub use incremental::{IncrementalSolver, SoftId};
-pub use solver::{RestartMode, SolveOutcome, Solver, SolverConfig};
+pub use solver::{SolveOutcome, Solver, SolverConfig};
 pub use stats::{SolverStats, LBD_HIST_BUCKETS};

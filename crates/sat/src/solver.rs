@@ -25,19 +25,6 @@ pub enum SolveOutcome {
     Unknown,
 }
 
-/// Restart scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RestartMode {
-    /// Luby-sequence restarts with base interval
-    /// [`SolverConfig::restart_base`] (MiniSAT's classic schedule).
-    #[default]
-    Luby,
-    /// Glucose-style adaptive restarts: restart as soon as the moving
-    /// average of recent learned-clause LBDs exceeds the global average
-    /// by the margin [`SolverConfig::glucose_margin`].
-    Glucose,
-}
-
 /// Tunable solver parameters.
 ///
 /// The defaults mirror MiniSAT's classic configuration; they are exposed
@@ -49,19 +36,8 @@ pub struct SolverConfig {
     pub var_decay: f64,
     /// Learned-clause activity decay; must be in `(0, 1]`.
     pub clause_decay: f32,
-    /// Base interval (in conflicts) of the Luby restart schedule (only
-    /// used when [`SolverConfig::restart_mode`] is [`RestartMode::Luby`]).
+    /// Base interval (in conflicts) of the Luby restart schedule.
     pub restart_base: u64,
-    /// Restart policy. Default: [`RestartMode::Luby`], which keeps runs
-    /// reproducible against MiniSAT-lineage expectations; switch to
-    /// [`RestartMode::Glucose`] for LBD-driven adaptive restarts.
-    pub restart_mode: RestartMode,
-    /// Window (in conflicts) of the recent-LBD moving average driving
-    /// [`RestartMode::Glucose`]. Default 50, as in Glucose.
-    pub glucose_lbd_window: usize,
-    /// A glucose restart fires when `recent_lbd_avg * glucose_margin >
-    /// global_lbd_avg`. Default 0.8, as in Glucose.
-    pub glucose_margin: f64,
     /// Initial cap on retained learned clauses, as a fraction of the
     /// number of original clauses.
     pub learntsize_factor: f64,
@@ -92,9 +68,9 @@ pub struct SolverConfig {
     /// trades timeout precision for less `Instant::now` overhead in the
     /// decision loop.
     pub timeout_check_interval: u64,
-    /// The stop flag, deadline and propagation cap are additionally
-    /// polled once per this many propagations *inside* the propagation
-    /// loop, so cancellation lands within a bounded amount of work even
+    /// The stop flag, deadline and work caps are additionally polled
+    /// once per this many propagations *inside* the propagation loop,
+    /// so cancellation lands within a bounded amount of work even
     /// mid-way through a long implication chain (decision-based polling
     /// alone can lag by an entire chain). Default 1024 — cheap enough
     /// to be invisible at ~10M props/sec, tight enough for the parallel
@@ -110,9 +86,6 @@ impl Default for SolverConfig {
             var_decay: 0.95,
             clause_decay: 0.999,
             restart_base: 100,
-            restart_mode: RestartMode::Luby,
-            glucose_lbd_window: 50,
-            glucose_margin: 0.8,
             learntsize_factor: 1.0 / 3.0,
             learntsize_inc: 1.1,
             min_learnts: 1000.0,
@@ -222,14 +195,6 @@ pub struct Solver {
 
     max_learnts: f64,
 
-    // Glucose restart state: ring buffer of the last `glucose_lbd_window`
-    // learn-time LBDs plus running sums.
-    lbd_queue: Vec<u32>,
-    lbd_queue_pos: usize,
-    lbd_queue_len: usize,
-    lbd_recent_sum: u64,
-    lbd_global_sum: u64,
-
     // Result state.
     ok: bool,
     failed_assumptions: Vec<Lit>,
@@ -245,10 +210,11 @@ pub struct Solver {
     // Cooperative-interruption state, armed only for the duration of a
     // `solve` call (propagation from `add_clause` / `probe_lit` is never
     // interrupted, so level-0 queues cannot be silently truncated).
+    // `run` is the running call's `budget.child`: its deadline and the
+    // solve's work pool.
     interrupt_armed: bool,
     interrupted: bool,
-    active_deadline: Option<Instant>,
-    active_prop_cap: Option<u64>,
+    run: Budget,
     props_until_check: u64,
 
     // Scratch buffers reused across conflicts. Once their capacities
@@ -271,10 +237,10 @@ pub struct Solver {
     // before backtracking (levels are only valid pre-backtrack).
     pending_lbd: u32,
 
-    // Conflicts/propagations already charged into the budget's shared
-    // caps (the portfolio-wide pool), so each charge is a delta.
-    shared_conflicts_charged: u64,
-    shared_props_charged: u64,
+    // Conflicts/propagations already charged to the solve's work pool,
+    // so each charge is a delta.
+    charged_conflicts: u64,
+    charged_propagations: u64,
 }
 
 impl Default for Solver {
@@ -310,11 +276,6 @@ impl Solver {
             var_inc: 1.0,
             cla_inc: 1.0,
             max_learnts: 0.0,
-            lbd_queue: Vec::new(),
-            lbd_queue_pos: 0,
-            lbd_queue_len: 0,
-            lbd_recent_sum: 0,
-            lbd_global_sum: 0,
             ok: true,
             failed_assumptions: Vec::new(),
             model: None,
@@ -323,8 +284,7 @@ impl Solver {
             solve_calls: 0,
             interrupt_armed: false,
             interrupted: false,
-            active_deadline: None,
-            active_prop_cap: None,
+            run: Budget::new(),
             props_until_check: 0,
             analyze_stack: Vec::new(),
             analyze_toclear: Vec::new(),
@@ -336,8 +296,8 @@ impl Solver {
             lbd_gen: 0,
             assumption_levels: 0,
             pending_lbd: 0,
-            shared_conflicts_charged: 0,
-            shared_props_charged: 0,
+            charged_conflicts: 0,
+            charged_propagations: 0,
         }
     }
 
@@ -389,6 +349,9 @@ impl Solver {
     }
 
     /// Sets the resource budget applied to subsequent `solve` calls.
+    /// Each call is a whole solve: it starts its own clock and work
+    /// pool, unless the budget already meters a larger solve (one made
+    /// by [`Budget::child`]), whose pool the call then charges.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
     }
@@ -425,18 +388,15 @@ impl Solver {
         self.ordered_buf = ordered;
     }
 
-    /// Charges the conflicts/propagations performed since the last
-    /// charge against the portfolio-shared caps (no-op without shared
-    /// caps). Returns `true` when the shared pool is exhausted.
-    fn charge_shared_budget(&mut self) -> bool {
-        if !self.budget.has_shared_caps() {
-            return false;
-        }
-        let dc = self.stats.conflicts - self.shared_conflicts_charged;
-        let dp = self.stats.propagations - self.shared_props_charged;
-        self.shared_conflicts_charged = self.stats.conflicts;
-        self.shared_props_charged = self.stats.propagations;
-        self.budget.charge_shared(dc, dp)
+    /// Charges the conflicts and propagations performed since the last
+    /// charge to the solve's work pool (a no-op without one). Returns
+    /// `true` once a cap is spent.
+    fn charge_work(&mut self) -> bool {
+        let conflicts = self.stats.conflicts - self.charged_conflicts;
+        let propagations = self.stats.propagations - self.charged_propagations;
+        self.charged_conflicts = self.stats.conflicts;
+        self.charged_propagations = self.stats.propagations;
+        self.run.charge(conflicts, propagations)
     }
 
     fn add_clause_impl(&mut self, lits: &mut Vec<Lit>, ordered: &mut Vec<Lit>) {
@@ -576,29 +536,14 @@ impl Solver {
             self.stats.clauses_retained += self.db.num_learned() as u64;
         }
 
-        let start = Instant::now();
-        let deadline = self.budget.effective_deadline(start);
-        let conflict_cap = self
-            .budget
-            .max_conflicts()
-            .map(|c| self.stats.conflicts + c);
-        let propagation_cap = self
-            .budget
-            .max_propagations()
-            .map(|p| self.stats.propagations + p);
-
         // Arm the in-propagation interruption checks for this solve.
+        self.run = self.budget.child(Instant::now());
         self.interrupted = false;
-        self.active_deadline = deadline;
-        self.active_prop_cap = propagation_cap;
-        self.interrupt_armed = deadline.is_some()
-            || propagation_cap.is_some()
-            || self.budget.has_stop_flag()
-            || self.budget.has_shared_caps();
+        self.interrupt_armed = !self.run.is_unlimited();
         self.props_until_check = self.config.propagation_check_interval.max(1);
-        self.shared_conflicts_charged = self.stats.conflicts;
-        self.shared_props_charged = self.stats.propagations;
-        if self.budget.stop_requested() || self.budget.shared_caps_exhausted() {
+        self.charged_conflicts = self.stats.conflicts;
+        self.charged_propagations = self.stats.propagations;
+        if self.run.stop_requested() || self.run.work_spent() {
             self.interrupt_armed = false;
             return SolveOutcome::Unknown;
         }
@@ -618,27 +563,12 @@ impl Solver {
         let mut restart_count: u64 = 0;
         let outcome = loop {
             restart_count += 1;
-            let budget_this_restart = match self.config.restart_mode {
-                RestartMode::Luby => self.config.restart_base * luby(restart_count),
-                // Glucose restarts are triggered adaptively inside
-                // `search`, not by a conflict budget.
-                RestartMode::Glucose => u64::MAX,
-            };
-            match self.search(
-                assumptions,
-                budget_this_restart,
-                deadline,
-                conflict_cap,
-                propagation_cap,
-            ) {
+            let budget_this_restart = self.config.restart_base * luby(restart_count);
+            match self.search(assumptions, budget_this_restart) {
                 SearchResult::Sat => break SolveOutcome::Sat,
                 SearchResult::Unsat => break SolveOutcome::Unsat,
                 SearchResult::Restart => {
                     self.stats.restarts += 1;
-                    match self.config.restart_mode {
-                        RestartMode::Luby => self.stats.restarts_luby += 1,
-                        RestartMode::Glucose => self.stats.restarts_glucose += 1,
-                    }
                     if coremax_obs::tracing_enabled() {
                         coremax_obs::emit(Event::Restart {
                             restarts: self.stats.restarts,
@@ -646,22 +576,16 @@ impl Solver {
                             learned: self.db.num_learned() as u64,
                         });
                     }
-                    // A fresh restart starts a fresh recent-LBD window.
-                    self.lbd_queue_len = 0;
-                    self.lbd_queue_pos = 0;
-                    self.lbd_recent_sum = 0;
                 }
                 SearchResult::BudgetExhausted => break SolveOutcome::Unknown,
             }
         };
-        // Flush the residual shared-cap charge so portfolio-wide
-        // accounting stays exact.
-        let _ = self.charge_shared_budget();
+        // Flush the residual charge, so the next call (or the driver's
+        // next poll) sees the solve's exact total.
+        let _ = self.charge_work();
         self.assumption_levels = 0;
         self.interrupt_armed = false;
         self.interrupted = false;
-        self.active_deadline = None;
-        self.active_prop_cap = None;
         self.cancel_until(0);
         outcome
     }
@@ -797,19 +721,13 @@ impl Solver {
         self.trail.push(lit);
     }
 
-    /// Interruption poll for the propagation loop: raised stop flag,
-    /// expired deadline or exhausted propagation cap set
-    /// `self.interrupted`. Out-of-line so the hot loop only pays a
-    /// decrement-and-branch per propagation.
+    /// Interruption poll for the propagation loop: a spent work cap,
+    /// raised stop flag or expired deadline sets `self.interrupted`.
+    /// Out-of-line so the hot loop only pays a decrement-and-branch per
+    /// propagation.
     #[cold]
     fn poll_interrupt(&mut self) -> bool {
-        if self.charge_shared_budget()
-            || self
-                .active_prop_cap
-                .is_some_and(|cap| self.stats.propagations >= cap)
-            || self.budget.stop_requested()
-            || self.active_deadline.is_some_and(|d| Instant::now() >= d)
-        {
+        if self.charge_work() || self.run.interrupted() {
             self.interrupted = true;
             return true;
         }
@@ -834,7 +752,7 @@ impl Solver {
         bin_watches: &WatchLists<BinWatcher>,
     ) -> Option<CRef> {
         while self.qhead < self.trail.len() {
-            // Observe stop flag / deadline / propagation cap *inside*
+            // Observe stop flag / deadline / work caps *inside*
             // long implication chains (decision-loop polling alone can
             // lag by a whole chain). The poll runs BEFORE the next trail
             // literal is consumed: interrupting after the pop would skip
@@ -1269,7 +1187,6 @@ impl Solver {
         if lbd <= 2 {
             self.stats.glue_clauses += 1;
         }
-        self.note_learnt_lbd(lbd);
         let cref = self.db.add(&self.learnt_buf, true);
         self.db.set_lbd(cref, lbd);
         let first = self.learnt_buf[0];
@@ -1292,41 +1209,6 @@ impl Solver {
         self.enqueue(first, cref);
         self.stats.peak_learned = self.stats.peak_learned.max(self.db.num_learned() as u64);
         self.decay_activities();
-    }
-
-    /// Feeds a learn-time LBD into the glucose restart bookkeeping.
-    fn note_learnt_lbd(&mut self, lbd: u32) {
-        self.lbd_global_sum += u64::from(lbd);
-        let window = self.config.glucose_lbd_window;
-        if window == 0 {
-            return;
-        }
-        if self.lbd_queue.len() != window {
-            self.lbd_queue.clear();
-            self.lbd_queue.resize(window, 0);
-            self.lbd_queue_len = 0;
-            self.lbd_queue_pos = 0;
-            self.lbd_recent_sum = 0;
-        }
-        if self.lbd_queue_len == window {
-            self.lbd_recent_sum -= u64::from(self.lbd_queue[self.lbd_queue_pos]);
-        } else {
-            self.lbd_queue_len += 1;
-        }
-        self.lbd_queue[self.lbd_queue_pos] = lbd;
-        self.lbd_recent_sum += u64::from(lbd);
-        self.lbd_queue_pos = (self.lbd_queue_pos + 1) % window;
-    }
-
-    /// Glucose restart condition: the recent-LBD window is full and its
-    /// average exceeds the global average by the configured margin.
-    fn glucose_should_restart(&self) -> bool {
-        let window = self.config.glucose_lbd_window;
-        window > 0
-            && self.lbd_queue_len == window
-            && self.stats.conflicts > 0
-            && (self.lbd_recent_sum as f64 / window as f64) * self.config.glucose_margin
-                > self.lbd_global_sum as f64 / self.stats.conflicts as f64
     }
 
     /// Halves the learned-clause database. Ordering is LBD-primary
@@ -1465,25 +1347,14 @@ impl Solver {
         });
     }
 
-    fn search(
-        &mut self,
-        assumptions: &[Lit],
-        conflicts_allowed: u64,
-        deadline: Option<Instant>,
-        conflict_cap: Option<u64>,
-        propagation_cap: Option<u64>,
-    ) -> SearchResult {
+    fn search(&mut self, assumptions: &[Lit], conflicts_allowed: u64) -> SearchResult {
         let mut conflicts_here: u64 = 0;
         // One deadline/stop poll per restart keeps long restarts honest
         // even when the per-decision counter below rarely fires.
-        if self.budget.stop_requested() {
+        if self.run.interrupted() {
             return SearchResult::BudgetExhausted;
         }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return SearchResult::BudgetExhausted;
-            }
-        }
+        let deadline = self.run.deadline();
         let check_interval = self.config.timeout_check_interval.max(1);
         let mut until_time_check = check_interval;
         loop {
@@ -1509,26 +1380,16 @@ impl Solver {
                         propagations: self.stats.propagations,
                     });
                 }
-                if let Some(cap) = conflict_cap {
-                    if self.stats.conflicts >= cap {
-                        return SearchResult::BudgetExhausted;
-                    }
-                }
-                // Conflict-heavy search (short chains, constant
-                // conflicts) must observe cancellation too: one relaxed
-                // atomic load per conflict, free when no flag is set.
-                if self.budget.stop_requested() {
+                // The work pool is charged per conflict, so a conflict
+                // cap binds exactly and no portfolio member overruns the
+                // joint pool by a whole restart. Conflict-heavy search
+                // (short chains, constant conflicts) must observe
+                // cancellation too: one relaxed atomic load per
+                // conflict, free when no flag is set.
+                if self.charge_work() || self.run.stop_requested() {
                     return SearchResult::BudgetExhausted;
                 }
-                // Portfolio-wide caps are charged per conflict so no
-                // member can overrun the shared pool by a whole restart.
-                if self.charge_shared_budget() {
-                    return SearchResult::BudgetExhausted;
-                }
-                if conflicts_here >= conflicts_allowed
-                    || (self.config.restart_mode == RestartMode::Glucose
-                        && self.glucose_should_restart())
-                {
+                if conflicts_here >= conflicts_allowed {
                     self.cancel_until(0);
                     return SearchResult::Restart;
                 }
@@ -1543,11 +1404,6 @@ impl Solver {
             }
 
             // Propagation fixpoint reached: bookkeeping, then decide.
-            if let Some(cap) = propagation_cap {
-                if self.stats.propagations >= cap {
-                    return SearchResult::BudgetExhausted;
-                }
-            }
             if let Some(d) = deadline {
                 // An Instant::now() per decision is measurable, so the
                 // deadline is polled once per `timeout_check_interval`
@@ -2132,22 +1988,6 @@ mod tests {
     }
 
     #[test]
-    fn glucose_mode_agrees_and_counts_restarts() {
-        let clauses = php_clauses(6, 5);
-        let mut glucose = Solver::with_config(SolverConfig {
-            restart_mode: RestartMode::Glucose,
-            glucose_lbd_window: 10,
-            ..SolverConfig::default()
-        });
-        for c in &clauses {
-            glucose.add_clause(c.iter().copied());
-        }
-        assert_eq!(glucose.solve(), SolveOutcome::Unsat);
-        assert_eq!(glucose.stats().restarts_luby, 0);
-        assert_eq!(glucose.stats().restarts, glucose.stats().restarts_glucose);
-    }
-
-    #[test]
     fn forced_gc_preserves_soundness_and_core() {
         let clauses = php_clauses(6, 5);
         let mut s = Solver::with_config(SolverConfig {
@@ -2331,33 +2171,47 @@ mod tests {
 
     #[test]
     fn shared_caps_stop_the_search_jointly() {
-        // Two solvers drawing on one shared conflict pool: the second
-        // gets only what the first left over, unlike per-solver caps
-        // which would grant the full amount again.
-        let budget = Budget::new().with_shared_caps(Some(200), None);
+        // Two solvers handed one solve's budget draw on its one pool:
+        // the second gets only what the first left over, where a bare
+        // budget would grant each call the full amount again.
+        let run = Budget::new().with_max_conflicts(200).child(Instant::now());
         let mut a = Solver::new();
-        a.set_budget(budget.child(Instant::now()));
+        a.set_budget(run.clone());
         for c in php_clauses(8, 7) {
             a.add_clause(c);
         }
         assert_eq!(a.solve(), SolveOutcome::Unknown);
-        let spent_a = budget.shared_conflicts_spent();
-        assert!(spent_a >= 200, "pool must be exhausted: {spent_a}");
-        assert!(
-            spent_a <= 200 + 64,
-            "per-conflict charging keeps overshoot small: {spent_a}"
+        assert_eq!(
+            a.stats().conflicts,
+            200,
+            "per-conflict charging binds exactly"
         );
 
         let mut b = Solver::new();
-        b.set_budget(budget.child(Instant::now()));
+        b.set_budget(run);
         for c in php_clauses(8, 7) {
             b.add_clause(c);
         }
         assert_eq!(
             b.solve(),
             SolveOutcome::Unknown,
-            "exhausted pool stops later members before they search"
+            "an exhausted pool stops later members before they search"
         );
         assert_eq!(b.stats().conflicts, 0);
+    }
+
+    #[test]
+    fn each_bare_call_is_a_whole_solve() {
+        // Without a pool from a larger solve, every call starts its own:
+        // the same cap stops two calls after the same work.
+        let mut s = Solver::new();
+        for c in php_clauses(6, 5) {
+            s.add_clause(c);
+        }
+        s.set_budget(Budget::new().with_max_conflicts(10));
+        assert_eq!(s.solve(), SolveOutcome::Unknown);
+        assert_eq!(s.stats().conflicts, 10);
+        assert_eq!(s.solve(), SolveOutcome::Unknown);
+        assert_eq!(s.stats().conflicts, 20);
     }
 }

@@ -26,10 +26,6 @@ pub struct SolverStats {
     pub conflicts: u64,
     /// Number of restarts performed.
     pub restarts: u64,
-    /// Restarts triggered by the Luby schedule.
-    pub restarts_luby: u64,
-    /// Restarts triggered by the glucose-style adaptive LBD policy.
-    pub restarts_glucose: u64,
     /// Number of learned clauses currently retained.
     pub learned_clauses: u64,
     /// Number of learned clauses deleted by database reduction.
@@ -95,8 +91,6 @@ impl SolverStats {
         self.bin_propagations += other.bin_propagations;
         self.conflicts += other.conflicts;
         self.restarts += other.restarts;
-        self.restarts_luby += other.restarts_luby;
-        self.restarts_glucose += other.restarts_glucose;
         self.learned_clauses += other.learned_clauses;
         self.deleted_clauses += other.deleted_clauses;
         self.peak_learned = self.peak_learned.max(other.peak_learned);
@@ -122,19 +116,17 @@ impl SolverStats {
         let _ = write!(
             out,
             "{{\"decisions\": {}, \"propagations\": {}, \"bin_propagations\": {}, \
-             \"conflicts\": {}, \"restarts\": {}, \"restarts_luby\": {}, \
-             \"restarts_glucose\": {}, \"learned_clauses\": {}, \"deleted_clauses\": {}, \
-             \"peak_learned\": {}, \"glue_clauses\": {}, \"lbd_hist\": [{}, {}, {}, {}], \
-             \"gc_runs\": {}, \"gc_bytes_reclaimed\": {}, \"scratch_reallocs\": {}, \
-             \"max_literals\": {}, \"tot_literals\": {}, \"incremental_solves\": {}, \
-             \"clauses_retained\": {}, \"watermark_reductions\": {}, \"phase_times\": ",
+             \"conflicts\": {}, \"restarts\": {}, \"learned_clauses\": {}, \
+             \"deleted_clauses\": {}, \"peak_learned\": {}, \"glue_clauses\": {}, \
+             \"lbd_hist\": [{}, {}, {}, {}], \"gc_runs\": {}, \"gc_bytes_reclaimed\": {}, \
+             \"scratch_reallocs\": {}, \"max_literals\": {}, \"tot_literals\": {}, \
+             \"incremental_solves\": {}, \"clauses_retained\": {}, \
+             \"watermark_reductions\": {}, \"phase_times\": ",
             self.decisions,
             self.propagations,
             self.bin_propagations,
             self.conflicts,
             self.restarts,
-            self.restarts_luby,
-            self.restarts_glucose,
             self.learned_clauses,
             self.deleted_clauses,
             self.peak_learned,
@@ -162,7 +154,7 @@ impl fmt::Display for SolverStats {
         write!(
             f,
             "decisions={} propagations={} bin_props={} conflicts={} \
-             restarts={} (luby={} glucose={}) learned={} deleted={} peak_learned={} \
+             restarts={} learned={} deleted={} peak_learned={} \
              glue={} lbd_hist=[{},{},{},{}] gc_runs={} gc_bytes={} scratch_reallocs={} \
              inc_solves={} clauses_retained={} watermark_reductions={}",
             self.decisions,
@@ -170,8 +162,6 @@ impl fmt::Display for SolverStats {
             self.bin_propagations,
             self.conflicts,
             self.restarts,
-            self.restarts_luby,
-            self.restarts_glucose,
             self.learned_clauses,
             self.deleted_clauses,
             self.peak_learned,

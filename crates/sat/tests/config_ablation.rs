@@ -6,7 +6,7 @@
 mod oracle;
 
 use coremax_cnf::{CnfFormula, Lit, Var};
-use coremax_sat::{RestartMode, SolveOutcome, Solver, SolverConfig};
+use coremax_sat::{SolveOutcome, Solver, SolverConfig};
 
 fn random_cnf(seed: &mut u64, num_vars: usize, num_clauses: usize) -> CnfFormula {
     let mut next = move || {
@@ -91,14 +91,6 @@ fn configs() -> Vec<(&'static str, SolverConfig)> {
             "positive-phase",
             SolverConfig {
                 default_phase: true,
-                ..SolverConfig::default()
-            },
-        ),
-        (
-            "glucose-restarts",
-            SolverConfig {
-                restart_mode: RestartMode::Glucose,
-                glucose_lbd_window: 8,
                 ..SolverConfig::default()
             },
         ),

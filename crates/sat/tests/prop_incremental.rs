@@ -7,7 +7,7 @@
 mod oracle;
 
 use coremax_cnf::{CnfFormula, Lit, Var};
-use coremax_sat::{IncrementalSolver, RestartMode, SoftId, SolveOutcome, Solver, SolverConfig};
+use coremax_sat::{IncrementalSolver, SoftId, SolveOutcome, Solver, SolverConfig};
 use proptest::prelude::*;
 
 /// Case count, overridable via `PROPTEST_CASES` (the CI incremental
@@ -22,15 +22,15 @@ fn cases() -> u32 {
 const MAX_VARS: u32 = 7;
 
 /// Forces learned-clause reductions and an arena collection after every
-/// reduction, so persistence is exercised across GC compactions too.
+/// reduction, so persistence is exercised across GC compactions too, and
+/// restarts as often as the Luby schedule allows (base 1).
 fn stress_config() -> SolverConfig {
     SolverConfig {
         learntsize_factor: 0.01,
         learntsize_inc: 1.01,
         min_learnts: 3.0,
         gc_frac: 0.0,
-        restart_mode: RestartMode::Glucose,
-        glucose_lbd_window: 5,
+        restart_base: 1,
         ..SolverConfig::default()
     }
 }

@@ -6,7 +6,7 @@
 mod oracle;
 
 use coremax_cnf::{CnfFormula, Lit};
-use coremax_sat::{RestartMode, SolveOutcome, Solver, SolverConfig};
+use coremax_sat::{SolveOutcome, Solver, SolverConfig};
 use proptest::prelude::*;
 
 /// Case count, overridable via `PROPTEST_CASES` (the CI incremental
@@ -20,16 +20,15 @@ fn cases() -> u32 {
 
 /// A configuration that stresses every new hot-path mechanism at once:
 /// a tiny learned-clause cap forces database reductions, `gc_frac: 0.0`
-/// forces an arena collection after every reduction, and glucose-mode
-/// restarts exercise the adaptive schedule.
+/// forces an arena collection after every reduction, and a Luby base
+/// of 1 restarts as often as the schedule allows.
 fn stress_config() -> SolverConfig {
     SolverConfig {
         learntsize_factor: 0.01,
         learntsize_inc: 1.01,
         min_learnts: 3.0,
         gc_frac: 0.0,
-        restart_mode: RestartMode::Glucose,
-        glucose_lbd_window: 5,
+        restart_base: 1,
         ..SolverConfig::default()
     }
 }
@@ -135,7 +134,7 @@ proptest! {
     #[test]
     fn stressed_cdcl_agrees_with_dpll(f in arb_cnf(8, 35)) {
         // The optimized engine (binary watches, LBD reduction, forced
-        // arena GC, glucose restarts) must agree with the reference
+        // arena GC, Luby restarts at base 1) must agree with the reference
         // and keep its models valid.
         let expected = oracle::is_satisfiable(&f);
         let mut s = Solver::with_config(stress_config());

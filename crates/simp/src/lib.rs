@@ -229,7 +229,8 @@ impl Simplifier {
     /// polls for interruption and stops rewriting early. Every rewrite
     /// already applied is individually sound, so a cancelled run still
     /// returns a correct (merely less simplified) [`SimpResult`].
-    /// Conflict/propagation caps do not apply to preprocessing.
+    /// Preprocessing charges nothing to the conflict/propagation caps; it
+    /// only stops early once the solve's work pool is spent.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
     }

@@ -2,10 +2,11 @@
 //! reconstruct` answers exactly like solving the original directly —
 //! same satisfiability, same MaxSAT optimum — and every reconstructed
 //! model checks out against the *untouched* input, including under
-//! stressed SAT-solver configurations (forced GC, glucose restarts).
+//! stressed SAT-solver configurations (forced GC, Luby restarts at
+//! base 1).
 
 use coremax_cnf::{dimacs, Assignment, Lit, WcnfFormula, Weight};
-use coremax_sat::{RestartMode, SolveOutcome, Solver, SolverConfig};
+use coremax_sat::{SolveOutcome, Solver, SolverConfig};
 use coremax_simp::{SimpConfig, Simplifier};
 use proptest::prelude::*;
 
@@ -28,16 +29,15 @@ fn optimum(w: &WcnfFormula) -> Option<(Weight, Assignment)> {
 }
 
 /// A configuration stressing the SAT engine: tiny learned cap forces
-/// reductions, `gc_frac: 0.0` forces arena collections, glucose mode
-/// exercises adaptive restarts.
+/// reductions, `gc_frac: 0.0` forces arena collections, and a Luby base
+/// of 1 restarts as often as the schedule allows.
 fn stress_config() -> SolverConfig {
     SolverConfig {
         learntsize_factor: 0.01,
         learntsize_inc: 1.01,
         min_learnts: 3.0,
         gc_frac: 0.0,
-        restart_mode: RestartMode::Glucose,
-        glucose_lbd_window: 5,
+        restart_base: 1,
         ..SolverConfig::default()
     }
 }
