@@ -5,9 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use coremax::{
-    BranchBound, LinearSearchSat, MaxSatSolver, Msu1, Msu3, Msu4, Msu4Incremental, PboBaseline,
-};
+use coremax::{BranchBound, LinearSearchSat, MaxSatSolver, Msu1, Msu3, Msu4, PboBaseline};
 use coremax_cnf::WcnfFormula;
 use coremax_instances::{equiv_instance, pigeonhole, xor_chain};
 
@@ -30,7 +28,7 @@ fn bench_algorithms(c: &mut Criterion) {
         let solvers: Vec<(&str, SolverFactory)> = vec![
             ("msu4v2", Box::new(|| Box::new(Msu4::v2()))),
             ("msu4v1", Box::new(|| Box::new(Msu4::v1()))),
-            ("msu4inc", Box::new(|| Box::new(Msu4Incremental::new()))),
+            ("msu4inc", Box::new(|| Box::new(Msu4::incremental()))),
             ("msu1", Box::new(|| Box::new(Msu1::new()))),
             ("msu3", Box::new(|| Box::new(Msu3::new()))),
             ("pbo", Box::new(|| Box::new(PboBaseline::new()))),

@@ -18,8 +18,7 @@
 use std::time::Duration;
 
 use coremax::{
-    BranchBound, MaxSatSolver, MaxSatStatus, Msu3, Msu4, Msu4Incremental, Oll, Preprocessed,
-    Stratified, Wmsu1,
+    BranchBound, MaxSatSolver, MaxSatStatus, Msu3, Msu4, Oll, Preprocessed, Stratified, Wmsu1,
 };
 use coremax_bench::fi::{armed_budget, check_anytime_sound, exhaustive_optimum, Fault};
 use coremax_cnf::WcnfFormula;
@@ -39,7 +38,7 @@ fn lineup() -> Vec<(&'static str, Box<dyn MaxSatSolver>)> {
         ("stratified<msu4>", Box::new(Stratified::new(Msu4::v2()))),
         (
             "stratified<msu4-inc>",
-            Box::new(Stratified::new(Msu4Incremental::new())),
+            Box::new(Stratified::new(Msu4::incremental())),
         ),
         ("stratified<oll>", Box::new(Stratified::new(Oll::new()))),
         ("maxsatz-bb", Box::new(BranchBound::new())),

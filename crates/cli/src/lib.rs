@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use coremax::{
     BinarySearchSat, BranchBound, LinearSearchSat, MaxSatSolution, MaxSatSolver, MaxSatStatus,
-    Msu1, Msu2, Msu3, Msu4, Msu4Incremental, Oll, PboBaseline, Preprocessed, Stratified, Wmsu1,
+    Msu1, Msu2, Msu3, Msu4, Oll, PboBaseline, Preprocessed, Stratified, Wmsu1,
 };
 use coremax_cnf::{dimacs, WcnfFormula, Weight};
 use coremax_instances::{debug_suite, full_suite, weighted_suite, InstanceStats, SuiteConfig};
@@ -257,7 +257,7 @@ pub fn make_solver_send(name: &str) -> Result<Box<dyn MaxSatSolver + Send>, Stri
     Ok(match name {
         "msu4" | "msu4-v2" => Box::new(Msu4::v2()),
         "msu4-v1" => Box::new(Msu4::v1()),
-        "msu4-inc" => Box::new(Msu4Incremental::new()),
+        "msu4-inc" => Box::new(Msu4::incremental()),
         "msu1" => Box::new(Msu1::new()),
         "msu2" => Box::new(Msu2::new()),
         "msu3" => Box::new(Msu3::new()),

@@ -2,7 +2,7 @@
 //! unsatisfiable cores and from satisfying assignments of the relaxed
 //! formula.
 
-use coremax_cnf::{CnfFormula, Lit};
+use coremax_cnf::CnfFormula;
 use coremax_sat::{Budget, IncrementalSolver, SoftId, SolveOutcome};
 
 /// The result of a disjoint-core analysis (Proposition 1).
@@ -94,19 +94,10 @@ pub fn disjoint_core_analysis(formula: &CnfFormula, budget: &Budget) -> Disjoint
     }
 }
 
-/// Proposition 2 helper: given a WCNF and a model of the blocked
-/// relaxation, the number of blocking variables assigned 1 bounds the
-/// optimum cost from above. Exposed mostly for documentation/tests; the
-/// solvers use it inline.
-#[must_use]
-pub fn blocking_upper_bound(model: &coremax_cnf::Assignment, blockers: &[Lit]) -> usize {
-    blockers.iter().filter(|&&b| model.satisfies(b)).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coremax_cnf::{dimacs, Var, WcnfFormula};
+    use coremax_cnf::dimacs;
 
     #[test]
     fn satisfiable_formula_no_cores() {
@@ -145,19 +136,5 @@ mod tests {
         assert!(r.upper_bound_satisfied >= 6);
         assert!(r.lower_bound_cost <= 2);
         assert!(r.lower_bound_cost >= 1);
-    }
-
-    #[test]
-    fn blocking_upper_bound_counts() {
-        let mut w = WcnfFormula::new();
-        let x = w.new_var();
-        w.add_soft([Lit::positive(x)], 1);
-        let _ = w;
-        let b = Lit::positive(Var::new(5));
-        let mut m = coremax_cnf::Assignment::for_vars(6);
-        m.assign(Var::new(5), true);
-        assert_eq!(blocking_upper_bound(&m, &[b]), 1);
-        m.assign(Var::new(5), false);
-        assert_eq!(blocking_upper_bound(&m, &[b]), 0);
     }
 }

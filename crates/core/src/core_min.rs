@@ -8,7 +8,7 @@
 //! an *irredundant* (set-minimal) core, at the cost of one SAT call per
 //! clause.
 
-use coremax_cnf::CnfFormula;
+use coremax_cnf::{CnfFormula, Lit};
 use coremax_sat::{Budget, IncrementalSolver, SoftId, SolveOutcome};
 
 /// Shrinks `core` (clause indices into `formula`) to an irredundant
@@ -33,65 +33,48 @@ use coremax_sat::{Budget, IncrementalSolver, SoftId, SolveOutcome};
 /// ```
 #[must_use]
 pub fn minimize_core(formula: &CnfFormula, core: &[usize], budget: &Budget) -> Vec<usize> {
-    let start = std::time::Instant::now();
-    let child_budget = budget.child(start);
-    let mut kept: Vec<usize> = core.to_vec();
-
-    // One persistent engine for every probe: each candidate clause is a
-    // selector-managed soft, and "dropping" a clause is just leaving
-    // its selector out of the assumption set. Learned clauses carry
-    // over between probes, which is exactly where deletion-based
-    // minimisation spends its time.
+    // Each core clause is a soft of one engine, enforced by assuming its
+    // selector's negation, so the minimiser works on assumptions.
     let mut engine = IncrementalSolver::new();
     engine.ensure_vars(formula.num_vars());
-    engine.set_budget(child_budget.clone());
-    let mut handles: Vec<SoftId> = engine
-        .add_softs(
-            kept.iter()
-                .map(|&idx| formula.clause(idx).lits().iter().copied()),
-        )
-        .map(SoftId)
+    engine.set_budget(budget.child(std::time::Instant::now()));
+    let softs = engine.add_softs(
+        core.iter()
+            .map(|&idx| formula.clause(idx).lits().iter().copied()),
+    );
+    let assumptions = softs.map(|i| engine.assumption(SoftId(i))).collect();
+    let mut kept: Vec<usize> = minimize_failed(&mut engine, assumptions)
+        .into_iter()
+        .filter_map(|a| engine.soft_of(a))
+        .map(|id| core[id.0])
         .collect();
-
-    let mut probe = 0usize;
-    while probe < kept.len() {
-        if child_budget.interrupted() {
-            break;
-        }
-        // Try dropping kept[probe]: assume every kept selector but its.
-        let assumptions: Vec<_> = handles
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != probe)
-            .map(|(_, &h)| engine.assumption(h))
-            .collect();
-        match engine.solve_exact(&assumptions) {
-            SolveOutcome::Unsat => {
-                // Still UNSAT without it: drop for good. Better: keep
-                // only the clauses of the *new* core, which may drop
-                // several at once.
-                let sub_core = engine.failed_softs();
-                let mut remaining: Vec<usize> = Vec::with_capacity(sub_core.len());
-                let mut remaining_handles: Vec<SoftId> = Vec::with_capacity(sub_core.len());
-                for (i, (&idx, &h)) in kept.iter().zip(handles.iter()).enumerate() {
-                    if i != probe && sub_core.contains(&h) {
-                        remaining.push(idx);
-                        remaining_handles.push(h);
-                    }
-                }
-                kept = remaining;
-                handles = remaining_handles;
-                // Do not advance: position `probe` now holds a new clause.
-            }
-            SolveOutcome::Sat => {
-                // Necessary clause: keep and move on.
-                probe += 1;
-            }
-            SolveOutcome::Unknown => break,
-        }
-    }
     kept.sort_unstable();
     kept
+}
+
+/// Deletion-based minimisation of `core`, a set of assumptions under
+/// which `engine` is UNSAT: drop one literal, re-solve under the rest,
+/// and while the answer stays UNSAT keep only the failed subset (often
+/// several literals smaller at once). One engine serves every probe, so
+/// learned clauses carry over between them. Stops early, with a sound
+/// superset, when the engine's budget runs out.
+pub(crate) fn minimize_failed(engine: &mut IncrementalSolver, mut core: Vec<Lit>) -> Vec<Lit> {
+    let mut i = 0;
+    while i < core.len() {
+        let mut candidate = core.clone();
+        candidate.remove(i);
+        match engine.solve_exact(&candidate) {
+            SolveOutcome::Unsat if !engine.formula_refuted() => {
+                let failed = engine.failed_assumptions();
+                core.retain(|l| failed.contains(l));
+            }
+            SolveOutcome::Sat => i += 1,
+            // The budget is spent, or the clauses are refuted without
+            // any assumption and every probe would be.
+            _ => break,
+        }
+    }
+    core
 }
 
 #[cfg(test)]

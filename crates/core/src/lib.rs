@@ -21,7 +21,7 @@
 //! | [`PboBaseline`] | minisat+ on the PBO formulation (§2.2) |
 //! | [`BranchBound`] | maxsatz-style branch and bound \[18\] |
 //! | [`LinearSearchSat`], [`BinarySearchSat`] | "MaxSAT as iterated SAT" baselines |
-//! | [`Msu4Incremental`] | §5's "alternative SAT technology": assumption-based incremental msu4 |
+//! | [`Msu4::incremental`] | §5's "alternative SAT technology": msu4 with permanent bounds |
 //!
 //! Beyond the paper, the crate carries the weighted successor line:
 //! [`Wmsu1`] (Fu–Malik with weight splitting, WPM1-style) solves
@@ -63,6 +63,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod blocking_bound;
 mod bounds;
 mod branch_bound;
 mod core_min;
@@ -71,7 +72,6 @@ mod dpll;
 mod linear_core;
 mod msu1;
 mod msu4;
-mod msu4_inc;
 mod oll;
 mod pbo_baseline;
 mod preprocess;
@@ -82,13 +82,12 @@ mod types;
 mod verify;
 mod wmsu1;
 
-pub use bounds::{blocking_upper_bound, disjoint_core_analysis, DisjointCoreReport};
+pub use bounds::{disjoint_core_analysis, DisjointCoreReport};
 pub use branch_bound::BranchBound;
 pub use core_min::minimize_core;
 pub use linear_core::{Msu2, Msu3};
 pub use msu1::Msu1;
 pub use msu4::{Msu4, Msu4Config};
-pub use msu4_inc::Msu4Incremental;
 pub use oll::Oll;
 pub use pbo_baseline::PboBaseline;
 pub use preprocess::Preprocessed;

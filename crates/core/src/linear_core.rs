@@ -16,10 +16,11 @@
 //! The exact pseudo-code of \[22\] is not reproduced in the DATE'08
 //! paper; this reconstruction matches its described properties.
 
-use coremax_cards::{encode_at_most, CardEncoding};
+use coremax_cards::CardEncoding;
 use coremax_cnf::{Lit, WcnfFormula};
 use coremax_sat::{Budget, SolveOutcome};
 
+use crate::blocking_bound::BlockingBound;
 use crate::run::CoreRun;
 use crate::types::{MaxSatSolution, MaxSatSolver};
 
@@ -57,37 +58,15 @@ impl LinearCore {
         let mut vb: Vec<Lit> = Vec::new(); // selectors of blocked clauses
 
         // The global `Σ_vb b ≤ k` constraint *loosens* as `k` grows and
-        // its variable set grows with `vb`, so each version is gated
-        // behind a fresh activation literal: the encoding's clauses all
-        // carry `t`, the solve assumes `¬t`, and a superseded version is
-        // retired for good by the unit `t`.
-        let mut bound_gate: Option<Lit> = None;
-        let mut bound_key: (usize, usize) = (0, 0); // (vb.len(), k) encoded
+        // its variable set grows with `vb`, so it is gated: each version
+        // is assumed, and retired for good once superseded.
+        let mut bound = BlockingBound::new(self.encoding, true);
 
         loop {
             let k = run.lb() as usize;
-            if !vb.is_empty()
-                && k < vb.len()
-                && (bound_key != (vb.len(), k) || bound_gate.is_none())
-            {
-                if let Some(t) = bound_gate.take() {
-                    run.engine.add_clause([t]);
-                }
-                let t = Lit::positive(run.engine.new_var());
-                let ((), clauses) =
-                    run.encode(Some(t), |sink| encode_at_most(&vb, k, self.encoding, sink));
-                bound_gate = Some(t);
-                bound_key = (vb.len(), k);
-                run.relaxed(0, clauses);
-            } else if k >= vb.len() {
-                // The bound is vacuous; retire any active version.
-                if let Some(t) = bound_gate.take() {
-                    run.engine.add_clause([t]);
-                }
-            }
-            let gate_assumptions: Vec<Lit> = bound_gate.iter().map(|&t| !t).collect();
+            bound.set(&mut run, &vb, k);
 
-            match run.solve(&gate_assumptions) {
+            match run.solve(bound.assumptions()) {
                 // `k` is the running lower bound of the UNSAT→SAT
                 // search: certified even when the run is cut short.
                 SolveOutcome::Unknown => return run.unknown(),
@@ -107,8 +86,11 @@ impl LinearCore {
                     }
                     let failed = run.engine.failed_softs();
                     run.core(failed.len(), 1);
-                    let touched_bound =
-                        bound_gate.is_some_and(|t| run.engine.failed_assumptions().contains(&!t));
+                    let failed_assumptions = run.engine.failed_assumptions();
+                    let touched_bound = bound
+                        .assumptions()
+                        .iter()
+                        .any(|a| failed_assumptions.contains(a));
                     // Failed soft assumptions are exactly the unblocked
                     // clauses of the core; blocking one turns its selector
                     // into a blocking variable.
@@ -198,14 +180,8 @@ impl Msu3 {
     /// msu3 with the BDD bound encoding.
     #[must_use]
     pub fn new() -> Self {
-        Msu3::with_encoding(CardEncoding::Bdd)
-    }
-
-    /// msu3 with an explicit bound encoding.
-    #[must_use]
-    pub fn with_encoding(encoding: CardEncoding) -> Self {
         Msu3 {
-            inner: LinearCore::new(encoding, false),
+            inner: LinearCore::new(CardEncoding::Bdd, false),
         }
     }
 }

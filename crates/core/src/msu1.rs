@@ -1,6 +1,5 @@
 //! msu1 — Fu & Malik's core-guided algorithm (reference \[11\]).
 
-use coremax_cards::CardEncoding;
 use coremax_cnf::WcnfFormula;
 use coremax_sat::Budget;
 
@@ -50,14 +49,6 @@ impl Msu1 {
     pub fn new() -> Self {
         Msu1 {
             inner: Wmsu1::new(),
-        }
-    }
-
-    /// msu1 with an alternative exactly-one encoding.
-    #[must_use]
-    pub fn with_encoding(encoding: CardEncoding) -> Self {
-        Msu1 {
-            inner: Wmsu1::with_encoding(encoding),
         }
     }
 }

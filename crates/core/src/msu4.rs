@@ -1,9 +1,11 @@
 //! The msu4 algorithm — Algorithm 1 of the paper.
 
-use coremax_cards::{encode_at_most, sorted_prefix, CardEncoding};
+use coremax_cards::CardEncoding;
 use coremax_cnf::{Assignment, Lit, WcnfFormula, Weight};
 use coremax_sat::{Budget, SoftId, SolveOutcome};
 
+use crate::blocking_bound::BlockingBound;
+use crate::core_min::minimize_failed;
 use crate::run::CoreRun;
 use crate::types::{MaxSatSolution, MaxSatSolver};
 
@@ -51,6 +53,11 @@ impl Default for Msu4Config {
 /// Unlike msu1 (Fu & Malik), at most **one** blocking variable is ever
 /// attached to a clause.
 ///
+/// The live bound `Σ b ≤ ub − 1` is gated: assumed behind one
+/// activation literal and retired when superseded. [`Msu4::incremental`]
+/// (`msu4-inc`, the paper's §5 direction of exploiting incremental SAT
+/// technology) adds every bound permanently instead.
+///
 /// # Input restrictions
 ///
 /// Supports *unweighted* (partial) MaxSAT: all soft clauses must have
@@ -77,6 +84,9 @@ impl Default for Msu4Config {
 #[derive(Debug, Clone, Default)]
 pub struct Msu4 {
     config: Msu4Config,
+    /// Whether bounds are added permanently (`msu4-inc`) instead of
+    /// gated.
+    permanent: bool,
     budget: Budget,
 }
 
@@ -105,24 +115,48 @@ impl Msu4 {
         })
     }
 
+    /// **msu4-inc**: v2 with every bound added permanently. A bound
+    /// only tightens, so the unit `¬out[ub − 1]` on the network over the
+    /// blocking set stands in for assuming it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use coremax::{MaxSatSolver, Msu4};
+    /// use coremax_cnf::{Lit, WcnfFormula};
+    ///
+    /// let mut w = WcnfFormula::new();
+    /// let x = w.new_var();
+    /// w.add_soft([Lit::positive(x)], 1);
+    /// w.add_soft([Lit::negative(x)], 1);
+    /// let mut solver = Msu4::incremental();
+    /// assert_eq!(solver.name(), "msu4-inc");
+    /// assert_eq!(solver.solve(&w).cost, Some(1));
+    /// ```
+    #[must_use]
+    pub fn incremental() -> Self {
+        Msu4 {
+            permanent: true,
+            ..Msu4::v2()
+        }
+    }
+
     /// msu4 with an explicit configuration.
     #[must_use]
     pub fn with_config(config: Msu4Config) -> Self {
         Msu4 {
             config,
+            permanent: false,
             budget: Budget::new(),
         }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &Msu4Config {
-        &self.config
     }
 }
 
 impl MaxSatSolver for Msu4 {
     fn name(&self) -> &'static str {
+        if self.permanent {
+            return "msu4-inc";
+        }
         match self.config.encoding {
             CardEncoding::Bdd => "msu4-v1",
             CardEncoding::SortingNetwork => "msu4-v2",
@@ -179,9 +213,10 @@ impl MaxSatSolver for Msu4 {
         // implied by the tightest one, so φW keeps only the latest —
         // Algorithm 1 accumulates them, but keeping stale encodings
         // active changes neither models nor correctness and only slows
-        // propagation. The live encoding sits behind one activation
-        // literal and is retired (unit `t`) when superseded.
-        let mut bound = BlockingBound::new(self.config.encoding, true);
+        // propagation. Gated, the live encoding sits behind one
+        // activation literal and is retired (unit `t`) when superseded;
+        // permanent, the stale ones stay, implied by the latest.
+        let mut bound = BlockingBound::new(self.config.encoding, !self.permanent);
 
         loop {
             match run.solve(bound.assumptions()) {
@@ -190,18 +225,21 @@ impl MaxSatSolver for Msu4 {
                     return run.unknown();
                 }
                 SolveOutcome::Unsat => {
-                    // Independent of all assumptions: only the hard
-                    // clauses can be contradictory (selectors and bound
+                    // Independent of all assumptions. Selectors and bound
                     // gates are free at the clause level, ge1 clauses are
-                    // satisfiable on their own) — and the pre-check
-                    // already ran, so this is a late hard refutation.
+                    // satisfiable on their own, and the pre-check found
+                    // the hard clauses satisfiable. So only permanent
+                    // bounds, added after a model, can refute the
+                    // clauses: no assignment beats the incumbent.
                     if run.engine.formula_refuted() {
-                        return run.infeasible();
+                        debug_assert!(self.permanent && run.ub().is_some());
+                        return run.optimal();
                     }
-                    let core: Vec<Lit> = if self.config.minimize_cores {
-                        minimize_failed_assumptions(&mut run)
+                    let failed = run.engine.failed_assumptions().to_vec();
+                    let core = if self.config.minimize_cores {
+                        minimize_failed(&mut run.engine, failed)
                     } else {
-                        run.engine.failed_assumptions().to_vec()
+                        failed
                     };
                     run.core(core.len(), 1);
                     // φI: unblocked soft clauses in the core (the paper's
@@ -252,7 +290,7 @@ impl MaxSatSolver for Msu4 {
                     // (ub = 0 needs no bound: line 32 below returns).
                     let ub = run.ub().expect("incumbent after SAT");
                     if ub > 0 {
-                        bound.tighten(&mut run, &vb, ub as usize);
+                        bound.set(&mut run, &vb, ub as usize - 1);
                     }
                 }
             }
@@ -269,119 +307,6 @@ impl MaxSatSolver for Msu4 {
     }
 }
 
-/// Algorithm 1's bound `Σ_{b∈VB} b ≤ ub − 1`, as msu4 keeps it in the
-/// engine.
-///
-/// The upper bound only falls and the blocking set only grows. So with
-/// the sorting network (v2), the first `ub` outputs of one network over
-/// the blocking set serve every later bound as one literal,
-/// `¬out[ub − 1]`: the network is built at the first tightening after a
-/// core grows the set, and later tightenings add no clauses. Any other
-/// encoding is re-encoded per bound (v1's BDD encodes a single bound).
-///
-/// *Gated* ([`Msu4`]): the live encoding's clauses carry one activation
-/// literal `t`, the bound is enforced by assuming `¬t` and the bound
-/// literal, and a superseded encoding is retired by the unit `t`, so at
-/// most one is live. *Permanent* ([`crate::Msu4Incremental`]): clauses
-/// stay, and each bound literal is added as a unit.
-#[derive(Debug)]
-pub(crate) struct BlockingBound {
-    encoding: CardEncoding,
-    gated: bool,
-    /// Activation literal of the live encoding (gated only).
-    gate: Option<Lit>,
-    /// How many blocking literals the live sorting network counts.
-    counted: usize,
-    /// Its outputs: `outputs[i]` ⇔ at least `i+1` of them are true.
-    outputs: Vec<Lit>,
-    /// What a gated bound assumes: `¬t` and the bound literal.
-    assumptions: Vec<Lit>,
-}
-
-impl BlockingBound {
-    pub(crate) fn new(encoding: CardEncoding, gated: bool) -> Self {
-        BlockingBound {
-            encoding,
-            gated,
-            gate: None,
-            counted: 0,
-            outputs: Vec::new(),
-            assumptions: Vec::new(),
-        }
-    }
-
-    /// The assumptions that enforce the current bound; empty when the
-    /// bound is permanent or not yet set.
-    pub(crate) fn assumptions(&self) -> &[Lit] {
-        &self.assumptions
-    }
-
-    /// Tightens the bound to `Σ vb ≤ ub − 1`, for `1 ≤ ub ≤ |vb|`.
-    pub(crate) fn tighten(&mut self, run: &mut CoreRun, vb: &[Lit], ub: usize) {
-        debug_assert!(1 <= ub && ub <= vb.len());
-        let network = self.encoding == CardEncoding::SortingNetwork;
-        let mut clauses = 0;
-        if !network || self.counted != vb.len() {
-            if let Some(t) = self.gate.take() {
-                run.engine.add_clause([t]);
-            }
-            self.gate = self.gated.then(|| Lit::positive(run.engine.new_var()));
-            let encoding = self.encoding;
-            (self.outputs, clauses) = run.encode(self.gate, |sink| {
-                if network {
-                    sorted_prefix(vb, ub, sink)
-                } else {
-                    encode_at_most(vb, ub - 1, encoding, sink);
-                    Vec::new()
-                }
-            });
-            self.counted = vb.len();
-        }
-        self.assumptions.clear();
-        self.assumptions.extend(self.gate.map(|t| !t));
-        if network {
-            let bound = !self.outputs[ub - 1];
-            if self.gated {
-                self.assumptions.push(bound);
-            } else {
-                run.engine.add_clause([bound]);
-            }
-        }
-        run.relaxed(0, clauses);
-    }
-}
-
-/// Deletion-based minimisation of the engine's current failed-assumption
-/// core: drop one literal, re-solve under the remaining assumptions, and
-/// keep the shrunken failed subset whenever the candidate is still
-/// UNSAT. The incremental counterpart of [`crate::minimize_core`] — one
-/// assumption-based call per candidate on the *same* engine, instead of
-/// a fresh solver per clause-subset probe.
-fn minimize_failed_assumptions(run: &mut CoreRun) -> Vec<Lit> {
-    let mut core: Vec<Lit> = run.engine.failed_assumptions().to_vec();
-    let mut i = 0;
-    while i < core.len() {
-        if run.interrupted() {
-            break;
-        }
-        let mut candidate = core.clone();
-        candidate.remove(i);
-        // Uncounted: a probe, not an iteration of Algorithm 1.
-        match run.engine.solve_exact(&candidate) {
-            SolveOutcome::Unsat if !run.engine.formula_refuted() => {
-                // Still UNSAT without it: adopt the failed subset of the
-                // candidate (often several literals smaller at once).
-                let failed: Vec<Lit> = run.engine.failed_assumptions().to_vec();
-                core.retain(|l| failed.contains(l));
-            }
-            // SAT, Unknown, or a formula-level refutation (cannot happen
-            // after the feasibility pre-check): the literal stays.
-            _ => i += 1,
-        }
-    }
-    core
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,10 +318,15 @@ mod tests {
         WcnfFormula::from_cnf_all_soft(&dimacs::parse_cnf(text).unwrap())
     }
 
+    /// v1, v2, and v2 with permanent bounds (msu4-inc).
+    fn variants() -> [Msu4; 3] {
+        [Msu4::v1(), Msu4::v2(), Msu4::incremental()]
+    }
+
     #[test]
     fn example1_of_the_paper() {
         let w = unweighted("p cnf 2 3\n1 0\n2 -1 0\n-2 0\n");
-        for mut solver in [Msu4::v1(), Msu4::v2()] {
+        for mut solver in variants() {
             let s = solver.solve(&w);
             assert_eq!(s.status, MaxSatStatus::Optimal);
             assert_eq!(s.cost, Some(1));
@@ -408,7 +338,7 @@ mod tests {
     fn example2_of_the_paper() {
         // §3.3: optimum 6 of 8 (two clauses falsified).
         let w = unweighted("p cnf 4 8\n1 0\n-1 -2 0\n2 0\n-1 -3 0\n3 0\n-2 -3 0\n1 -4 0\n-1 4 0\n");
-        for mut solver in [Msu4::v1(), Msu4::v2()] {
+        for mut solver in variants() {
             let s = solver.solve(&w);
             assert_eq!(s.status, MaxSatStatus::Optimal);
             assert_eq!(s.cost, Some(2));
@@ -422,16 +352,20 @@ mod tests {
     #[test]
     fn satisfiable_formula_costs_zero() {
         let w = unweighted("p cnf 3 3\n1 2 0\n-1 3 0\n-3 2 0\n");
-        let s = Msu4::v2().solve(&w);
-        assert_eq!(s.status, MaxSatStatus::Optimal);
-        assert_eq!(s.cost, Some(0));
+        for mut solver in variants() {
+            let s = solver.solve(&w);
+            assert_eq!(s.status, MaxSatStatus::Optimal, "{}", solver.name());
+            assert_eq!(s.cost, Some(0), "{}", solver.name());
+            // No hard clauses, so no pre-check: one call suffices.
+            assert_eq!(s.stats.sat_calls, 1, "{}", solver.name());
+        }
     }
 
     #[test]
     fn all_clauses_conflicting() {
         // (x)(¬x)(y)(¬y): cost 2.
         let w = unweighted("p cnf 2 4\n1 0\n-1 0\n2 0\n-2 0\n");
-        for mut solver in [Msu4::v1(), Msu4::v2()] {
+        for mut solver in variants() {
             let s = solver.solve(&w);
             assert_eq!(s.cost, Some(2), "{}", solver.name());
         }
@@ -443,7 +377,7 @@ mod tests {
         // so lb meets ub = 1 before any SAT answer, and the optimum
         // still needs a model.
         let w = unweighted("p cnf 1 1\n0\n");
-        for mut solver in [Msu4::v1(), Msu4::v2()] {
+        for mut solver in variants() {
             let s = solver.solve(&w);
             assert_eq!(s.status, MaxSatStatus::Optimal, "{}", solver.name());
             assert_eq!(s.cost, Some(1), "{}", solver.name());
@@ -462,11 +396,13 @@ mod tests {
         w.add_soft([Lit::negative(x1)], 1);
         w.add_soft([Lit::positive(x2)], 1);
         w.add_soft([Lit::negative(x2)], 1);
-        let s = Msu4::v2().solve(&w);
-        assert_eq!(s.status, MaxSatStatus::Optimal);
-        assert_eq!(s.cost, Some(2));
-        let m = s.model.unwrap();
-        assert_eq!(m.value(x1), Some(true));
+        for mut solver in variants() {
+            let s = solver.solve(&w);
+            assert_eq!(s.status, MaxSatStatus::Optimal, "{}", solver.name());
+            assert_eq!(s.cost, Some(2), "{}", solver.name());
+            let m = s.model.unwrap();
+            assert_eq!(m.value(x1), Some(true), "{}", solver.name());
+        }
     }
 
     #[test]
@@ -476,8 +412,54 @@ mod tests {
         w.add_hard([Lit::positive(x)]);
         w.add_hard([Lit::negative(x)]);
         w.add_soft([Lit::positive(x)], 1);
-        let s = Msu4::v2().solve(&w);
-        assert_eq!(s.status, MaxSatStatus::Infeasible);
+        for mut solver in variants() {
+            let s = solver.solve(&w);
+            assert_eq!(s.status, MaxSatStatus::Infeasible, "{}", solver.name());
+        }
+    }
+
+    #[test]
+    fn late_hard_infeasibility_is_never_reported_optimal() {
+        // An infeasible hard chain plus softs: whether CDCL refutes the
+        // hard clauses at the pre-check or only after assumption
+        // iterations blocked every soft, the verdict is Infeasible, not
+        // "Optimal at worst case".
+        let mut w = WcnfFormula::new();
+        let x1 = w.new_var();
+        let x2 = w.new_var();
+        w.add_hard([Lit::positive(x1)]);
+        w.add_hard([Lit::negative(x1), Lit::positive(x2)]);
+        w.add_hard([Lit::negative(x2)]);
+        w.add_soft([Lit::positive(x1)], 1);
+        w.add_soft([Lit::positive(x2)], 1);
+        for mut solver in variants() {
+            let s = solver.solve(&w);
+            assert_eq!(s.status, MaxSatStatus::Infeasible, "{}", solver.name());
+            assert!(s.model.is_none(), "{}", solver.name());
+        }
+    }
+
+    #[test]
+    fn optimal_verdict_always_carries_a_model() {
+        // Hard (x1 ∨ x2) ∧ ¬x1 with the single soft ¬x2: the first
+        // iteration after the pre-check is UNSAT, so lb meets ub =
+        // num_soft before any SAT iteration ran. The Optimal verdict
+        // still carries a model (Stratified and the portfolio rely on
+        // it).
+        let mut w = WcnfFormula::new();
+        let x1 = w.new_var();
+        let x2 = w.new_var();
+        w.add_hard([Lit::positive(x1), Lit::positive(x2)]);
+        w.add_hard([Lit::negative(x1)]);
+        w.add_soft([Lit::negative(x2)], 1);
+        for mut solver in variants() {
+            let s = solver.solve(&w);
+            assert_eq!(s.status, MaxSatStatus::Optimal, "{}", solver.name());
+            assert_eq!(s.cost, Some(1), "{}", solver.name());
+            let model = s.model.as_ref().expect("optimal must carry a model");
+            assert_eq!(w.cost(model), Some(1), "{}", solver.name());
+            assert!(crate::verify_solution(&w, &s), "{}", solver.name());
+        }
     }
 
     #[test]
@@ -526,7 +508,7 @@ mod tests {
             }
             let oracle = f.num_clauses() - dpll_max_satisfiable(&f);
             let w = WcnfFormula::from_cnf_all_soft(&f);
-            for mut solver in [Msu4::v1(), Msu4::v2()] {
+            for mut solver in variants() {
                 let s = solver.solve(&w);
                 assert_eq!(
                     s.cost,
@@ -544,21 +526,25 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         let w = unweighted("p cnf 2 4\n1 0\n-1 0\n2 0\n-2 0\n");
-        let mut solver = Msu4::v2();
-        let s = solver.solve(&w);
-        assert!(s.stats.sat_calls >= 2);
-        assert!(s.stats.cores >= 1);
-        assert!(s.stats.blocking_vars >= 2);
+        for mut solver in variants() {
+            let s = solver.solve(&w);
+            assert_eq!(s.cost, Some(2), "{}", solver.name());
+            // Two cores, then a model.
+            assert!(s.stats.sat_calls >= 3, "{}", solver.name());
+            assert!(s.stats.cores >= 1, "{}", solver.name());
+            assert!(s.stats.blocking_vars >= 2, "{}", solver.name());
+        }
     }
 
     #[test]
     fn budget_abort_returns_unknown() {
         use std::time::Duration;
         let w = unweighted("p cnf 2 4\n1 0\n-1 0\n2 0\n-2 0\n");
-        let mut solver = Msu4::v2();
-        solver.set_budget(Budget::new().with_timeout(Duration::from_nanos(1)));
-        let s = solver.solve(&w);
-        assert_eq!(s.status, MaxSatStatus::Unknown);
+        for mut solver in variants() {
+            solver.set_budget(Budget::new().with_timeout(Duration::from_nanos(1)));
+            let s = solver.solve(&w);
+            assert_eq!(s.status, MaxSatStatus::Unknown, "{}", solver.name());
+        }
     }
 
     #[test]
@@ -603,6 +589,7 @@ mod tests {
     fn names_distinguish_versions() {
         assert_eq!(Msu4::v1().name(), "msu4-v1");
         assert_eq!(Msu4::v2().name(), "msu4-v2");
+        assert_eq!(Msu4::incremental().name(), "msu4-inc");
     }
 
     #[test]
@@ -624,24 +611,27 @@ mod tests {
             }
         }
 
-        // One core, then five ever better models: four tightenings of
-        // the bound over the same blocking set.
+        // msu4: one core, then five ever better models, so four
+        // tightenings of the bound over the same blocking set. Linear
+        // search blocks every soft up front and finds no core: its whole
+        // descent tightens one network over all of them.
         let w = WcnfFormula::from_cnf_all_soft(&coremax_instances::untestable_atpg(1, 4));
         let sink = Arc::new(Tightenings {
             thread: coremax_obs::thread_tag(),
             clauses: Mutex::new(Vec::new()),
         });
         let _guard = coremax_obs::install(sink.clone(), false);
-        let solvers: [(Box<dyn MaxSatSolver>, u64); 2] = [
-            (Box::new(Msu4::v2()), 1), // plus the core's Σ b ≥ 1 clause
-            (Box::new(crate::Msu4Incremental::new()), 0),
+        let solvers: [(Box<dyn MaxSatSolver>, u64); 3] = [
+            (Box::new(Msu4::v2()), 1),
+            (Box::new(Msu4::incremental()), 1),
+            (Box::new(crate::LinearSearchSat::new()), 0),
         ];
-        for (mut solver, at_least_one) in solvers {
+        for (mut solver, cores) in solvers {
             sink.clauses.lock().unwrap().clear();
             let s = solver.solve(&w);
             let name = solver.name();
             assert_eq!(s.status, MaxSatStatus::Optimal, "{name}");
-            assert_eq!(s.stats.cores, 1, "{name}");
+            assert_eq!(s.stats.cores, cores, "{name}");
             assert!(s.stats.sat_iterations >= 4, "{name}: {:?}", s.stats);
             let tightenings = sink.clauses.lock().unwrap().clone();
             assert!(tightenings.len() >= 3, "{name}: {tightenings:?}");
@@ -650,9 +640,10 @@ mod tests {
                 tightenings[1..].iter().all(|&c| c == 0),
                 "{name} re-encoded: {tightenings:?}"
             );
+            // Plus each core's Σ b ≥ 1 clause.
             assert_eq!(
                 s.stats.cardinality_clauses,
-                tightenings[0] + at_least_one,
+                tightenings[0] + cores,
                 "{name}"
             );
         }

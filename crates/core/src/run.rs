@@ -236,8 +236,8 @@ impl<'a> CoreRun<'a> {
 #[cfg(test)]
 mod tests {
     use crate::{
-        BinarySearchSat, LinearSearchSat, MaxSatSolver, MaxSatStatus, Msu1, Msu2, Msu3, Msu4,
-        Msu4Incremental, Oll, Wmsu1,
+        BinarySearchSat, LinearSearchSat, MaxSatSolver, MaxSatStatus, Msu1, Msu2, Msu3, Msu4, Oll,
+        Wmsu1,
     };
     use coremax_cnf::dimacs;
 
@@ -256,7 +256,7 @@ mod tests {
             Box::new(Msu3::new()),
             Box::new(Msu4::v1()),
             Box::new(Msu4::v2()),
-            Box::new(Msu4Incremental::new()),
+            Box::new(Msu4::incremental()),
             Box::new(Oll::new()),
             Box::new(LinearSearchSat::new()),
             Box::new(BinarySearchSat::new()),

@@ -7,12 +7,15 @@
 //! the regime msu4 targets. These two solvers make that comparison
 //! reproducible: both attach a blocking variable to *every* soft clause
 //! up front (so the search space blow-up of §2.2 applies) and differ
-//! only in how the bound on `Σ b` moves.
+//! only in how the bound on `Σ b` moves. Both keep it on a sorting
+//! network over all the blockers, reused for every bound its outputs
+//! reach.
 
-use coremax_cards::{encode_at_most, CardEncoding};
+use coremax_cards::CardEncoding;
 use coremax_cnf::{Lit, Var, WcnfFormula};
 use coremax_sat::{Budget, SolveOutcome};
 
+use crate::blocking_bound::BlockingBound;
 use crate::run::CoreRun;
 use crate::types::{MaxSatSolution, MaxSatSolver};
 
@@ -56,32 +59,16 @@ fn relaxed_run<'a>(wcnf: &'a WcnfFormula, budget: &Budget) -> (CoreRun<'a>, Vec<
 /// w.add_soft([Lit::negative(x)], 1);
 /// assert_eq!(LinearSearchSat::new().solve(&w).cost, Some(1));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LinearSearchSat {
-    encoding: CardEncoding,
     budget: Budget,
-}
-
-impl Default for LinearSearchSat {
-    fn default() -> Self {
-        LinearSearchSat::new()
-    }
 }
 
 impl LinearSearchSat {
     /// Linear search with the sorting-network encoding.
     #[must_use]
     pub fn new() -> Self {
-        LinearSearchSat::with_encoding(CardEncoding::SortingNetwork)
-    }
-
-    /// Linear search with an explicit bound encoding.
-    #[must_use]
-    pub fn with_encoding(encoding: CardEncoding) -> Self {
-        LinearSearchSat {
-            encoding,
-            budget: Budget::new(),
-        }
+        LinearSearchSat::default()
     }
 }
 
@@ -101,10 +88,11 @@ impl MaxSatSolver for LinearSearchSat {
         );
         // One engine for the whole descent. The bound only ever
         // tightens (`Σ b ≤ cost − 1` with strictly decreasing cost), so
-        // each encoding strictly implies the previous and all bound
-        // clauses can be added permanently — no gating needed. Linear
-        // descent proves no lower bound until the final UNSAT.
+        // it is permanent: the first model's bound builds the network,
+        // and every later one is a unit on its outputs. Linear descent
+        // proves no lower bound until the final UNSAT.
         let (mut run, blockers) = relaxed_run(wcnf, &self.budget);
+        let mut bound = BlockingBound::new(CardEncoding::SortingNetwork, false);
         loop {
             match run.solve(&[]) {
                 SolveOutcome::Sat => {
@@ -113,10 +101,7 @@ impl MaxSatSolver for LinearSearchSat {
                     if cost == 0 {
                         return run.optimal();
                     }
-                    let ((), clauses) = run.encode(None, |sink| {
-                        encode_at_most(&blockers, cost - 1, self.encoding, sink)
-                    });
-                    run.relaxed(0, clauses);
+                    bound.set(&mut run, &blockers, cost - 1);
                 }
                 SolveOutcome::Unsat if run.ub().is_some() => return run.optimal(),
                 SolveOutcome::Unsat => return run.infeasible(),
@@ -131,32 +116,16 @@ impl MaxSatSolver for LinearSearchSat {
 /// # Panics
 ///
 /// [`MaxSatSolver::solve`] panics on weighted input.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BinarySearchSat {
-    encoding: CardEncoding,
     budget: Budget,
-}
-
-impl Default for BinarySearchSat {
-    fn default() -> Self {
-        BinarySearchSat::new()
-    }
 }
 
 impl BinarySearchSat {
     /// Binary search with the sorting-network encoding.
     #[must_use]
     pub fn new() -> Self {
-        BinarySearchSat::with_encoding(CardEncoding::SortingNetwork)
-    }
-
-    /// Binary search with an explicit bound encoding.
-    #[must_use]
-    pub fn with_encoding(encoding: CardEncoding) -> Self {
-        BinarySearchSat {
-            encoding,
-            budget: Budget::new(),
-        }
+        BinarySearchSat::default()
     }
 }
 
@@ -175,13 +144,13 @@ impl MaxSatSolver for BinarySearchSat {
             "binary-sat handles unweighted (partial) MaxSAT"
         );
         // One engine for the whole search. Unlike the linear descent
-        // the probed bound moves in both directions, so each `Σ b ≤
-        // mid` encoding carries a gate literal `t` on every clause:
-        // assuming `¬t` activates the bound, the unit `t` retires it
-        // for good once the search moves on. The lower bound is the
-        // smallest cost not yet excluded, the upper bound the
+        // the probed bound moves in both directions, so it is gated:
+        // each probe assumes its `Σ b ≤ mid` on one network, rebuilt
+        // only when a probe passes its last output. The lower bound is
+        // the smallest cost not yet excluded, the upper bound the
         // incumbent's cost.
         let (mut run, blockers) = relaxed_run(wcnf, &self.budget);
+        let mut bound = BlockingBound::new(CardEncoding::SortingNetwork, true);
 
         // Feasibility first (no bound at all).
         match run.solve(&[]) {
@@ -190,27 +159,14 @@ impl MaxSatSolver for BinarySearchSat {
             SolveOutcome::Sat => run.offer(run.model()),
         }
 
-        let mut gate: Option<Lit> = None;
         loop {
             let (lo, hi) = (run.lb(), run.ub().expect("incumbent after SAT"));
             if lo >= hi {
                 return run.optimal();
             }
             let mid = (lo + (hi - lo) / 2) as usize;
-            // The previous probe's bound is stale either way (SAT
-            // shrank hi below it, UNSAT moved lo above it): retire it
-            // and install the gated encoding for `mid`.
-            if let Some(t) = gate.take() {
-                run.engine.add_clause([t]);
-            }
-            let t = Lit::positive(run.engine.new_var());
-            let ((), clauses) = run.encode(Some(t), |sink| {
-                encode_at_most(&blockers, mid, self.encoding, sink)
-            });
-            gate = Some(t);
-            run.relaxed(0, clauses);
-
-            match run.solve(&[!t]) {
+            bound.set(&mut run, &blockers, mid);
+            match run.solve(bound.assumptions()) {
                 SolveOutcome::Sat => run.offer(run.model()),
                 SolveOutcome::Unsat => run.raise_lb(mid as u64 + 1),
                 SolveOutcome::Unknown => return run.unknown(),

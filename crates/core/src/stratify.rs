@@ -67,7 +67,6 @@ use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 #[derive(Debug, Clone)]
 pub struct Stratified<S> {
     inner: S,
-    encoding: CardEncoding,
     budget: Budget,
 }
 
@@ -80,22 +79,8 @@ impl<S: MaxSatSolver> Stratified<S> {
     pub fn new(inner: S) -> Self {
         Stratified {
             inner,
-            encoding: CardEncoding::Totalizer,
             budget: Budget::new(),
         }
-    }
-
-    /// Selects the cardinality encoding used for stratum freezes.
-    #[must_use]
-    pub fn with_encoding(mut self, encoding: CardEncoding) -> Self {
-        self.encoding = encoding;
-        self
-    }
-
-    /// The inner solver.
-    #[must_use]
-    pub fn inner(&self) -> &S {
-        &self.inner
     }
 }
 
@@ -309,7 +294,7 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
                     encode_at_most(
                         &lits,
                         usize::try_from(k_units).unwrap_or(usize::MAX),
-                        self.encoding,
+                        CardEncoding::Totalizer,
                         &mut sink,
                     );
                 } else {

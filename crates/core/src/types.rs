@@ -443,7 +443,6 @@ mod tests {
         assert_send::<crate::Msu1>();
         assert_send::<crate::Msu3>();
         assert_send::<crate::Msu4>();
-        assert_send::<crate::Msu4Incremental>();
         assert_send::<crate::Wmsu1>();
         assert_send::<crate::Oll>();
         assert_send::<crate::BranchBound>();

@@ -38,16 +38,9 @@ use crate::types::{MaxSatSolution, MaxSatSolver};
 /// assert_eq!(s.cost, Some(7));
 /// assert!(coremax::verify_solution(&w, &s));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Wmsu1 {
-    encoding: CardEncoding,
     budget: Budget,
-}
-
-impl Default for Wmsu1 {
-    fn default() -> Self {
-        Wmsu1::new()
-    }
 }
 
 impl Wmsu1 {
@@ -55,16 +48,7 @@ impl Wmsu1 {
     /// original choice; cores are usually small).
     #[must_use]
     pub fn new() -> Self {
-        Wmsu1::with_encoding(CardEncoding::Pairwise)
-    }
-
-    /// wmsu1 with an alternative exactly-one encoding.
-    #[must_use]
-    pub fn with_encoding(encoding: CardEncoding) -> Self {
-        Wmsu1 {
-            encoding,
-            budget: Budget::new(),
-        }
+        Wmsu1::default()
     }
 }
 
@@ -178,8 +162,9 @@ impl MaxSatSolver for Wmsu1 {
                         handles[i] = run.engine.add_soft(soft[i].lits(wcnf));
                         working_of.push(i);
                     }
-                    let ((), clauses) =
-                        run.encode(None, |sink| encode_exactly(&fresh, 1, self.encoding, sink));
+                    let ((), clauses) = run.encode(None, |sink| {
+                        encode_exactly(&fresh, 1, CardEncoding::Pairwise, sink)
+                    });
                     run.relaxed(fresh.len(), clauses);
                     run.raise_lb(run.lb().saturating_add(w_min));
                 }
@@ -318,21 +303,6 @@ mod tests {
             let oracle = BranchBound::new().solve(&w);
             let s = Wmsu1::new().solve(&w);
             assert_eq!(s.cost, oracle.cost, "wmsu1 wrong on round {round}");
-            assert!(verify_solution(&w, &s));
-        }
-    }
-
-    #[test]
-    fn alternative_encoding_agrees() {
-        let w = weighted("p wcnf 2 4 9\n9 1 2 0\n4 -1 0\n3 -2 0\n2 1 0\n");
-        let base = Wmsu1::new().solve(&w);
-        for encoding in [
-            CardEncoding::Totalizer,
-            CardEncoding::SequentialCounter,
-            CardEncoding::Bdd,
-        ] {
-            let s = Wmsu1::with_encoding(encoding).solve(&w);
-            assert_eq!(s.cost, base.cost, "{encoding}");
             assert!(verify_solution(&w, &s));
         }
     }

@@ -34,6 +34,7 @@ fn solvers() -> Vec<Box<dyn MaxSatSolver>> {
     vec![
         Box::new(Msu4::v1()),
         Box::new(Msu4::v2()),
+        Box::new(Msu4::incremental()),
         Box::new(Msu1::new()),
         Box::new(Msu2::new()),
         Box::new(Msu3::new()),

@@ -6,8 +6,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use coremax::{
-    MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus, Msu3, Msu4, Msu4Incremental, Oll,
-    Preprocessed, Stratified, Wmsu1,
+    MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus, Msu3, Msu4, Oll, Preprocessed,
+    Stratified, Wmsu1,
 };
 use coremax_cnf::{WcnfFormula, Weight};
 use coremax_sat::Budget;
@@ -50,7 +50,7 @@ impl PortfolioMember {
         let mut solver: Box<dyn MaxSatSolver + Send> = match self.base {
             BaseAlgo::Msu4V2 => Box::new(Msu4::v2()),
             BaseAlgo::Msu4V1 => Box::new(Msu4::v1()),
-            BaseAlgo::Msu4Inc => Box::new(Msu4Incremental::new()),
+            BaseAlgo::Msu4Inc => Box::new(Msu4::incremental()),
             BaseAlgo::Msu3 => Box::new(Msu3::new()),
             BaseAlgo::Wmsu1 => Box::new(Wmsu1::new()),
             BaseAlgo::Oll => Box::new(Oll::new()),

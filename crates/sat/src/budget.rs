@@ -31,11 +31,10 @@ struct WorkPool {
 /// Besides the passive caps, a budget may carry a **cooperative stop
 /// flag** ([`Budget::with_stop_flag`]): a shared [`AtomicBool`] that any
 /// thread can raise to interrupt the solve. The solver polls it inside
-/// the propagation loop (every
-/// [`crate::SolverConfig::propagation_check_interval`] propagations), so
-/// cancellation lands within a bounded amount of work even in the middle
-/// of a long implication chain — the mechanism the parallel portfolio
-/// uses to halt losing configurations the moment a winner commits.
+/// the propagation loop (every 1,024 propagations), so cancellation
+/// lands within a bounded amount of work even in the middle of a long
+/// implication chain — the mechanism the parallel portfolio uses to halt
+/// losing configurations the moment a winner commits.
 ///
 /// # Examples
 ///
@@ -138,12 +137,6 @@ impl Budget {
         self.max_propagations
     }
 
-    /// The relative timeout, if any.
-    #[must_use]
-    pub fn timeout(&self) -> Option<Duration> {
-        self.timeout
-    }
-
     /// The absolute deadline, if any.
     #[must_use]
     pub fn deadline(&self) -> Option<Instant> {
@@ -154,12 +147,6 @@ impl Budget {
     #[must_use]
     pub fn stop_requested(&self) -> bool {
         self.stop.iter().any(|f| f.load(Ordering::Relaxed))
-    }
-
-    /// Returns `true` if at least one stop flag is attached.
-    #[must_use]
-    pub fn has_stop_flag(&self) -> bool {
-        !self.stop.is_empty()
     }
 
     /// Charges work to the solve's pool and returns `true` once the
@@ -190,12 +177,6 @@ impl Budget {
     fn capped_at(&self, conflicts: u64, propagations: u64) -> bool {
         self.max_conflicts.is_some_and(|m| conflicts >= m)
             || self.max_propagations.is_some_and(|m| propagations >= m)
-    }
-
-    /// The attached stop flags (empty when none).
-    #[must_use]
-    pub fn stop_flags(&self) -> &[Arc<AtomicBool>] {
-        &self.stop
     }
 
     /// Returns `true` if no limit is set at all (and no stop flag is
@@ -268,7 +249,6 @@ mod tests {
         assert!(Budget::new().is_unlimited());
         assert_eq!(Budget::new().max_conflicts(), None);
         assert!(!Budget::new().stop_requested());
-        assert!(!Budget::new().has_stop_flag());
     }
 
     #[test]
@@ -280,7 +260,11 @@ mod tests {
         assert!(!b.is_unlimited());
         assert_eq!(b.max_conflicts(), Some(5));
         assert_eq!(b.max_propagations(), Some(7));
-        assert_eq!(b.timeout(), Some(Duration::from_millis(100)));
+        let start = Instant::now();
+        assert_eq!(
+            b.effective_deadline(start),
+            Some(start + Duration::from_millis(100))
+        );
     }
 
     #[test]
@@ -306,7 +290,6 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let b = Budget::new().with_stop_flag(stop.clone());
         assert!(!b.is_unlimited(), "a stop flag is a limit");
-        assert!(b.has_stop_flag());
         let clone = b.clone();
         stop.store(true, Ordering::Relaxed);
         assert!(b.stop_requested());
@@ -386,7 +369,11 @@ mod tests {
             .with_stop_flag(stop.clone());
         let child = b.child(start);
         assert_eq!(child.deadline(), Some(start + Duration::from_secs(3)));
-        assert_eq!(child.timeout(), None);
+        // The timeout became the deadline: a later start does not move it.
+        assert_eq!(
+            child.effective_deadline(start + Duration::from_secs(1)),
+            Some(start + Duration::from_secs(3))
+        );
         assert_eq!(child.max_conflicts(), Some(99), "caps carry over");
         assert_eq!(child.max_propagations(), None);
         stop.store(true, Ordering::Relaxed);

@@ -63,19 +63,6 @@ pub struct SolverConfig {
     /// a watermark below the problem's own footprint simply pins the
     /// learned database near empty.
     pub arena_watermark_words: Option<usize>,
-    /// The wall-clock deadline is polled once per this many decisions
-    /// (and once at the start of every restart). Default 64; raising it
-    /// trades timeout precision for less `Instant::now` overhead in the
-    /// decision loop.
-    pub timeout_check_interval: u64,
-    /// The stop flag, deadline and work caps are additionally polled
-    /// once per this many propagations *inside* the propagation loop,
-    /// so cancellation lands within a bounded amount of work even
-    /// mid-way through a long implication chain (decision-based polling
-    /// alone can lag by an entire chain). Default 1024 — cheap enough
-    /// to be invisible at ~10M props/sec, tight enough for the parallel
-    /// portfolio to halt losers promptly.
-    pub propagation_check_interval: u64,
     /// Default polarity used before a variable has a saved phase.
     pub default_phase: bool,
 }
@@ -91,12 +78,23 @@ impl Default for SolverConfig {
             min_learnts: 1000.0,
             gc_frac: 0.25,
             arena_watermark_words: None,
-            timeout_check_interval: 64,
-            propagation_check_interval: 1024,
             default_phase: false,
         }
     }
 }
+
+/// The wall-clock deadline is polled once per this many decisions (and
+/// once at the start of every restart): an `Instant::now` per decision
+/// would be measurable.
+const DEADLINE_POLL_DECISIONS: u64 = 64;
+
+/// The stop flag, deadline and work caps are also polled once per this
+/// many propagations *inside* the propagation loop, so cancellation
+/// lands within a bounded amount of work even mid-way through a long
+/// implication chain (decision-based polling alone can lag by an entire
+/// chain). Cheap enough to be invisible at ~10M props/sec, tight enough
+/// for the parallel portfolio to halt losers promptly.
+const INTERRUPT_POLL_PROPAGATIONS: u64 = 1024;
 
 const VALUE_UNDEF: u8 = 0;
 const VALUE_TRUE: u8 = 1;
@@ -540,7 +538,7 @@ impl Solver {
         self.run = self.budget.child(Instant::now());
         self.interrupted = false;
         self.interrupt_armed = !self.run.is_unlimited();
-        self.props_until_check = self.config.propagation_check_interval.max(1);
+        self.props_until_check = INTERRUPT_POLL_PROPAGATIONS;
         self.charged_conflicts = self.stats.conflicts;
         self.charged_propagations = self.stats.propagations;
         if self.run.stop_requested() || self.run.work_spent() {
@@ -765,7 +763,7 @@ impl Solver {
             if self.interrupt_armed {
                 self.props_until_check -= 1;
                 if self.props_until_check == 0 {
-                    self.props_until_check = self.config.propagation_check_interval.max(1);
+                    self.props_until_check = INTERRUPT_POLL_PROPAGATIONS;
                     if self.poll_interrupt() {
                         return None;
                     }
@@ -1355,8 +1353,7 @@ impl Solver {
             return SearchResult::BudgetExhausted;
         }
         let deadline = self.run.deadline();
-        let check_interval = self.config.timeout_check_interval.max(1);
-        let mut until_time_check = check_interval;
+        let mut until_time_check = DEADLINE_POLL_DECISIONS;
         loop {
             // Phase spans in the hot loop are inert (one relaxed load,
             // no clock read) unless `coremax_obs` timing is enabled.
@@ -1405,12 +1402,9 @@ impl Solver {
 
             // Propagation fixpoint reached: bookkeeping, then decide.
             if let Some(d) = deadline {
-                // An Instant::now() per decision is measurable, so the
-                // deadline is polled once per `timeout_check_interval`
-                // decisions instead.
                 until_time_check -= 1;
                 if until_time_check == 0 {
-                    until_time_check = check_interval;
+                    until_time_check = DEADLINE_POLL_DECISIONS;
                     if Instant::now() >= d {
                         return SearchResult::BudgetExhausted;
                     }
@@ -1712,15 +1706,14 @@ mod tests {
     #[test]
     fn propagation_cap_observed_mid_chain() {
         // The cap must bind *inside* the implication chain: overshoot is
-        // bounded by one `propagation_check_interval`, not by the chain
+        // bounded by one `INTERRUPT_POLL_PROPAGATIONS`, not by the chain
         // length (the pre-PR behaviour only re-checked at the next
         // decision, i.e. ~50_000 propagations too late here).
         let mut s = chain_solver(50_000);
         s.set_budget(Budget::new().with_max_propagations(2_000));
         assert_eq!(s.solve(), SolveOutcome::Unknown);
-        let interval = SolverConfig::default().propagation_check_interval;
         assert!(
-            s.stats().propagations <= 2_000 + interval,
+            s.stats().propagations <= 2_000 + INTERRUPT_POLL_PROPAGATIONS,
             "cap overshoot bounded by one check interval: {}",
             s.stats().propagations
         );

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use coremax::{
     BinarySearchSat, BranchBound, LinearSearchSat, MaxSatSolver, MaxSatStatus, Msu1, Msu2, Msu3,
-    Msu4, Msu4Incremental, PboBaseline,
+    Msu4, PboBaseline,
 };
 use coremax_instances::{full_suite, SuiteConfig};
 use coremax_sat::Budget;
@@ -25,7 +25,7 @@ fn main() {
         Box::new(Msu3::new()),
         Box::new(Msu4::v1()),
         Box::new(Msu4::v2()),
-        Box::new(Msu4Incremental::new()),
+        Box::new(Msu4::incremental()),
         Box::new(LinearSearchSat::new()),
         Box::new(BinarySearchSat::new()),
     ];
