@@ -72,6 +72,8 @@ mod dpll;
 mod linear_core;
 mod msu1;
 mod msu4;
+#[cfg(test)]
+mod msu4_inc;
 mod oll;
 mod pbo_baseline;
 mod preprocess;
