@@ -18,7 +18,8 @@
 use std::time::Duration;
 
 use coremax::{
-    BranchBound, MaxSatSolver, MaxSatStatus, Msu3, Msu4, Oll, Preprocessed, Stratified, Wmsu1,
+    BranchBound, MaxSatSolver, MaxSatStatus, Msu3, Msu4, Oll, PboBaseline, Preprocessed,
+    Stratified, Wmsu1,
 };
 use coremax_bench::fi::{armed_budget, check_anytime_sound, exhaustive_optimum, Fault};
 use coremax_cnf::WcnfFormula;
@@ -42,6 +43,7 @@ fn lineup() -> Vec<(&'static str, Box<dyn MaxSatSolver>)> {
         ),
         ("stratified<oll>", Box::new(Stratified::new(Oll::new()))),
         ("maxsatz-bb", Box::new(BranchBound::new())),
+        ("pbo", Box::new(PboBaseline::new())),
         ("pre(wmsu1)", Box::new(Preprocessed::new(Wmsu1::new()))),
         ("pre(oll)", Box::new(Preprocessed::new(Oll::new()))),
         (
@@ -123,8 +125,8 @@ fn cases(default: u32) -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
-    // The headline property: eight solver configurations, five fault
-    // classes, zero tolerated soundness violations.
+    // The headline property: every configuration of the lineup, five
+    // fault classes, zero tolerated soundness violations.
     #[test]
     fn faulted_solves_stay_anytime_sound(w in arb_instance(), fault in arb_fault()) {
         inject_and_check(&w, &fault);

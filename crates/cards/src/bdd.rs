@@ -1,13 +1,17 @@
-//! BDD / ITE-chain encoding (msu4 **v1**).
+//! BDD / ITE-chain encoding of `Σ cᵢ·lᵢ ≤ bound`: msu4 **v1**'s
+//! cardinality bound (every `cᵢ = 1`) and pbo's pseudo-Boolean one.
 //!
 //! Eén & Sörensson, *Translating Pseudo-Boolean Constraints into SAT*
-//! (JSAT 2006), §5.1: build the (reduced, ordered) BDD of the constraint
-//! `Σ lits ≤ k` and introduce one Tseitin variable per internal node,
-//! encoded as an if-then-else gate. For a cardinality constraint the
-//! BDD collapses to the grid of states `(i, j)` = "among `lits[i..]` at
-//! most `k − j` may still be true", so the BDD has `O(n·k)` nodes and
-//! memoisation on `(i, j)` builds it directly without a BDD package's
-//! generality — exactly how minisat+ special-cases cardinality.
+//! (JSAT 2006), §4 and §5.1: build the (reduced, ordered) BDD of the
+//! constraint and introduce one Tseitin variable per internal node,
+//! encoded as an if-then-else gate. The constraint is monotone, so its
+//! BDD has one node per distinct reachable partial sum: it is built
+//! top-down with memoisation on `(index, accumulated sum)`, terms sorted
+//! by descending coefficient first, which tends to maximise node
+//! sharing. At unit coefficients the nodes are the grid of states
+//! `(i, j)` = "among `lits[i..]` at most `k − j` may still be true", so
+//! a cardinality BDD has `O(n·k)` nodes — exactly how minisat+
+//! special-cases cardinality.
 
 use std::collections::HashMap;
 
@@ -23,43 +27,75 @@ enum NodeRef {
     Node(Lit),
 }
 
-pub(crate) fn at_most(lits: &[Lit], k: usize, sink: &mut CnfSink) {
-    debug_assert!(k >= 1 && k < lits.len());
-    let mut memo: HashMap<(usize, usize), NodeRef> = HashMap::new();
-    let root = build(lits, k, 0, 0, &mut memo, sink);
-    match root {
+/// Encodes `Σ cᵢ·lᵢ ≤ bound` over `terms = [(cᵢ, lᵢ)]` into `sink` as a
+/// BDD: one fresh variable and an if-then-else gate per internal node,
+/// and the root asserted by a unit clause. A bound that every
+/// assignment meets emits nothing. [`CardEncoding::Bdd`] is this
+/// encoding at unit coefficients.
+///
+/// Every coefficient must be positive.
+///
+/// [`CardEncoding::Bdd`]: crate::CardEncoding::Bdd
+///
+/// # Examples
+///
+/// ```
+/// use coremax_cards::{weighted_at_most, CnfSink};
+/// use coremax_cnf::{Lit, Var};
+///
+/// // 3·x₀ + 2·x₁ + x₂ ≤ 3
+/// let x: Vec<Lit> = (0..3).map(|i| Lit::positive(Var::new(i))).collect();
+/// let mut sink = CnfSink::new(3);
+/// weighted_at_most(vec![(3, x[0]), (2, x[1]), (1, x[2])], 3, &mut sink);
+/// assert!(sink.num_clauses() > 0);
+/// ```
+pub fn weighted_at_most(mut terms: Vec<(u64, Lit)>, bound: u64, sink: &mut CnfSink) {
+    debug_assert!(terms.iter().all(|&(c, _)| c > 0), "positive coefficients");
+    terms.sort_by_key(|&(c, _)| std::cmp::Reverse(c));
+    let total = terms.iter().map(|&(c, _)| c).sum();
+    let mut bdd = Bdd {
+        terms: &terms,
+        bound,
+        memo: HashMap::new(),
+        sink,
+    };
+    match bdd.build(0, 0, total) {
         NodeRef::True => {}
-        NodeRef::False => sink.add_clause([]),
-        NodeRef::Node(l) => sink.add_clause([l]),
+        NodeRef::False => bdd.sink.add_clause([]),
+        NodeRef::Node(l) => bdd.sink.add_clause([l]),
     }
 }
 
-/// Builds the node for state `(i, j)`: the constraint restricted to
-/// suffix `lits[i..]` given that `j` literals among `lits[..i]` are true.
-fn build(
-    lits: &[Lit],
-    k: usize,
-    i: usize,
-    j: usize,
-    memo: &mut HashMap<(usize, usize), NodeRef>,
-    sink: &mut CnfSink,
-) -> NodeRef {
-    if j > k {
-        return NodeRef::False;
+/// One constraint's BDD under construction.
+struct Bdd<'a> {
+    terms: &'a [(u64, Lit)],
+    bound: u64,
+    memo: HashMap<(usize, u64), NodeRef>,
+    sink: &'a mut CnfSink,
+}
+
+impl Bdd<'_> {
+    /// Builds the node for state `(i, sum)`: the constraint restricted
+    /// to `terms[i..]`, whose coefficients add up to `rest`, given that
+    /// the true literals among `terms[..i]` add up to `sum`.
+    fn build(&mut self, i: usize, sum: u64, rest: u64) -> NodeRef {
+        if sum > self.bound {
+            return NodeRef::False;
+        }
+        // All remaining literals may be true without exceeding the bound.
+        if sum + rest <= self.bound {
+            return NodeRef::True;
+        }
+        if let Some(&n) = self.memo.get(&(i, sum)) {
+            return n;
+        }
+        let (coeff, cond) = self.terms[i];
+        let then_branch = self.build(i + 1, sum + coeff, rest - coeff); // cond true
+        let else_branch = self.build(i + 1, sum, rest - coeff); // cond false
+        let node = encode_ite(cond, then_branch, else_branch, self.sink);
+        self.memo.insert((i, sum), node);
+        node
     }
-    // All remaining literals may be true without exceeding the bound.
-    if lits.len() - i <= k - j {
-        return NodeRef::True;
-    }
-    if let Some(&n) = memo.get(&(i, j)) {
-        return n;
-    }
-    let cond = lits[i];
-    let then_branch = build(lits, k, i + 1, j + 1, memo, sink); // lits[i] true
-    let else_branch = build(lits, k, i + 1, j, memo, sink); // lits[i] false
-    let node = encode_ite(cond, then_branch, else_branch, sink);
-    memo.insert((i, j), node);
-    node
 }
 
 /// Tseitin-encodes `t ⇔ ITE(c, a, b)` with terminal simplifications,
@@ -127,6 +163,7 @@ fn encode_ite(c: Lit, a: NodeRef, b: NodeRef, sink: &mut CnfSink) -> NodeRef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{encode_at_most, CardEncoding};
     use coremax_cnf::Var;
 
     fn input_lits(n: usize) -> Vec<Lit> {
@@ -139,7 +176,7 @@ mod tests {
         let k = 5;
         let lits = input_lits(n);
         let mut sink = CnfSink::new(n);
-        at_most(&lits, k, &mut sink);
+        encode_at_most(&lits, k, CardEncoding::Bdd, &mut sink);
         // One aux var per internal node, at most n·(k+1) nodes.
         assert!(sink.num_vars() - n <= n * (k + 1));
         assert!(sink.num_clauses() <= 6 * n * (k + 1) + 1);
@@ -150,7 +187,7 @@ mod tests {
         let n = 8;
         let lits = input_lits(n);
         let mut sink_a = CnfSink::new(n);
-        at_most(&lits, 2, &mut sink_a);
+        encode_at_most(&lits, 2, CardEncoding::Bdd, &mut sink_a);
         // Without memoisation the tree would have 2^8 nodes; with it the
         // grid has at most n*(k+1) = 24.
         assert!(sink_a.num_vars() - n <= 24);
@@ -160,7 +197,7 @@ mod tests {
     fn root_is_asserted() {
         let lits = input_lits(3);
         let mut sink = CnfSink::new(3);
-        at_most(&lits, 1, &mut sink);
+        encode_at_most(&lits, 1, CardEncoding::Bdd, &mut sink);
         let last = sink.clauses().iter().last().unwrap();
         assert_eq!(last.len(), 1, "root unit clause expected");
     }

@@ -15,6 +15,12 @@
 //! ablation experiments, and the naive pairwise/binomial encoding as a
 //! correctness oracle.
 //!
+//! The BDD takes coefficients: [`weighted_at_most`] encodes
+//! `Σ cᵢ·lᵢ ≤ b`, and [`CardEncoding::Bdd`] is it at unit coefficients.
+//! The same encoder translates the pseudo-Boolean bounds of the `pbo`
+//! baseline and of stratification's mixed-weight freezes (through
+//! `coremax_pbo::encode_pb`).
+//!
 //! All encodings are *exact*: for a total assignment of the input
 //! literals, the encoding (with its auxiliary variables) is satisfiable
 //! iff the cardinality bound holds.
@@ -41,6 +47,7 @@ mod sink;
 mod sorting;
 mod totalizer;
 
+pub use bdd::weighted_at_most;
 pub use sink::CnfSink;
 pub use sorting::sorted_prefix;
 pub use totalizer::IncrementalTotalizer;
@@ -140,7 +147,9 @@ pub fn encode_at_most(lits: &[Lit], k: usize, encoding: CardEncoding, sink: &mut
         return;
     }
     match encoding {
-        CardEncoding::Bdd => bdd::at_most(lits, k, sink),
+        CardEncoding::Bdd => {
+            weighted_at_most(lits.iter().map(|&l| (1, l)).collect(), k as u64, sink)
+        }
         CardEncoding::SortingNetwork => sorting::at_most(lits, k, sink),
         CardEncoding::SequentialCounter => sequential::at_most(lits, k, sink),
         CardEncoding::Totalizer => totalizer::at_most(lits, k, sink),

@@ -18,7 +18,7 @@
 //! | [`Msu4`] (BDD / sorting-network encodings) | the contribution (v1 / v2) |
 //! | [`Msu1`] | Fu & Malik's algorithm \[11\] |
 //! | [`Msu3`], [`Msu2`] | the companion-report algorithms \[22\] |
-//! | [`PboBaseline`] | minisat+ on the PBO formulation (§2.2) |
+//! | [`PboBaseline`] | minisat+ on the PBO formulation (§2.2): [`LinearSearchSat`]'s descent, each bound a fresh BDD |
 //! | [`BranchBound`] | maxsatz-style branch and bound \[18\] |
 //! | [`LinearSearchSat`], [`BinarySearchSat`] | "MaxSAT as iterated SAT" baselines |
 //! | [`Msu4::incremental`] | §5's "alternative SAT technology": msu4 with permanent bounds |
@@ -91,9 +91,8 @@ pub use linear_core::{Msu2, Msu3};
 pub use msu1::Msu1;
 pub use msu4::{Msu4, Msu4Config};
 pub use oll::Oll;
-pub use pbo_baseline::PboBaseline;
 pub use preprocess::Preprocessed;
-pub use sat_search::{BinarySearchSat, LinearSearchSat};
+pub use sat_search::{BinarySearchSat, LinearSearchSat, PboBaseline};
 pub use stratify::Stratified;
 pub use types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 pub use verify::verify_solution;

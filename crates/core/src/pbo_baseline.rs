@@ -1,111 +1,12 @@
-//! The paper's `pbo` column: MaxSAT through the PBO formulation,
-//! solved by a minisat+-style optimiser (see [`coremax_pbo`]).
-
-use std::time::Instant;
-
-use coremax_cnf::WcnfFormula;
-use coremax_pbo::{maxsat_as_pbo, PboOutcome};
-use coremax_sat::Budget;
-
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
-
-/// MaxSAT via Pseudo-Boolean Optimisation (§2.2 / Example 1 of the
-/// paper): one blocking variable per soft clause, objective `min Σ w·b`,
-/// BDD-encoded bound strengthening. Supports weighted partial input.
-///
-/// This is the reproduction of running **minisat+** on the PBO MaxSAT
-/// formulation — the baseline the paper reports as better than maxsatz
-/// on industrial instances but still far behind msu4.
-///
-/// # Examples
-///
-/// ```
-/// use coremax::{PboBaseline, MaxSatSolver};
-/// use coremax_cnf::{Lit, WcnfFormula};
-/// let mut w = WcnfFormula::new();
-/// let x = w.new_var();
-/// w.add_soft([Lit::positive(x)], 1);
-/// w.add_soft([Lit::negative(x)], 1);
-/// assert_eq!(PboBaseline::new().solve(&w).cost, Some(1));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PboBaseline {
-    budget: Budget,
-}
-
-impl PboBaseline {
-    /// Creates the baseline with an unlimited budget.
-    #[must_use]
-    pub fn new() -> Self {
-        PboBaseline::default()
-    }
-}
-
-impl MaxSatSolver for PboBaseline {
-    fn name(&self) -> &'static str {
-        "pbo"
-    }
-
-    fn set_budget(&mut self, budget: Budget) {
-        self.budget = budget;
-    }
-
-    fn supports_weights(&self) -> bool {
-        true
-    }
-
-    fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
-        let start = Instant::now();
-        let mut pbo = maxsat_as_pbo(wcnf);
-        pbo.set_budget(self.budget.clone());
-        let outcome = pbo.solve();
-        let mut stats = MaxSatStats {
-            sat_calls: u64::from(pbo.sat_calls()),
-            ..MaxSatStats::default()
-        };
-        stats.absorb_sat(pbo.stats());
-        stats.wall_time = start.elapsed();
-        match outcome {
-            PboOutcome::Optimal { model, cost } => {
-                // The PBO model ranges over original + blocking + aux
-                // variables; the cost of the original-variable projection
-                // equals the objective value because blocking variables
-                // are driven to the falsified clauses at the optimum.
-                let real_cost = wcnf.cost(&model).unwrap_or(cost);
-                let cost = real_cost.min(cost);
-                MaxSatSolution {
-                    status: MaxSatStatus::Optimal,
-                    cost: Some(cost),
-                    model: Some(model),
-                    lower_bound: cost,
-                    stats,
-                }
-            }
-            PboOutcome::Infeasible => MaxSatSolution::infeasible(stats),
-            PboOutcome::Unknown { best } => {
-                // Linear descent proves no lower bound before the final
-                // UNSAT call; the incumbent certifies its exact cost on
-                // the original soft clauses.
-                let model = best.map(|(m, _)| m);
-                let cost = model.as_ref().and_then(|m| wcnf.cost(m));
-                let model = cost.is_some().then_some(model).flatten();
-                MaxSatSolution {
-                    status: MaxSatStatus::Unknown,
-                    cost,
-                    model,
-                    lower_bound: 0,
-                    stats,
-                }
-            }
-        }
-    }
-}
+//! Tests of `pbo`, [`crate::PboBaseline`]: linear-sat's descent with a
+//! fresh BDD per bound, on the PBO formulation of §2.2.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::dpll::dpll_max_satisfiable;
-    use coremax_cnf::{dimacs, Lit};
+    use crate::{MaxSatSolver, MaxSatStatus, PboBaseline};
+    use coremax_cnf::{dimacs, Lit, Var, WcnfFormula};
+    use coremax_sat::Budget;
 
     fn unweighted(text: &str) -> WcnfFormula {
         WcnfFormula::from_cnf_all_soft(&dimacs::parse_cnf(text).unwrap())
@@ -121,12 +22,21 @@ mod tests {
 
     #[test]
     fn reports_its_engine_work() {
-        // Pigeonhole 6/5, every clause soft: the optimiser's SAT engine
-        // searches, and its counters reach the solution's stats.
+        // Pigeonhole 6/5, every clause soft: the descent's SAT engine
+        // searches, and its counters reach the solution's stats. Every
+        // call is a SAT or an UNSAT iteration, and each bound is
+        // encoded.
         let w = WcnfFormula::from_cnf_all_soft(&coremax_instances::pigeonhole(5));
         let s = PboBaseline::new().solve(&w);
         assert_eq!(s.cost, Some(1));
         assert!(s.stats.sat_calls > 1, "{:?}", s.stats);
+        assert_eq!(
+            s.stats.sat_iterations + s.stats.unsat_iterations,
+            s.stats.sat_calls,
+            "{}",
+            s.stats
+        );
+        assert!(s.stats.cardinality_clauses > 0, "{}", s.stats);
         assert!(s.stats.sat.conflicts > 0, "{}", s.stats.sat);
         assert!(s.stats.sat.propagations > 0, "{}", s.stats.sat);
     }
@@ -153,6 +63,55 @@ mod tests {
     }
 
     #[test]
+    fn maxsat_reduction_example1() {
+        // Paper Example 1: optimum 2 of 3, so cost 1.
+        let mut w = WcnfFormula::new();
+        let x1 = w.new_var();
+        let x2 = w.new_var();
+        w.add_soft([Lit::positive(x1)], 1);
+        w.add_soft([Lit::positive(x2), Lit::negative(x1)], 1);
+        w.add_soft([Lit::negative(x2)], 1);
+        let s = PboBaseline::new().solve(&w);
+        assert_eq!(s.status, MaxSatStatus::Optimal);
+        assert_eq!(s.cost, Some(1));
+    }
+
+    #[test]
+    fn maxsat_reduction_respects_hard_clauses() {
+        // Hard: x1. Soft: ¬x1 (w=5), x2 (w=1). Optimal cost = 5 with x2
+        // satisfied.
+        let mut w = WcnfFormula::new();
+        let x1 = w.new_var();
+        let x2 = w.new_var();
+        w.add_hard([Lit::positive(x1)]);
+        w.add_soft([Lit::negative(x1)], 5);
+        w.add_soft([Lit::positive(x2)], 1);
+        let s = PboBaseline::new().solve(&w);
+        assert_eq!(s.status, MaxSatStatus::Optimal);
+        assert_eq!(s.cost, Some(5));
+        let model = s.model.expect("optimal has a model");
+        assert_eq!(model.value(x1), Some(true));
+        assert_eq!(model.value(x2), Some(true));
+    }
+
+    #[test]
+    fn budget_exhaustion_reports_unknown() {
+        use std::time::Duration;
+        // A moderately hard optimisation with a zero time budget.
+        let mut w = WcnfFormula::new();
+        let vars: Vec<Var> = (0..12).map(|_| w.new_var()).collect();
+        for i in 0..vars.len() {
+            for j in i + 1..vars.len() {
+                w.add_soft([Lit::negative(vars[i]), Lit::negative(vars[j])], 1);
+            }
+            w.add_soft([Lit::positive(vars[i])], 1);
+        }
+        let mut pbo = PboBaseline::new();
+        pbo.set_budget(Budget::new().with_timeout(Duration::from_nanos(1)));
+        assert_eq!(pbo.solve(&w).status, MaxSatStatus::Unknown);
+    }
+
+    #[test]
     fn agrees_with_oracle() {
         let mut seed = 0x6C62272E07BB0142u64;
         let mut next = move || {
@@ -169,7 +128,7 @@ mod tests {
                 let len = 1 + (next() % 3) as usize;
                 let lits: Vec<Lit> = (0..len)
                     .map(|_| {
-                        let v = coremax_cnf::Var::new((next() % num_vars as u64) as u32);
+                        let v = Var::new((next() % num_vars as u64) as u32);
                         Lit::new(v, next() & 1 == 0)
                     })
                     .collect();

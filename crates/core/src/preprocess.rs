@@ -68,12 +68,6 @@ impl<S: MaxSatSolver> Preprocessed<S> {
             budget: Budget::new(),
         }
     }
-
-    /// The inner solver.
-    #[must_use]
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: MaxSatSolver> MaxSatSolver for Preprocessed<S> {

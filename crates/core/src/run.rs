@@ -237,7 +237,7 @@ impl<'a> CoreRun<'a> {
 mod tests {
     use crate::{
         BinarySearchSat, LinearSearchSat, MaxSatSolver, MaxSatStatus, Msu1, Msu2, Msu3, Msu4, Oll,
-        Wmsu1,
+        PboBaseline, Wmsu1,
     };
     use coremax_cnf::dimacs;
 
@@ -260,6 +260,7 @@ mod tests {
             Box::new(Oll::new()),
             Box::new(LinearSearchSat::new()),
             Box::new(BinarySearchSat::new()),
+            Box::new(PboBaseline::new()),
         ];
         for mut solver in solvers {
             let s = solver.solve(&w);

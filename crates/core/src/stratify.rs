@@ -155,14 +155,15 @@ impl<S: MaxSatSolver> MaxSatSolver for Stratified<S> {
         let stage_budget = self.budget.child(start);
         let mut stats = MaxSatStats::default();
 
-        let groups = partition(wcnf);
-        if groups.is_empty() {
-            // No soft clauses: the inner solver decides feasibility.
+        if wcnf.is_unweighted() {
+            // Unit weights, or no softs: one stratum, which the inner
+            // solver runs on the input itself.
             self.inner.set_budget(stage_budget);
             let mut solution = self.inner.solve(wcnf);
-            solution.stats.strata = 1;
+            solution.stats.strata += 1;
             return solution;
         }
+        let groups = partition(wcnf);
 
         // Hard clauses accumulate stratum freezes as stages complete.
         let mut hard = ClauseStore::new();

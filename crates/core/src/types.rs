@@ -52,8 +52,9 @@ pub struct MaxSatStats {
     /// core clause of weight `w > w_min` is cloned at `w − w_min`
     /// before its `w_min` share is relaxed.
     pub weight_splits: u64,
-    /// Weight strata solved by [`crate::Stratified`] (1 for unweighted
-    /// pass-through, 0 for solvers that do not stratify).
+    /// Weight strata solved: one per stage of [`crate::Stratified`] (one
+    /// for its pass-through of unit-weight input), plus those
+    /// [`crate::Oll`] opens itself; 0 for solvers that do not stratify.
     pub strata: u64,
     /// Soft clauses promoted to hard ones by stratification (a stratum
     /// solved at cost 0 is frozen by hardening instead of cardinality)

@@ -4,7 +4,7 @@
 
 use coremax::{
     BinarySearchSat, BranchBound, LinearSearchSat, MaxSatSolver, MaxSatStatus, Msu1, Msu2, Msu3,
-    Msu4,
+    Msu4, PboBaseline,
 };
 use coremax_cnf::{Lit, WcnfFormula};
 use proptest::prelude::*;
@@ -40,6 +40,7 @@ fn solvers() -> Vec<Box<dyn MaxSatSolver>> {
         Box::new(Msu3::new()),
         Box::new(LinearSearchSat::new()),
         Box::new(BinarySearchSat::new()),
+        Box::new(PboBaseline::new()),
     ]
 }
 

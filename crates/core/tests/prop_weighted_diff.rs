@@ -4,9 +4,9 @@
 //! weight distributions from the shared `coremax_instances` generator —
 //! are solved by exhaustive enumeration and by every weighted path in
 //! the crate: [`Wmsu1`], [`Oll`], [`Stratified<Msu3>`],
-//! [`Stratified<Msu4>`], [`Stratified<Oll>`] and the maxsatz-style
-//! [`BranchBound`], each bare, and all but `Stratified<Oll>` also
-//! wrapped in [`Preprocessed`].
+//! [`Stratified<Msu4>`], [`Stratified<Oll>`], the maxsatz-style
+//! [`BranchBound`] and the paper's `pbo` ([`PboBaseline`]), each bare,
+//! and all but `Stratified<Oll>` also wrapped in [`Preprocessed`].
 //! All runs must agree with the oracle's optimal cost, and every model
 //! must pass [`verify_solution`] against the original instance.
 //!
@@ -19,8 +19,8 @@
 #![recursion_limit = "256"]
 
 use coremax::{
-    verify_solution, BranchBound, MaxSatSolver, MaxSatStatus, Msu3, Msu4, Oll, Preprocessed,
-    Stratified, Wmsu1,
+    verify_solution, BranchBound, MaxSatSolver, MaxSatStatus, Msu3, Msu4, Oll, PboBaseline,
+    Preprocessed, Stratified, Wmsu1,
 };
 use coremax_cnf::{dimacs, Assignment, WcnfFormula, Weight};
 use coremax_instances::{
@@ -56,6 +56,7 @@ fn lineup() -> Vec<(&'static str, Box<dyn MaxSatSolver>)> {
         ("stratified<msu4>", Box::new(Stratified::new(Msu4::v2()))),
         ("stratified<oll>", Box::new(Stratified::new(Oll::new()))),
         ("maxsatz-bb", Box::new(BranchBound::new())),
+        ("pbo", Box::new(PboBaseline::new())),
         ("pre(wmsu1)", Box::new(Preprocessed::new(Wmsu1::new()))),
         ("pre(oll)", Box::new(Preprocessed::new(Oll::new()))),
         (
@@ -70,6 +71,7 @@ fn lineup() -> Vec<(&'static str, Box<dyn MaxSatSolver>)> {
             "pre(maxsatz-bb)",
             Box::new(Preprocessed::new(BranchBound::new())),
         ),
+        ("pre(pbo)", Box::new(Preprocessed::new(PboBaseline::new()))),
     ]
 }
 

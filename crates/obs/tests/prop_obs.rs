@@ -21,8 +21,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use coremax::{
-    verify_solution, MaxSatSolution, MaxSatSolver, MaxSatStatus, Msu1, Msu3, Msu4, Preprocessed,
-    Stratified, Wmsu1,
+    verify_solution, MaxSatSolution, MaxSatSolver, MaxSatStatus, Msu1, Msu3, Msu4, PboBaseline,
+    Preprocessed, Stratified, Wmsu1,
 };
 use coremax_cnf::{Lit, WcnfFormula};
 use coremax_obs::json::Value;
@@ -251,6 +251,7 @@ proptest! {
         differential(&w, || Wmsu1::new().solve(&w), "wmsu1");
         differential(&w, || Stratified::new(Msu3::new()).solve(&w), "strat-msu3");
         differential(&w, || Preprocessed::new(Wmsu1::new()).solve(&w), "wmsu1+simp");
+        differential(&w, || PboBaseline::new().solve(&w), "pbo");
     }
 
     #[test]

@@ -1,16 +1,11 @@
-//! BDD translation of pseudo-Boolean constraints to CNF.
+//! CNF translation of pseudo-Boolean constraints.
 //!
-//! Eén & Sörensson (JSAT 2006) §4: the constraint `Σ cᵢ·lᵢ ≤ b` is a
-//! monotone pseudo-Boolean function; its ROBDD under a fixed variable
-//! order has one node per distinct reachable "interval" of partial sums.
-//! We build it top-down with memoisation on `(index, accumulated sum)`
-//! and Tseitin-encode each node as an ITE gate. Coefficients are sorted
-//! descending first, which tends to maximise node sharing.
+//! Every constraint is brought to the normal form `Σ cᵢ·lᵢ ≤ b` with
+//! `0 ≤ b < Σ cᵢ` and handed to `coremax_cards`' BDD encoder
+//! ([`weighted_at_most`]), the encoder msu4 v1's cardinality bounds use
+//! at unit coefficients (Eén & Sörensson, JSAT 2006, §4).
 
-use std::collections::HashMap;
-
-use coremax_cards::CnfSink;
-use coremax_cnf::Lit;
+use coremax_cards::{weighted_at_most, CnfSink};
 
 use crate::constraint::{PbConstraint, PbOp};
 
@@ -52,127 +47,23 @@ fn flip_ge(c: &PbConstraint) -> PbConstraint {
     PbConstraint::new(terms, PbOp::Le, c.coeff_sum() as i64 - c.bound())
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeRef {
-    True,
-    False,
-    Node(Lit),
-}
-
+/// A non-trivial `Le` constraint, as the BDD.
 fn encode_le(constraint: &PbConstraint, sink: &mut CnfSink) {
     debug_assert_eq!(constraint.op(), PbOp::Le);
     debug_assert!(constraint.bound() >= 0);
-    let mut terms = constraint.terms().to_vec();
-    terms.sort_by_key(|t| std::cmp::Reverse(t.coeff));
-    let bound = constraint.bound() as u64;
-    // Suffix coefficient sums for the "rest always fits" terminal test.
-    let mut suffix = vec![0u64; terms.len() + 1];
-    for i in (0..terms.len()).rev() {
-        suffix[i] = suffix[i + 1] + terms[i].coeff;
-    }
-    let mut memo: HashMap<(usize, u64), NodeRef> = HashMap::new();
-    let root = build(&terms, bound, &suffix, 0, 0, &mut memo, sink);
-    match root {
-        NodeRef::True => {}
-        NodeRef::False => sink.add_clause([]),
-        NodeRef::Node(l) => sink.add_clause([l]),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build(
-    terms: &[crate::PbTerm],
-    bound: u64,
-    suffix: &[u64],
-    i: usize,
-    sum: u64,
-    memo: &mut HashMap<(usize, u64), NodeRef>,
-    sink: &mut CnfSink,
-) -> NodeRef {
-    if sum > bound {
-        return NodeRef::False;
-    }
-    if sum + suffix[i] <= bound {
-        return NodeRef::True;
-    }
-    if let Some(&n) = memo.get(&(i, sum)) {
-        return n;
-    }
-    debug_assert!(i < terms.len());
-    let cond = terms[i].lit;
-    let hi = build(
-        terms,
-        bound,
-        suffix,
-        i + 1,
-        sum + terms[i].coeff,
-        memo,
-        sink,
-    );
-    let lo = build(terms, bound, suffix, i + 1, sum, memo, sink);
-    let node = encode_ite(cond, hi, lo, sink);
-    memo.insert((i, sum), node);
-    node
-}
-
-/// Tseitin `t ⇔ ITE(c, a, b)` with terminal simplification (same gate
-/// library as the cardinality BDD encoder).
-fn encode_ite(c: Lit, a: NodeRef, b: NodeRef, sink: &mut CnfSink) -> NodeRef {
-    use NodeRef::{False, Node, True};
-    match (a, b) {
-        (True, True) => True,
-        (False, False) => False,
-        (True, False) => Node(c),
-        (False, True) => Node(!c),
-        (True, Node(bl)) => {
-            let t = Lit::positive(sink.fresh_var());
-            sink.add_clause([!c, t]);
-            sink.add_clause([!bl, t]);
-            sink.add_clause([c, bl, !t]);
-            Node(t)
-        }
-        (False, Node(bl)) => {
-            let t = Lit::positive(sink.fresh_var());
-            sink.add_clause([!t, !c]);
-            sink.add_clause([!t, bl]);
-            sink.add_clause([c, !bl, t]);
-            Node(t)
-        }
-        (Node(al), True) => {
-            let t = Lit::positive(sink.fresh_var());
-            sink.add_clause([c, t]);
-            sink.add_clause([!al, t]);
-            sink.add_clause([!c, al, !t]);
-            Node(t)
-        }
-        (Node(al), False) => {
-            let t = Lit::positive(sink.fresh_var());
-            sink.add_clause([!t, c]);
-            sink.add_clause([!t, al]);
-            sink.add_clause([!c, !al, t]);
-            Node(t)
-        }
-        (Node(al), Node(bl)) => {
-            if al == bl {
-                return Node(al);
-            }
-            let t = Lit::positive(sink.fresh_var());
-            sink.add_clause([!c, !al, t]);
-            sink.add_clause([!c, al, !t]);
-            sink.add_clause([c, !bl, t]);
-            sink.add_clause([c, bl, !t]);
-            sink.add_clause([!al, !bl, t]);
-            sink.add_clause([al, bl, !t]);
-            Node(t)
-        }
-    }
+    let terms = constraint
+        .terms()
+        .iter()
+        .map(|t| (t.coeff, t.lit))
+        .collect();
+    weighted_at_most(terms, constraint.bound() as u64, sink);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::PbTerm;
-    use coremax_cnf::Var;
+    use coremax_cnf::{Lit, Var};
     use coremax_sat::{SolveOutcome, Solver};
 
     fn lit(i: u32) -> Lit {

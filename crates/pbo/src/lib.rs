@@ -1,38 +1,44 @@
-//! Pseudo-Boolean constraints and a SAT-based PBO optimiser.
+//! Pseudo-Boolean constraints and their CNF translation.
 //!
 //! Section 2.2 of Marques-Silva & Planes (DATE 2008) describes the
 //! baseline the paper calls **pbo**: translate a MaxSAT instance to
 //! Pseudo-Boolean Optimisation by adding one blocking variable per
-//! clause and minimising the number of blocking variables set to 1,
-//! then hand the result to minisat+. This crate rebuilds that pipeline:
+//! clause and minimising the weight of the blocking variables set to 1,
+//! then hand the result to minisat+, which tightens `Σ wᵢ·bᵢ ≤ cost − 1`
+//! after every model until the formula is refuted. `coremax::PboBaseline`
+//! runs that descent; this crate holds what its bounds are made of:
 //!
 //! - [`PbConstraint`]: normalised pseudo-Boolean constraints
 //!   `Σ cᵢ·lᵢ ⋈ b` with positive coefficients,
-//! - BDD translation of PB constraints to CNF (Eén & Sörensson §4),
-//! - [`PboSolver`]: iterative model-improving linear search on the
-//!   objective, exactly minisat+'s default strategy,
-//! - [`maxsat_as_pbo`]: the blocking-variable reduction of Example 1.
+//! - [`encode_pb`]: their CNF translation. `Ge` and `Eq` are brought to
+//!   `Le` form, and `Le` is `coremax_cards`' BDD encoder (Eén &
+//!   Sörensson §4), the one msu4 v1's cardinality bounds use.
 //!
 //! # Examples
 //!
-//! Minimise `b₁+b₂+b₃` subject to the relaxed formula of the paper's
-//! Example 1:
+//! Encode `2·x + 3·y + z ≤ 3` and check that the clauses forbid `x ∧ y`:
 //!
 //! ```
-//! use coremax_cnf::{Lit, Var, WcnfFormula};
-//! use coremax_pbo::{maxsat_as_pbo, PboOutcome};
+//! use coremax_cards::CnfSink;
+//! use coremax_cnf::{Lit, Var};
+//! use coremax_pbo::{encode_pb, PbConstraint, PbOp, PbTerm};
+//! use coremax_sat::{SolveOutcome, Solver};
 //!
-//! let mut w = WcnfFormula::new();
-//! let x1 = w.new_var();
-//! let x2 = w.new_var();
-//! w.add_soft([Lit::positive(x1)], 1);
-//! w.add_soft([Lit::positive(x2), Lit::negative(x1)], 1);
-//! w.add_soft([Lit::negative(x2)], 1);
-//! let mut pbo = maxsat_as_pbo(&w);
-//! match pbo.solve() {
-//!     PboOutcome::Optimal { cost, .. } => assert_eq!(cost, 1),
-//!     other => panic!("expected optimum, got {other:?}"),
+//! let [x, y, z] = [0, 1, 2].map(|i| Lit::positive(Var::new(i)));
+//! let bound = PbConstraint::new(
+//!     vec![PbTerm::new(2, x), PbTerm::new(3, y), PbTerm::new(1, z)],
+//!     PbOp::Le,
+//!     3,
+//! );
+//! let mut sink = CnfSink::new(3);
+//! encode_pb(&bound, &mut sink);
+//! let mut solver = Solver::new();
+//! solver.ensure_vars(sink.num_vars());
+//! for c in sink.clauses() {
+//!     solver.add_clause(c.iter().copied());
 //! }
+//! assert_eq!(solver.solve_with_assumptions(&[x, y]), SolveOutcome::Unsat);
+//! assert_eq!(solver.solve_with_assumptions(&[x, z]), SolveOutcome::Sat);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,8 +46,6 @@
 
 mod constraint;
 mod encode;
-mod solver;
 
 pub use constraint::{PbConstraint, PbOp, PbTerm};
 pub use encode::encode_pb;
-pub use solver::{maxsat_as_pbo, PboOutcome, PboSolver};
